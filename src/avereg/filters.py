@@ -143,7 +143,9 @@ def residual_factor(spec: FilterSpec, alpha: float, lam) -> np.ndarray:
     if spec.kind == "tikhonov":
         return alpha / (alpha + lam)
     if spec.kind == "iterated_tikhonov":
-        return np.exp(spec.order * np.log1p(-lam / (alpha + lam)))
+        # log1p(-1) = -inf once alpha < eps * lambda; exp then gives the exact 0
+        with np.errstate(divide="ignore"):
+            return np.exp(spec.order * np.log1p(-lam / (alpha + lam)))
     if spec.kind == "tsvd":
         return np.where(lam >= alpha, 0.0, 1.0)
     a = spec.relaxation

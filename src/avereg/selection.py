@@ -90,12 +90,13 @@ def discrepancy_principle(
             raise NonTerminationError(
                 f"discrepancy search did not stop within k_max={k_max} steps"
             )
+        # in the subnormal range alpha * q can round back to alpha itself
+        if alpha * q in (0.0, alpha):
+            raise NonTerminationError(
+                "alpha underflowed before the residual reached delta_est"
+            )
         k += 1
         alpha *= q
-        if alpha == 0.0:
-            raise NonTerminationError(
-                "alpha underflowed to zero before the residual reached delta_est"
-            )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Operators are carried around as their singular system ``(sigma_l, u_l, v_l)``
 with ``K v_l = sigma_l u_l`` and ``K* u_l = sigma_l v_l``.  Dense matrices
-enter only through :func:`svd` (one-sided Jacobi).  All vectors are handled as
+enter only through :func:`svd` (LAPACK gesdd).  All vectors are handled as
 coefficient lists with respect to the singular bases plus the norm of any
 component orthogonal to the spanned basis.
 """
@@ -19,9 +19,6 @@ from .errors import InputError, NumericalError
 
 #: relative threshold below which singular values are truncated by svd()
 SV_TRUNCATION = 1e-14
-
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -177,84 +174,30 @@ def counterexample_operator(m: int) -> tuple[SpectralDecomposition, CoefficientV
     return SpectralDecomposition(sigma), counterexample_direction(m)
 
 
-def _round_robin_schedule(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule covering all column pairs in rounds of disjoint pairs."""
-    players = list(range(m))
-    if m % 2:
-        players.append(-1)  # bye
-    k = len(players)
-    rounds = []
-    for _ in range(k - 1):
-        left = [players[i] for i in range(k // 2)]
-        right = [players[k - 1 - i] for i in range(k // 2)]
-        p = np.array([a for a, b in zip(left, right) if a >= 0 and b >= 0], dtype=int)
-        q = np.array([b for a, b in zip(left, right) if a >= 0 and b >= 0], dtype=int)
-        if p.size:
-            rounds.append((p, q))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
 def svd(matrix: np.ndarray) -> SpectralDecomposition:
-    """One-sided Jacobi SVD of a dense real matrix.
+    """Thin SVD of a dense real matrix via LAPACK gesdd (``np.linalg.svd``).
 
-    Columns are orthogonalized with cyclic (round-robin) sweeps of plane
-    rotations until every pair satisfies |a_p . a_q| <= 1e-12 ||a_p|| ||a_q||;
-    at most 60 sweeps.  Singular values below 1e-14 * sigma_1 are truncated.
+    Singular values below 1e-14 * sigma_1 are truncated.  Each pair
+    ``(u_l, v_l)`` is flipped so that the largest-magnitude entry of ``u_l``
+    (the first, on ties) is positive; the result then does not depend on the
+    LAPACK build's sign choice.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise InputError("matrix must be two-dimensional and non-empty")
     if not np.all(np.isfinite(a)):
         raise InputError("matrix must be finite-valued")
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
 
-    transposed = a.shape[0] < a.shape[1]
-    # rows of `work` are the columns being orthogonalized (contiguous slices)
-    work = a.copy() if transposed else np.ascontiguousarray(a.T)
-    m = work.shape[0]
-    right = np.eye(m)
-    schedule = _round_robin_schedule(m)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p_idx, q_idx in schedule:
-            rows_p = work[p_idx]
-            rows_q = work[q_idx]
-            app = np.einsum("ij,ij->i", rows_p, rows_p)
-            aqq = np.einsum("ij,ij->i", rows_q, rows_q)
-            apq = np.einsum("ij,ij->i", rows_p, rows_q)
-            denom = np.sqrt(app * aqq)
-            need = (denom > 0) & (np.abs(apq) > _JACOBI_TOL * denom)
-            if not need.any():
-                continue
-            rotated = True
-            p_sel = p_idx[need]
-            q_sel = q_idx[need]
-            tau = (aqq[need] - app[need]) / (2.0 * apq[need])
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau == 0, 1.0, t)  # 45-degree rotation for equal norms
-            c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
-            s = c * t[:, None]
-            for mat in (work, right):
-                rowp = mat[p_sel].copy()
-                rowq = mat[q_sel]
-                mat[p_sel] = c * rowp - s * rowq
-                mat[q_sel] = s * rowp + c * rowq
-        if not rotated:
-            break
-    else:
-        raise NumericalError("one-sided Jacobi did not converge within 60 sweeps")
-
-    norms = np.linalg.norm(work, axis=1)
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    keep = norms > (SV_TRUNCATION * norms[0] if norms[0] > 0 else 0.0)
-    sigma = norms[keep]
-    left = (work[order[keep]] / sigma[:, None]).T
-    right = right[order[keep]].T
-    if transposed:
-        left, right = right, left
-    return SpectralDecomposition(sigma, left, right)
+    keep = sigma > SV_TRUNCATION * sigma[0]
+    left = u[:, keep]
+    right = vt[keep].T
+    cols = np.arange(left.shape[1])
+    signs = np.copysign(1.0, left[np.argmax(np.abs(left), axis=0), cols])
+    return SpectralDecomposition(sigma[keep], left * signs, right * signs)
 
 
 def project_data(op: SpectralDecomposition, vector: np.ndarray) -> CoefficientVector:

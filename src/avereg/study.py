@@ -16,7 +16,6 @@ each rule sees the same batches.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -71,7 +70,6 @@ def heat_like_operator(m: int, decay: float = DEFAULT_HEAT_DECAY) -> SpectralDec
     return SpectralDecomposition(np.exp(-decay * np.arange(1, m + 1)))
 
 
-@functools.lru_cache(maxsize=8)
 def integration_operator(m: int) -> SpectralDecomposition:
     """SVD of the cumulative-integration operator f -> int_0^x f on [0, 1].
 
@@ -217,11 +215,11 @@ class StudyConfig:
         sample_sizes = _parse_sample_sizes(raw.get("sample_sizes"), violations)
 
         replications = raw.get("replications")
-        if not isinstance(replications, int) or replications < 1:
+        if not _is_int(replications) or replications < 1:
             violations.append("replications must be an integer >= 1")
             replications = 1
         base_seed = raw.get("base_seed")
-        if not isinstance(base_seed, int):
+        if not _is_int(base_seed):
             violations.append("base_seed must be an integer")
             base_seed = 0
 
@@ -239,6 +237,11 @@ class StudyConfig:
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
+
+
+def _is_int(value) -> bool:
+    """JSON integer check; bool is an int subclass but not a count or a seed."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_keys(section: dict, allowed: set, label: str, violations: list) -> None:
@@ -266,7 +269,7 @@ def _parse_scenario(section, violations):
     if name == "matrix_file" and "path" not in params:
         violations.append("matrix_file scenario needs a 'path'")
     m = params.get("m", params.get("grid"))
-    if m is not None and (not isinstance(m, int) or m < 2):
+    if m is not None and (not _is_int(m) or m < 2):
         violations.append("scenario dimension must be an integer >= 2")
     decay = params.get("decay")
     if decay is not None and not (isinstance(decay, (int, float)) and decay > 0):
@@ -393,7 +396,7 @@ def _parse_sample_sizes(section, violations):
         return (100,)
     sizes = []
     for value in section:
-        if not isinstance(value, int) or value < 2:
+        if not _is_int(value) or value < 2:
             violations.append("every sample size must be an integer >= 2")
             return (100,)
         sizes.append(value)

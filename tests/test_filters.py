@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from avereg.filters import (
     FilterSpec,
     apply_regularizer,
     filter_value,
+    residual_factor,
     residual_norm,
     verify_filter_constants,
 )
@@ -63,6 +65,13 @@ def test_iterated_tikhonov_matches_recursion_oracle():
                 oracle = _iterated_tikhonov_oracle(order, alpha, sigma, 1.0)
                 value = filter_value(FilterSpec.iterated_tikhonov(order), alpha, lam)
                 assert value * sigma == pytest.approx(oracle, rel=1e-12)
+
+
+def test_iterated_tikhonov_tiny_alpha_runs_clean():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = residual_factor(FilterSpec.iterated_tikhonov(2), 1e-300, [1.0, 0.5])
+    assert np.array_equal(factor, [0.0, 0.0])
 
 
 def test_landweber_matches_explicit_iteration():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ def test_non_termination_is_an_error():
     with pytest.raises(NonTerminationError):
         discrepancy_principle(op, FilterSpec.tikhonov(), y, delta_est=0.5,
                               q=0.5, k_max=50)
+
+
+def test_subnormal_alpha_stall_raises_promptly():
+    # 0.7 * 5e-324 rounds back to 5e-324, so alpha stops shrinking there
+    op = SpectralDecomposition([1.0])
+    y = CoefficientVector([1.0], orthogonal_norm=1.0)
+    start = time.perf_counter()
+    with pytest.raises(NonTerminationError):
+        discrepancy_principle(op, FilterSpec.tikhonov(), y, delta_est=0.5, q=0.7)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_invalid_arguments():

@@ -185,6 +185,34 @@ def test_svd_truncates_tiny_singular_values():
     assert op.rank == 1
 
 
+def test_svd_matches_lapack_on_trapezoid_matrix():
+    m = 512
+    h = 1.0 / m
+    a = np.tril(np.full((m, m), h), -1) + np.eye(m) * (h / 2.0)
+    expected = np.linalg.svd(a, compute_uv=False)
+    op = svd(a)
+    assert op.rank == m
+    assert np.all(np.abs(op.singular_values / expected - 1.0) <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "a", [-np.eye(3), np.random.default_rng(11).standard_normal((7, 4))],
+    ids=["negative_identity", "random"],
+)
+def test_svd_sign_convention(a):
+    op = svd(a)
+    u = op.left_basis
+    assert np.all(u[np.argmax(np.abs(u), axis=0), np.arange(op.rank)] > 0)
+    rec = (u * op.singular_values) @ op.right_basis.T
+    assert np.linalg.norm(rec - a) <= 1e-12 * np.linalg.norm(a)
+
+
+def test_svd_zero_matrix_has_rank_zero():
+    op = svd(np.zeros((3, 2)))
+    assert op.rank == 0
+    assert op.left_basis.shape == (3, 0) and op.right_basis.shape == (2, 0)
+
+
 def test_svd_rejects_non_finite():
     with pytest.raises(InputError):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -200,6 +200,18 @@ def test_config_reports_all_violations():
     assert "nonsense" in text
 
 
+@pytest.mark.parametrize("overrides", [
+    {"replications": True},
+    {"base_seed": True},
+    {"base_seed": False},
+    {"scenario": {"name": "diagonal_synthetic", "m": True}},
+    {"sample_sizes": [True, 200]},
+])
+def test_config_rejects_booleans_as_integers(overrides):
+    with pytest.raises(ConfigError):
+        StudyConfig.from_dict(_tiny_config(**overrides))
+
+
 def test_config_rejects_source_for_fixed_scenarios():
     raw = _tiny_config(scenario={"name": "counterexample", "m": 10})
     with pytest.raises(ConfigError):
