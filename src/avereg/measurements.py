@@ -9,7 +9,10 @@ iterated-logarithm envelope ``tau s_n sqrt(2 log log n / n)`` are computed.
 Noise with a common random direction (``direction_gaussian``, ``heavy_tailed``)
 is stored in factored form — per-sample scalar latents times a fixed vector —
 so batches with n = 1e5 samples cost O(n + m) rather than O(n m); full sample
-matrices are materialised lazily only when requested.
+matrices are materialised lazily only when requested.  Noise that is not
+rank-one (``coefficient_gaussian``) needs the full n x m sample matrix; it is
+built in place in the array of drawn normals, and the squared deviations
+behind ``s_n`` are formed in place in one more n x m array.
 """
 
 from __future__ import annotations
@@ -196,7 +199,8 @@ class MeasurementBatch:
 
 def _finalize_full(n, seed, tag, y_hat, samples) -> MeasurementBatch:
     mean_coef = samples.mean(axis=0)
-    sq = np.sum((samples - mean_coef) ** 2)
+    dev = samples - mean_coef
+    sq = np.sum(np.square(dev, out=dev))
     std = math.sqrt(sq / (n - 1))
     mean = CoefficientVector(mean_coef, y_hat.orthogonal_norm)
     return MeasurementBatch(n, seed, tag, mean, std, samples=samples)
@@ -238,8 +242,10 @@ def draw_batch(
         if forced_latents is not None:
             raise InputError("coefficient_gaussian has no scalar latent to force")
         m = len(y_hat)
-        noise = model.scale * rng.normals(n * m).reshape(n, m)
-        return _finalize_full(n, seed, model.tag, y_hat, y_hat.coefficients + noise)
+        samples = rng.normals(n * m).reshape(n, m)
+        samples *= model.scale
+        samples += y_hat.coefficients
+        return _finalize_full(n, seed, model.tag, y_hat, samples)
 
     if isinstance(model, BernoulliPayoff):
         return _bernoulli_batch(model, n, seed, rng, forced_latents)

@@ -10,6 +10,13 @@ Output word ``i`` of a stream is ``mix(base + i * PHI)`` where ``base`` is a
 mix of seed and stream id, ``PHI`` is the 64-bit golden-ratio constant and
 ``mix`` the splitmix64 finalizer.  Normals are produced by Box-Muller,
 generalized Pareto variates by inverse transform.
+
+Words are generated in blocks of ``_BLOCK`` counters: each block is mixed in
+place in a scratch buffer that stays in cache and is then converted straight
+into the caller's output array, so a draw of n variates allocates its output
+and two blocks rather than several n-long temporaries.  Every output value is
+the same floating-point expression of its own word, so the output does not
+depend on the block size or on how a draw is split across calls.
 """
 
 from __future__ import annotations
@@ -18,19 +25,26 @@ import numpy as np
 
 from .errors import InputError
 
-_PHI = np.uint64(0x9E3779B97F4A7C15)
+_PHI = 0x9E3779B97F4A7C15
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
-_STREAM_MUL = np.uint64(0xD1342543DE82EF95)
+_STREAM_MUL = 0xD1342543DE82EF95
 
 _INV_2_53 = 2.0 ** -53
 
+_BLOCK = 1 << 14
+_STEPS = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_PHI)
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _MUL1
-    z = (z ^ (z >> np.uint64(27))) * _MUL2
-    return z ^ (z >> np.uint64(31))
+
+def _mix(z: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64 finalizer, in place over a uint64 array; ``scratch`` has
+    the shape of ``z``."""
+    for shift, mul in ((30, _MUL1), (27, _MUL2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= mul
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
 def _to_u64(value: int) -> np.uint64:
@@ -45,37 +59,70 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        with np.errstate(over="ignore"):
-            key = _mix(np.array([_to_u64(seed)], dtype=np.uint64))
-            sub = _mix(np.array([_to_u64(stream) * _STREAM_MUL], dtype=np.uint64))
-            self._base = (key ^ sub)[0]
+        key_sub = np.array([_to_u64(seed), _to_u64(int(stream) * _STREAM_MUL)])
+        _mix(key_sub, np.empty_like(key_sub))
+        self._base = int(key_sub[0] ^ key_sub[1])
         self._counter = 0
         self.seed = int(seed)
         self.stream = int(stream)
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+    def _take(self, n: int) -> int:
+        """Reserve the next n words; returns the counter of the first."""
+        start = self._counter
         self._counter += n
-        with np.errstate(over="ignore"):
-            return _mix(self._base + idx * _PHI)
+        return start
+
+    def _fill_uniforms(self, start: int, out: np.ndarray) -> None:
+        """Write the uniforms of words start, start + 1, ... into ``out``."""
+        words = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
+        scratch = np.empty_like(words)
+        for lo in range(0, out.size, _BLOCK):
+            dest = out[lo:lo + _BLOCK]
+            z, t = words[:dest.size], scratch[:dest.size]
+            np.add(_STEPS[:dest.size], _to_u64(self._base + (start + lo) * _PHI), out=z)
+            _mix(z, t)
+            z >>= np.uint64(11)
+            np.add(z, 0.5, out=dest)
+            dest *= _INV_2_53
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms on the open interval (0, 1)."""
-        return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        out = np.empty(n)
+        self._fill_uniforms(self._take(n), out)
+        return out
 
     def symmetric_uniforms(self, n: int) -> np.ndarray:
         """n uniforms on (-1/2, 1/2)."""
-        return self.uniforms(n) - 0.5
+        out = self.uniforms(n)
+        out -= 0.5
+        return out
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller."""
+        """n standard normals via Box-Muller.
+
+        Pair j takes its radius from word j and its angle from word half + j
+        of the request; the cosines fill the first half of the output, the
+        sines the second, and an odd request drops the last sine.
+        """
         half = (n + 1) // 2
-        u1 = self.uniforms(half)
-        u2 = self.uniforms(half)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-        return z[:n]
+        start = self._take(2 * half)
+        out = np.empty(2 * half)
+        radius = np.empty(min(half, _BLOCK))
+        for lo in range(0, half, _BLOCK):
+            hi = min(lo + _BLOCK, half)
+            r = radius[:hi - lo]
+            self._fill_uniforms(start + lo, r)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            cos_part, sin_part = out[lo:hi], out[half + lo:half + hi]
+            self._fill_uniforms(start + half + lo, sin_part)
+            sin_part *= 2.0 * np.pi
+            np.cos(sin_part, out=cos_part)
+            np.sin(sin_part, out=sin_part)
+            cos_part *= r
+            sin_part *= r
+        return out[:n]
 
     def generalized_pareto(self, n: int, shape: float, scale: float, location: float) -> np.ndarray:
         """n generalized-Pareto variates via inverse transform.
@@ -85,10 +132,18 @@ class RandomStream:
         """
         if scale <= 0:
             raise InputError(f"generalized Pareto scale must be positive, got {scale}")
-        u = self.uniforms(n)
+        x = self.uniforms(n)
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
         if abs(shape) < 1e-12:
-            return location - scale * np.log1p(-u)
-        return location + scale * np.expm1(-shape * np.log1p(-u)) / shape
+            x *= scale
+            return np.subtract(location, x, out=x)
+        x *= -shape
+        np.expm1(x, out=x)
+        x *= scale
+        x /= shape
+        x += location
+        return x
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n) (Fisher-Yates)."""

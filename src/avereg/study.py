@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigError, DegenerateBatchError, InputError, StudyError
+from .errors import (
+    ConfigError,
+    DegenerateBatchError,
+    InputError,
+    NonTerminationError,
+    StudyError,
+)
 from .filters import FilterSpec, apply_regularizer
 from .measurements import (
     BernoulliPayoff,
@@ -244,6 +250,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """JSON number check; ``true`` is not the number 1.0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_keys(section: dict, allowed: set, label: str, violations: list) -> None:
     for key in sorted(set(section) - allowed):
         violations.append(f"unknown key {key!r} in {label}")
@@ -272,7 +283,7 @@ def _parse_scenario(section, violations):
     if m is not None and (not _is_int(m) or m < 2):
         violations.append("scenario dimension must be an integer >= 2")
     decay = params.get("decay")
-    if decay is not None and not (isinstance(decay, (int, float)) and decay > 0):
+    if decay is not None and not (_is_number(decay) and decay > 0):
         violations.append("scenario decay must be positive")
     return name, params
 
@@ -290,7 +301,7 @@ def _parse_source(section, scenario_name, violations):
     nu = section.get("nu", 1.0)
     rho = section.get("rho", 1.0)
     for label, value in (("nu", nu), ("rho", rho)):
-        if not (isinstance(value, (int, float)) and value > 0):
+        if not (_is_number(value) and value > 0):
             violations.append(f"source {label} must be positive")
             return 1.0, 1.0
     return float(nu), float(rho)
@@ -327,8 +338,10 @@ def _parse_noise(section, scenario_name, violations):
         violations.append(f"unknown noise variant {variant!r}")
         return None
     _check_keys(section, allowed, "noise", violations)
+    if scenario_name == "matrix_file" and variant == "heavy_tailed":
+        violations.append("scenario 'matrix_file' does not take heavy_tailed noise")
     scale = section.get("scale")
-    if scale is not None and not (isinstance(scale, (int, float)) and scale > 0):
+    if scale is not None and not (_is_number(scale) and scale > 0):
         violations.append("noise scale must be positive")
     return dict(section)
 
@@ -346,19 +359,21 @@ def _parse_rules(section, violations):
         if name in ("dp", "dp+es"):
             _check_keys(entry, {"name", "q"}, f"rule {name}", violations)
             q = entry.get("q", 0.7)
-            if not (isinstance(q, (int, float)) and 0.0 < q < 1.0):
+            if not (_is_number(q) and 0.0 < q < 1.0):
                 violations.append("rule q must lie in (0, 1)")
                 q = 0.7
             rules.append(DiscrepancyRule(q=float(q), emergency=(name == "dp+es")))
         elif name == "apriori":
             _check_keys(entry, {"name", "variant", "c", "nu", "rho"}, "rule apriori", violations)
             variant = entry.get("variant", "inv_sqrt_n_alpha")
+            params = {key: entry.get(key, 1.0) for key in ("c", "nu", "rho")}
+            not_numbers = [key for key, value in params.items() if not _is_number(value)]
+            if not_numbers:
+                violations.append(f"apriori rule {', '.join(not_numbers)} must be numbers")
+                continue
             try:
                 rules.append(AprioriStudyRule(AprioriRule(
-                    variant,
-                    c=float(entry.get("c", 1.0)),
-                    nu=float(entry.get("nu", 1.0)),
-                    rho=float(entry.get("rho", 1.0)),
+                    variant, **{key: float(value) for key, value in params.items()}
                 )))
             except (InputError, TypeError, ValueError) as exc:
                 violations.append(f"invalid apriori rule: {exc}")
@@ -381,7 +396,7 @@ def _parse_delta_rule(section, violations):
         return "sample_std", None
     tau = section.get("tau")
     if name == "lil":
-        if not (isinstance(tau, (int, float)) and tau > 1):
+        if not (_is_number(tau) and tau > 1):
             violations.append("lil delta rule needs tau > 1")
             tau = 1.5
         return name, float(tau)
@@ -558,10 +573,13 @@ def build_scenario(config: StudyConfig) -> Scenario:
         x_hat, y_hat = synthesize_source(op, sc)
         x_hat_ambient = embed_solution(op, x_hat)
         y_hat_ambient = CoefficientVector(op.left_basis @ y_hat.coefficients, 0.0)
-        direction = op.left_basis @ _default_direction(m).coefficients
-        model = DirectionGaussian(CoefficientVector(direction, 0.0))
-        if config.noise is not None and config.noise["variant"] == "coefficient_gaussian":
-            model = CoefficientGaussian(float(config.noise.get("scale", 1.0)))
+        noise = config.noise or {"variant": "direction_gaussian"}
+        scale = float(noise.get("scale", 1.0))
+        if noise["variant"] == "coefficient_gaussian":
+            model = CoefficientGaussian(scale)
+        else:
+            direction = op.left_basis @ _default_direction(m).coefficients
+            model = DirectionGaussian(CoefficientVector(scale * direction, 0.0))
         return Scenario(op, x_hat, y_hat_ambient, model,
                         ambient=True, x_hat_ambient=x_hat_ambient)
 
@@ -603,8 +621,9 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Run every (rule, sample size, replication) cell; deterministic.
 
     All rules share the batch of a given (sample size, replication) pair.
-    Replications whose sample-based noise estimate degenerates are recorded as
-    failed and excluded from summaries; more than 5% failures abort the study.
+    Replications whose sample-based noise estimate degenerates, or whose
+    discrepancy search cannot stop, are recorded as failed with the reason and
+    excluded from summaries; more than 5% failures abort the study.
     """
     scenario = build_scenario(config)
     rule_names = tuple(rule.name for rule in config.rules)
@@ -630,6 +649,9 @@ def run_study(config: StudyConfig) -> StudyResult:
                 record = _run_rule(config, scenario, rule, y_bar, batch, d_true, n, rep)
                 failed += record.failed
                 records[(rule.name, n)].append(record)
+            # release this batch before the next is drawn: a full-sample
+            # batch holds an n x m matrix
+            del batch, y_bar
 
     if failed > 0.05 * total:
         raise StudyError(
@@ -654,10 +676,14 @@ def _run_rule(config, scenario, rule, y_bar, batch, d_true, n, rep) -> Replicati
                                  math.nan, failed=True, reason=str(exc))
 
     if isinstance(rule, DiscrepancyRule):
-        choice = discrepancy_principle(
-            scenario.op, config.filter_spec, y_bar, d_est, q=rule.q,
-            emergency_n=n if rule.emergency else None,
-        )
+        try:
+            choice = discrepancy_principle(
+                scenario.op, config.filter_spec, y_bar, d_est, q=rule.q,
+                emergency_n=n if rule.emergency else None,
+            )
+        except NonTerminationError as exc:
+            return ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
+                                     d_est, failed=True, reason=str(exc))
         alpha, k, emergency = choice.alpha, choice.k, choice.emergency_triggered
     else:
         alpha = apriori_alpha(rule.rule, d_est, n)

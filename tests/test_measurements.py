@@ -69,6 +69,18 @@ def test_batch_mean_and_std_match_samples():
     assert batch.sample_std == pytest.approx(spread, rel=1e-12)
 
 
+def test_coefficient_gaussian_batch_is_bitwise_the_out_of_place_formula():
+    # n * m odd, so the Box-Muller draw drops its last sine
+    y_hat = CoefficientVector([1.0, -2.0, 0.5])
+    batch = draw_batch(CoefficientGaussian(0.7), y_hat, n=41, seed=5, stream=2)
+    noise = 0.7 * RandomStream(5, 2).normals(41 * 3).reshape(41, 3)
+    samples = y_hat.coefficients + noise
+    assert np.array_equal(batch.samples, samples)
+    mean = samples.mean(axis=0)
+    assert np.array_equal(batch.mean.coefficients, mean)
+    assert batch.sample_std == math.sqrt(np.sum((samples - mean) ** 2) / 40)
+
+
 def test_rank_one_batches_match_materialised_samples():
     direction = counterexample_direction(5)
     batch = draw_batch(DirectionGaussian(direction), _zero(5), n=12, seed=9)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -73,3 +74,47 @@ def test_permutation_is_roughly_uniform():
     firsts = [RandomStream(s).permutation(4)[0] for s in range(2000)]
     counts = np.bincount(firsts, minlength=4)
     assert counts.min() > 2000 / 4 * 0.8
+
+
+# sha256 prefixes of the .tobytes() output of RandomStream(99, (2 << 32) | 17),
+# one per request size; the sizes straddle the 2^14-word generation block.
+# Any change to the bits of a draw fails here, whatever its moments.
+_GOLDEN_SIZES = (1, 2, 7, 2**14 - 1, 2**14, 2**14 + 1, 2 * 2**14 + 3, 100001)
+_GOLDEN = {
+    "uniforms": ("0efbd491e55e545f", "001cbd7716f74121", "36725d00d0e57250",
+                 "2db2156afcdb0645", "2290066919cabd2f", "6c109a6f4fea5904",
+                 "896192b3c14c0630", "e3d15a4776881e0c"),
+    "symmetric_uniforms": ("70f4867721e890c6", "0c0b14a6725a2359", "a264475c4d9062aa",
+                           "576b83f2d69dbb79", "49acc0cee97f61cf", "eea2f50151b0c92b",
+                           "b92eca2b429b5fec", "4cd40a1c02e82a60"),
+    "normals": ("dbadaa008edc2086", "8496940abd209249", "2823d775cc5094fc",
+                "aa8f7ec43a713347", "1896158a5f5bb1ba", "6ce623025c56e397",
+                "b4e1e3e6fbd28a6b", "a3737599e46646dc"),
+    "generalized_pareto": ("6f1b2b90b97eaec6", "4b31a94121ca2ce6", "14a20c0c4473afc9",
+                           "ab4e77cd306052f2", "d6f0a059c441e95a", "b097535890bc809d",
+                           "bd0cef198376e4fd", "b10e17e234d2e53b"),
+}
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()[:16]
+
+
+def _golden_stream() -> RandomStream:
+    return RandomStream(99, (2 << 32) | 17)
+
+
+@pytest.mark.parametrize("method", sorted(_GOLDEN))
+@pytest.mark.parametrize("size_index", range(len(_GOLDEN_SIZES)))
+def test_draws_match_golden_bits(method, size_index):
+    n = _GOLDEN_SIZES[size_index]
+    extra = (1.0 / 3.0, 0.5, 1.5) if method == "generalized_pareto" else ()
+    values = getattr(_golden_stream(), method)(n, *extra)
+    assert values.shape == (n,)
+    assert _digest(values) == _GOLDEN[method][size_index]
+
+
+def test_draws_split_across_a_block_boundary_match_golden_bits():
+    stream = _golden_stream()
+    parts = [stream.uniforms(2**14 - 5), stream.normals(11), stream.uniforms(40000)]
+    assert _digest(np.concatenate(parts)) == "143234ebcc1fac27"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from avereg.errors import ConfigError, InputError
+from avereg.errors import ConfigError, InputError, StudyError
 from avereg.filters import FilterSpec, filter_value
 from avereg.measurements import BinaryOptionParams
 from avereg.study import (
@@ -206,6 +206,15 @@ def test_config_reports_all_violations():
     {"base_seed": False},
     {"scenario": {"name": "diagonal_synthetic", "m": True}},
     {"sample_sizes": [True, 200]},
+    {"scenario": {"name": "diagonal_synthetic", "m": 10, "decay": True}},
+    {"noise": {"variant": "direction_gaussian", "scale": True}},
+    {"source": {"nu": True, "rho": 1.0}},
+    {"source": {"nu": 1.0, "rho": True}},
+    {"rules": [{"name": "dp", "q": True}]},
+    {"delta_rule": {"name": "lil", "tau": True}},
+    {"rules": [{"name": "apriori", "c": True}]},
+    {"rules": [{"name": "apriori", "nu": True}]},
+    {"rules": [{"name": "apriori", "rho": False}]},
 ])
 def test_config_rejects_booleans_as_integers(overrides):
     with pytest.raises(ConfigError):
@@ -250,6 +259,32 @@ def test_default_configs_are_valid():
                 default_counterexample_config(),
                 default_counterexample_config(forced=True, emergency=True)):
         StudyConfig.from_dict(raw)
+
+
+def _matrix_file_config(tmp_path, **overrides):
+    path = tmp_path / "matrix.csv"
+    a = np.random.default_rng(0).standard_normal((30, 10))
+    np.savetxt(path, a, delimiter=",")
+    return _tiny_config(scenario={"name": "matrix_file", "path": str(path)}, **overrides)
+
+
+def test_config_rejects_heavy_tailed_noise_for_matrix_file(tmp_path):
+    raw = _matrix_file_config(tmp_path, noise={"variant": "heavy_tailed"})
+    with pytest.raises(ConfigError, match="heavy_tailed"):
+        StudyConfig.from_dict(raw)
+
+
+def test_matrix_file_honours_direction_gaussian_scale(tmp_path):
+    default = build_scenario(StudyConfig.from_dict(_matrix_file_config(tmp_path)))
+    scaled = build_scenario(StudyConfig.from_dict(_matrix_file_config(
+        tmp_path, noise={"variant": "direction_gaussian", "scale": 100.0})))
+    assert type(scaled.model).__name__ == "DirectionGaussian"
+    assert np.array_equal(scaled.model.direction.coefficients,
+                          100.0 * default.model.direction.coefficients)
+    unit = build_scenario(StudyConfig.from_dict(_matrix_file_config(
+        tmp_path, noise={"variant": "direction_gaussian", "scale": 1.0})))
+    assert np.array_equal(unit.model.direction.coefficients,
+                          default.model.direction.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +365,35 @@ def test_heat_scenario_uses_heavy_tailed_noise():
     assert type(scenario.model).__name__ == "HeavyTailed"
     assert scenario.op.rank == 100
     assert scenario.x_hat.norm() <= 1.0 + 1e-9  # rho * sigma_1^nu < 1
+
+
+def test_search_that_cannot_stop_fails_only_its_replication():
+    from avereg.measurements import MeasurementBatch
+    from avereg.spectral import CoefficientVector, SpectralDecomposition
+    from avereg.study import DiscrepancyRule, Scenario, _run_rule
+
+    config = StudyConfig.from_dict(_tiny_config(delta_rule={"name": "inv_sqrt_n"}))
+    # the data component outside the range (1.0) exceeds delta = 1/sqrt(4)
+    y_bar = CoefficientVector(np.array([1.0]), 1.0)
+    zero = CoefficientVector(np.zeros(1), 0.0)
+    scenario = Scenario(SpectralDecomposition(np.array([1.0])), zero, zero, model=None)
+    batch = MeasurementBatch(4, 0, "test", y_bar, 1.0)
+    record = _run_rule(config, scenario, DiscrepancyRule(q=0.7), y_bar, batch, 0.25, 4, 3)
+    assert record.failed
+    assert record.replication == 3
+    assert record.delta_est == 0.5
+    assert math.isnan(record.error) and math.isnan(record.alpha)
+    assert "delta_est" in record.reason
+
+
+def test_matrix_file_study_whose_searches_cannot_stop_raises_study_error(tmp_path):
+    raw = _matrix_file_config(
+        tmp_path, noise={"variant": "coefficient_gaussian", "scale": 5},
+        delta_rule={"name": "inv_sqrt_n"}, sample_sizes=[10, 100], replications=20,
+        base_seed=1,
+    )
+    with pytest.raises(StudyError, match="replications failed"):
+        run_study(StudyConfig.from_dict(raw))
 
 
 def test_apriori_rule_records_no_iteration_count():
