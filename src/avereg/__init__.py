@@ -39,7 +39,6 @@ from .measurements import (
     draw_batch,
     heavy_tail_weights,
     load_batch_csv,
-    save_batch_csv,
 )
 from .rng import RandomStream
 from .selection import (
@@ -82,6 +81,7 @@ from .study import (
     integration_operator,
     rate_fit,
     run_study,
+    solve_rule,
     summarize,
     write_study_csvs,
 )

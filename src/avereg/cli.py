@@ -19,108 +19,58 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
-from .errors import (
-    ConfigError,
-    DegenerateBatchError,
-    InputError,
-    NonTerminationError,
-    NumericalError,
-    StudyError,
-)
-from .filters import FilterSpec, apply_regularizer, verify_filter_constants
-from .selection import AprioriRule, apriori_alpha, discrepancy_principle
+from .errors import AveregError, DegenerateBatchError, InputError, StudyError
+# perfbench's tracer requires cli to bind apply_regularizer and discrepancy_principle
+from .filters import KINDS, FilterSpec, apply_regularizer, verify_filter_constants  # noqa: F401
+from .measurements import DELTA_RULES, load_batch_csv
+from .selection import discrepancy_principle  # noqa: F401
 from .spectral import embed_solution, load_matrix_csv, project_data, svd
 from .study import (
+    RULE_NAMES,
     StudyConfig,
+    atomic_write,
     default_binopt_config,
     default_counterexample_config,
     default_heat_config,
     format_summary_table,
+    rule_from_config,
     run_study,
+    solve_rule,
     write_study_csvs,
 )
 
-_FILTER_CHOICES = ("tikhonov", "iterated_tikhonov", "tsvd", "landweber")
-_RULE_CHOICES = ("dp", "dp+es", "apriori")
-_DELTA_CHOICES = ("inv_sqrt_n", "sample_std", "lil")
 
-
-def _parse_filter(name: str, order: int, relaxation: float) -> FilterSpec:
-    if name == "iterated_tikhonov":
-        return FilterSpec.iterated_tikhonov(order)
-    if name == "landweber":
-        return FilterSpec.landweber(relaxation)
-    return FilterSpec(name)
-
-
-def _solve_delta(samples: np.ndarray, rule: str, tau: float) -> float:
-    n = samples.shape[0]
-    if rule == "inv_sqrt_n":
-        return 1.0 / math.sqrt(n)
-    if n < 2:
-        raise DegenerateBatchError("sample-based noise estimates need n >= 2 measurements")
-    mean = samples.mean(axis=0)
-    s = math.sqrt(float(np.sum((samples - mean) ** 2)) / (n - 1))
-    if s == 0.0:
-        raise DegenerateBatchError("all measurements coincide")
-    if rule == "sample_std":
-        return s / math.sqrt(n)
-    if tau <= 1:
-        raise InputError("lil rule requires --tau > 1")
-    if n < 16:
-        raise DegenerateBatchError("lil rule requires n >= 16 measurements")
-    return tau * s * math.sqrt(2.0 * math.log(math.log(n)) / n)
+def _given(args, *names) -> dict:
+    """The options among ``names`` that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _cmd_solve(args) -> int:
+    spec = FilterSpec.from_config({"kind": args.filter, **_given(args, "order", "relaxation")})
+    rule = rule_from_config({"name": args.rule, **_given(args, "q")})
     matrix = load_matrix_csv(args.matrix)
-    try:
-        samples = np.loadtxt(args.measurements, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot parse measurements CSV {args.measurements}: {exc}") from exc
-    if samples.shape[1] != matrix.shape[0]:
+    batch = load_batch_csv(args.measurements)
+    if batch.dimension != matrix.shape[0]:
         raise InputError(
-            f"measurement rows have {samples.shape[1]} columns, "
+            f"measurement rows have {batch.dimension} columns, "
             f"matrix has {matrix.shape[0]} rows"
         )
     op = svd(matrix)
-    spec = _parse_filter(args.filter, args.order, args.relaxation)
-    n = samples.shape[0]
-    delta = _solve_delta(samples, args.delta, args.tau)
-    y_bar = project_data(op, samples.mean(axis=0))
-
-    if args.rule == "apriori":
-        alpha = apriori_alpha(AprioriRule("inv_sqrt_n_alpha"), delta, n)
-        choice_info = {"alpha": alpha, "k": -1, "emergency_triggered": False,
-                       "delta_est_used": delta}
-    else:
-        choice = discrepancy_principle(
-            op, spec, y_bar, delta, q=args.q,
-            emergency_n=n if args.rule == "dp+es" else None,
-        )
-        alpha = choice.alpha
-        choice_info = json.loads(choice.to_json())
-
-    solution = apply_regularizer(op, spec, alpha, y_bar)
-    choice_info["residual"] = solution.residual
+    y_bar = project_data(op, batch.mean.coefficients)
+    choice, solution = solve_rule(op, spec, rule, batch, y_bar, args.delta, args.tau)
     x = embed_solution(op, solution.x)
+    report = {**dataclasses.asdict(choice), "residual": solution.residual}
 
     os.makedirs(args.out, exist_ok=True)
     solution_path = os.path.join(args.out, "solution.csv")
-    with open(solution_path, "w") as fh:
-        fh.write("\n".join(f"{value:.17g}" for value in x) + "\n")
+    atomic_write(solution_path, "\n".join(f"{value:.17g}" for value in x) + "\n")
     choice_path = os.path.join(args.out, "choice.json")
-    with open(choice_path, "w") as fh:
-        json.dump(choice_info, fh, sort_keys=True)
-        fh.write("\n")
+    atomic_write(choice_path, json.dumps(report, sort_keys=True) + "\n")
     print(f"wrote {solution_path} and {choice_path} "
-          f"(alpha={alpha:.6g}, residual={solution.residual:.6g})")
+          f"(alpha={choice.alpha:.6g}, residual={solution.residual:.6g})")
     return 0
 
 
@@ -146,8 +96,9 @@ def _load_config(path: str | None, default: dict, seed: int | None) -> StudyConf
     return config
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, None, args.seed)
+def _cmd_study(args) -> int:
+    """simulate, heat and binopt: the study in --config, else the command's default."""
+    config = _load_config(args.config, args.default, args.seed)
     return _run_and_emit(config, args.out)
 
 
@@ -163,16 +114,6 @@ def _cmd_counterexample(args) -> int:
         print(f"n={n} alpha={record.alpha:.6g} k={record.k} "
               f"emergency={int(record.emergency)} error={record.error:.6g}")
     return 0
-
-
-def _cmd_heat(args) -> int:
-    config = _load_config(args.config, default_heat_config(), args.seed)
-    return _run_and_emit(config, args.out)
-
-
-def _cmd_binopt(args) -> int:
-    config = _load_config(args.config, default_binopt_config(), args.seed)
-    return _run_and_emit(config, args.out)
 
 
 def _cmd_verify_filters(args) -> int:
@@ -208,23 +149,30 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--matrix", required=True, help="operator matrix CSV (row-major)")
     solve.add_argument("--measurements", required=True,
                        help="measurements CSV, one sample per row")
-    solve.add_argument("--filter", default="tikhonov", choices=_FILTER_CHOICES)
-    solve.add_argument("--order", type=int, default=2,
+    solve.add_argument("--filter", default="tikhonov", choices=KINDS)
+    solve.add_argument("--order", type=int, default=None,
                        help="iterated Tikhonov order (default 2)")
-    solve.add_argument("--relaxation", type=float, default=0.9,
+    solve.add_argument("--relaxation", type=float, default=None,
                        help="Landweber relaxation (default 0.9)")
-    solve.add_argument("--rule", default="dp", choices=_RULE_CHOICES)
-    solve.add_argument("--delta", default="sample_std", choices=_DELTA_CHOICES)
-    solve.add_argument("--q", type=float, default=0.7)
+    solve.add_argument("--rule", default="dp", choices=RULE_NAMES)
+    solve.add_argument("--delta", default="sample_std", choices=DELTA_RULES)
+    solve.add_argument("--q", type=float, default=None,
+                       help="discrepancy search factor (default 0.7)")
     solve.add_argument("--tau", type=float, default=1.5)
     solve.add_argument("--out", default=".")
     solve.set_defaults(func=_cmd_solve)
 
-    simulate = sub.add_parser("simulate", help="run a study from a JSON config")
-    simulate.add_argument("--config", required=True)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--out", default="study_out")
-    simulate.set_defaults(func=_cmd_simulate)
+    studies = (
+        ("simulate", "run a study from a JSON config", None),
+        ("heat", "severely ill-posed heavy-tail study", default_heat_config()),
+        ("binopt", "binary-option differentiation study", default_binopt_config()),
+    )
+    for name, text, default in studies:
+        study = sub.add_parser(name, help=text)
+        study.add_argument("--config", required=default is None, default=None)
+        study.add_argument("--seed", type=int, default=None)
+        study.add_argument("--out", default="study_out")
+        study.set_defaults(func=_cmd_study, default=default)
 
     counter = sub.add_parser("counterexample", help="the divergence construction")
     counter.add_argument("--n-max", type=int, default=6)
@@ -235,18 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     counter.add_argument("--seed", type=int, default=None)
     counter.add_argument("--out", default="study_out")
     counter.set_defaults(func=_cmd_counterexample)
-
-    heat = sub.add_parser("heat", help="severely ill-posed heavy-tail study")
-    heat.add_argument("--config", default=None)
-    heat.add_argument("--seed", type=int, default=None)
-    heat.add_argument("--out", default="study_out")
-    heat.set_defaults(func=_cmd_heat)
-
-    binopt = sub.add_parser("binopt", help="binary-option differentiation study")
-    binopt.add_argument("--config", default=None)
-    binopt.add_argument("--seed", type=int, default=None)
-    binopt.add_argument("--out", default="study_out")
-    binopt.set_defaults(func=_cmd_binopt)
 
     verify = sub.add_parser("verify-filters", help="certify the filter constants")
     verify.set_defaults(func=_cmd_verify_filters)
@@ -261,7 +197,7 @@ def main(argv=None) -> int:
     except (DegenerateBatchError, StudyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, InputError, NumericalError, NonTerminationError, OSError) as exc:
+    except (AveregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,11 @@ class DegenerateBatchError(AveregError, RuntimeError):
 
 
 class NonTerminationError(AveregError, RuntimeError):
-    """The discrepancy search exhausted its iteration budget without stopping."""
+    """The discrepancy search cannot stop; ``delta_est`` is the level it sought."""
+
+    def __init__(self, message, delta_est=float("nan")):
+        self.delta_est = delta_est
+        super().__init__(message)
 
 
 class StudyError(AveregError, RuntimeError):

@@ -22,9 +22,6 @@ from .spectral import CoefficientVector, SpectralDecomposition, _check_length
 
 KINDS = ("tikhonov", "iterated_tikhonov", "tsvd", "landweber")
 
-#: infinite qualifications are exercised up to this exponent in grid checks
-QUALIFICATION_CAP = 20.0
-
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -43,7 +40,7 @@ class FilterSpec:
         if self.kind == "iterated_tikhonov" and self.order < 1:
             raise InputError("iterated Tikhonov order must be >= 1")
         if self.kind == "landweber":
-            if self.relaxation is None or self.relaxation <= 0:
+            if self.relaxation is None or not self.relaxation > 0:
                 raise InputError("landweber needs a positive relaxation")
         defaults = self._default_constants()
         for name, value in defaults.items():
@@ -110,18 +107,28 @@ class FilterSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "FilterSpec":
-        allowed = {"kind", "order", "relaxation"}
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise InputError(f"unknown filter config keys: {sorted(unknown)}")
+        """Build a spec from ``{"kind": ...}`` plus the kind's own setting:
+        an integer ``order`` (default 2) for iterated Tikhonov or a number
+        ``relaxation`` (default 0.9) for Landweber; other kinds take none."""
+        if not isinstance(cfg, dict):
+            raise InputError("filter must be an object with a 'kind'")
         kind = cfg.get("kind")
-        if kind == "iterated_tikhonov":
-            return cls.iterated_tikhonov(int(cfg.get("order", 2)))
-        if kind == "landweber":
-            return cls.landweber(float(cfg.get("relaxation", 0.9)))
-        if kind in ("tikhonov", "tsvd"):
+        if kind not in KINDS:
+            raise InputError(f"unknown filter kind {kind!r}")
+        setting = {"iterated_tikhonov": "order", "landweber": "relaxation"}.get(kind)
+        unknown = sorted(set(cfg) - {"kind", setting})
+        if unknown:
+            raise InputError(f"filter kind {kind!r} does not take {unknown}")
+        if setting is None:
             return cls(kind)
-        raise InputError(f"unknown filter kind {kind!r}")
+        value = cfg.get(setting, 2 if setting == "order" else 0.9)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"filter {setting} must be a number")
+        if setting == "relaxation":
+            return cls.landweber(float(value))
+        if isinstance(value, float) and not value.is_integer():
+            raise InputError("iterated Tikhonov order must be an integer")
+        return cls.iterated_tikhonov(int(value))
 
 
 def _landweber_steps(alpha: float) -> int:
@@ -172,7 +179,9 @@ def _filter_direct(spec: FilterSpec, alpha: float, lam: np.ndarray) -> np.ndarra
     if np.any(a * lam > 1.0):
         raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
     steps = _landweber_steps(alpha)
-    return -np.expm1(steps * np.log1p(-a * lam)) / lam
+    # a * lam = 1 gives log1p(-1) = -inf and the exact value 1/lam
+    with np.errstate(divide="ignore"):
+        return -np.expm1(steps * np.log1p(-a * lam)) / lam
 
 
 def filter_value(spec: FilterSpec, alpha: float, lam) -> np.ndarray:

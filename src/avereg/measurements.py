@@ -17,11 +17,7 @@ behind ``s_n`` are formed in place in one more n x m array.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +27,9 @@ from .rng import RandomStream
 from .spectral import CoefficientVector
 
 DELTA_RULES = ("inv_sqrt_n", "sample_std", "lil")
+
+#: the iterated-logarithm estimate needs ln ln n well above zero
+LIL_MIN_N = 16
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class DirectionGaussian:
     """Y_i = y_hat + Z_i * direction with Z_i standard normal."""
 
     direction: CoefficientVector
-    tag: str = "direction_gaussian"
 
     def __post_init__(self):
         if self.direction.orthogonal_norm != 0:
@@ -103,7 +101,6 @@ class CoefficientGaussian:
     """Independent N(0, scale^2) noise on every coefficient."""
 
     scale: float
-    tag: str = "coefficient_gaussian"
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -127,7 +124,6 @@ class HeavyTailed:
     scale: float
     location: float
     weights: np.ndarray
-    tag: str = "heavy_tailed"
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -150,7 +146,6 @@ class BernoulliPayoff:
     deviation volatility/sqrt(expiry)."""
 
     params: BinaryOptionParams
-    tag: str = "bernoulli_payoff"
 
 
 NoiseModel = DirectionGaussian | CoefficientGaussian | HeavyTailed | BernoulliPayoff
@@ -160,26 +155,23 @@ class MeasurementBatch:
     """n i.i.d. measurements with cached mean and sample standard deviation.
 
     ``samples`` materialises the full (n, dimension) array on first access;
-    factored batches avoid this for everything except export and inspection.
+    factored batches avoid this for everything except inspection.  A single
+    measurement has no sample spread; its ``sample_std`` is 0.
     """
 
     def __init__(
         self,
         n: int,
-        seed: int,
-        model_tag: str,
         mean: CoefficientVector,
         sample_std: float,
         samples: np.ndarray | None = None,
         factory=None,
     ):
-        if n < 2:
-            raise InputError("a batch needs n >= 2 samples")
+        if n < 1:
+            raise InputError("a batch needs n >= 1 samples")
         if sample_std < 0 or not math.isfinite(sample_std):
             raise InputError("sample_std must be finite and nonnegative")
         self.n = int(n)
-        self.seed = int(seed)
-        self.model_tag = str(model_tag)
         self.mean = mean
         self.sample_std = float(sample_std)
         self._samples = samples
@@ -197,13 +189,14 @@ class MeasurementBatch:
         return self._samples
 
 
-def _finalize_full(n, seed, tag, y_hat, samples) -> MeasurementBatch:
+def _finalize_full(samples, orthogonal_norm) -> MeasurementBatch:
+    n = samples.shape[0]
     mean_coef = samples.mean(axis=0)
     dev = samples - mean_coef
     sq = np.sum(np.square(dev, out=dev))
-    std = math.sqrt(sq / (n - 1))
-    mean = CoefficientVector(mean_coef, y_hat.orthogonal_norm)
-    return MeasurementBatch(n, seed, tag, mean, std, samples=samples)
+    std = math.sqrt(sq / (n - 1)) if n > 1 else 0.0
+    mean = CoefficientVector(mean_coef, orthogonal_norm)
+    return MeasurementBatch(n, mean, std, samples=samples)
 
 
 def draw_batch(
@@ -226,7 +219,7 @@ def draw_batch(
 
     if isinstance(model, DirectionGaussian):
         z = rng.normals(n) if forced_latents is None else _coerce_latents(forced_latents, n)
-        return _rank_one_batch(model.tag, y_hat, model.direction.coefficients, z, n, seed)
+        return _rank_one_batch(y_hat, model.direction.coefficients, z, n)
 
     if isinstance(model, HeavyTailed):
         if forced_latents is not None:
@@ -236,7 +229,7 @@ def draw_batch(
             z = u * rng.generalized_pareto(n, model.shape, model.scale, model.location)
         if model.weights.shape[0] != len(y_hat):
             raise InputError("weight vector length must match y_hat")
-        return _rank_one_batch(model.tag, y_hat, model.weights, z, n, seed)
+        return _rank_one_batch(y_hat, model.weights, z, n)
 
     if isinstance(model, CoefficientGaussian):
         if forced_latents is not None:
@@ -245,10 +238,10 @@ def draw_batch(
         samples = rng.normals(n * m).reshape(n, m)
         samples *= model.scale
         samples += y_hat.coefficients
-        return _finalize_full(n, seed, model.tag, y_hat, samples)
+        return _finalize_full(samples, y_hat.orthogonal_norm)
 
     if isinstance(model, BernoulliPayoff):
-        return _bernoulli_batch(model, n, seed, rng, forced_latents)
+        return _bernoulli_batch(model, n, rng, forced_latents)
 
     raise InputError(f"unknown noise model {type(model).__name__}")
 
@@ -260,7 +253,7 @@ def _coerce_latents(latents, n) -> np.ndarray:
     return z
 
 
-def _rank_one_batch(tag, y_hat, direction, z, n, seed) -> MeasurementBatch:
+def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
     direction = np.asarray(direction, dtype=float)
     if direction.shape[0] != len(y_hat):
         raise InputError("direction length must match y_hat")
@@ -274,10 +267,10 @@ def _rank_one_batch(tag, y_hat, direction, z, n, seed) -> MeasurementBatch:
     def materialise(base=y_hat.coefficients, d=direction, lat=z):
         return base[None, :] + lat[:, None] * d[None, :]
 
-    return MeasurementBatch(n, seed, tag, mean, std, factory=materialise)
+    return MeasurementBatch(n, mean, std, factory=materialise)
 
 
-def _bernoulli_batch(model, n, seed, rng, forced_latents) -> MeasurementBatch:
+def _bernoulli_batch(model, n, rng, forced_latents) -> MeasurementBatch:
     p = model.params
     if forced_latents is None:
         z = p.latent_mean() + p.latent_std() * rng.normals(n)
@@ -296,7 +289,7 @@ def _bernoulli_batch(model, n, seed, rng, forced_latents) -> MeasurementBatch:
     def materialise(latents=z, thr=thresholds, s=scale):
         return s * (latents[:, None] >= thr[None, :]).astype(float)
 
-    return MeasurementBatch(n, seed, model.tag, mean, std, factory=materialise)
+    return MeasurementBatch(n, mean, std, factory=materialise)
 
 
 def delta_est(batch: MeasurementBatch, rule: str, tau: float | None = None) -> float:
@@ -304,12 +297,16 @@ def delta_est(batch: MeasurementBatch, rule: str, tau: float | None = None) -> f
 
     ``inv_sqrt_n`` -> 1/sqrt(n); ``sample_std`` -> s_n/sqrt(n);
     ``lil`` -> tau s_n sqrt(2 ln ln n / n) with tau > 1 and n >= 16.
+    The sample-based estimates are degenerate for a single measurement and
+    for coinciding measurements.
     """
     if rule not in DELTA_RULES:
         raise InputError(f"unknown delta rule {rule!r}")
     n = batch.n
     if rule == "inv_sqrt_n":
         return 1.0 / math.sqrt(n)
+    if n < 2:
+        raise DegenerateBatchError("sample-based noise estimates need n >= 2 measurements")
     if batch.sample_std == 0.0:
         raise DegenerateBatchError(
             "all measurements coincide; sample-based noise estimate undefined"
@@ -318,8 +315,8 @@ def delta_est(batch: MeasurementBatch, rule: str, tau: float | None = None) -> f
         return batch.sample_std / math.sqrt(n)
     if tau is None or tau <= 1:
         raise InputError("lil rule requires tau > 1")
-    if n < 16:
-        raise InputError("lil rule requires n >= 16")
+    if n < LIL_MIN_N:
+        raise InputError(f"lil rule requires n >= {LIL_MIN_N}")
     return tau * batch.sample_std * math.sqrt(2.0 * math.log(math.log(n)) / n)
 
 
@@ -333,43 +330,12 @@ def delta_true(batch: MeasurementBatch, y_hat: CoefficientVector) -> float:
     return float(np.hypot(np.linalg.norm(coef), orth))
 
 
-def save_batch_csv(batch: MeasurementBatch, path: str) -> None:
-    """Write one row per sample plus a JSON sidecar {n, seed, model_tag}."""
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(tmp_fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in batch.samples:
-                writer.writerow([f"{value:.17g}" for value in row])
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-    sidecar = {"n": batch.n, "seed": batch.seed, "model_tag": batch.model_tag}
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh)
-
-
 def load_batch_csv(path: str) -> MeasurementBatch:
-    """Read a batch written by :func:`save_batch_csv` (sidecar optional)."""
+    """Read a batch from headerless CSV, one measurement per row."""
     try:
         samples = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot parse batch CSV {path}: {exc}") from exc
-    if samples.shape[0] < 2:
-        raise InputError("a batch needs at least 2 samples")
-    meta = {"n": samples.shape[0], "seed": 0, "model_tag": "imported"}
-    sidecar = path + ".json"
-    if os.path.exists(sidecar):
-        try:
-            with open(sidecar) as fh:
-                meta.update(json.load(fh))
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot parse batch sidecar {sidecar}: {exc}") from exc
-    if int(meta["n"]) != samples.shape[0]:
-        raise InputError("sidecar n does not match the number of CSV rows")
-    zero = CoefficientVector(np.zeros(samples.shape[1]), 0.0)
-    batch = _finalize_full(samples.shape[0], int(meta["seed"]), str(meta["model_tag"]),
-                           zero, samples)
-    return batch
+        raise InputError(f"cannot parse measurements CSV {path}: {exc}") from exc
+    if samples.size == 0:
+        raise InputError(f"measurements CSV {path} holds no measurements")
+    return _finalize_full(samples, 0.0)

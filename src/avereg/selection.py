@@ -10,7 +10,6 @@ estimated noise level and the source condition alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,8 @@ class ChoiceResult:
     ``alpha`` equals q^k computed by repeated multiplication (bitwise the
     value the loop actually used).  When ``emergency_triggered`` is set the
     loop exited through the guard ``alpha > 1/n`` with the residual still
-    above ``delta_est_used``.
+    above ``delta_est_used``.  An a priori choice is reported with k = -1 and
+    no evaluations.
     """
 
     alpha: float
@@ -37,16 +37,6 @@ class ChoiceResult:
     emergency_triggered: bool
     delta_est_used: float
     iterations_evaluated: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha": self.alpha,
-            "k": self.k,
-            "residual_at_stop": self.residual_at_stop,
-            "emergency_triggered": self.emergency_triggered,
-            "delta_est_used": self.delta_est_used,
-            "iterations_evaluated": self.iterations_evaluated,
-        })
 
 
 def discrepancy_principle(
@@ -65,8 +55,10 @@ def discrepancy_principle(
     each pass multiplies alpha by q.  The emergency variant therefore returns
     the first alpha <= 1/n when the residual never drops below the estimate.
     Exhausting ``k_max`` raises: termination is a theorem only when the
-    residual can actually fall below ``delta_est``, e.g. it cannot when the
-    data has an orthogonal component larger than the estimate.
+    residual can actually fall below ``delta_est``.  The residual is never
+    below the data's component outside the range, so without the emergency
+    stop a search whose ``y_bar.orthogonal_norm`` exceeds ``delta_est`` raises
+    before its first evaluation.
     """
     if not (delta_est > 0):
         raise InputError("delta_est must be positive")
@@ -74,6 +66,12 @@ def discrepancy_principle(
         raise InputError("q must lie in (0, 1)")
     if emergency_n is not None and emergency_n < 1:
         raise InputError("emergency_n must be a positive integer")
+
+    if emergency_n is None and y_bar.orthogonal_norm > delta_est:
+        raise NonTerminationError(
+            "the data component outside the operator's range exceeds delta_est",
+            delta_est,
+        )
 
     guard = 1.0 / emergency_n if emergency_n is not None else None
     k = 0
@@ -88,12 +86,12 @@ def discrepancy_principle(
             return ChoiceResult(alpha, k, residual, True, delta_est, evaluations)
         if k >= k_max:
             raise NonTerminationError(
-                f"discrepancy search did not stop within k_max={k_max} steps"
+                f"discrepancy search did not stop within k_max={k_max} steps", delta_est
             )
         # in the subnormal range alpha * q can round back to alpha itself
         if alpha * q in (0.0, alpha):
             raise NonTerminationError(
-                "alpha underflowed before the residual reached delta_est"
+                "alpha underflowed before the residual reached delta_est", delta_est
             )
         k += 1
         alpha *= q

@@ -9,9 +9,8 @@ component orthogonal to the spanned basis.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,11 +110,6 @@ class SpectralDecomposition:
     @property
     def solution_dim(self) -> int:
         return self.rank if self.right_basis is None else self.right_basis.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"singular_values": self.singular_values.tolist(), "rank": self.rank}
-        )
 
 
 def _check_length(op: SpectralDecomposition, vec: CoefficientVector, what: str):

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +33,21 @@ from .errors import (
     NonTerminationError,
     StudyError,
 )
-from .filters import FilterSpec, apply_regularizer
+from .filters import FilterSpec, RegularizedSolution, apply_regularizer
 from .measurements import (
+    DELTA_RULES,
+    LIL_MIN_N,
     BernoulliPayoff,
     BinaryOptionParams,
     CoefficientGaussian,
     DirectionGaussian,
     HeavyTailed,
+    MeasurementBatch,
     delta_est,
     delta_true,
     draw_batch,
 )
-from .selection import AprioriRule, apriori_alpha, discrepancy_principle
+from .selection import AprioriRule, ChoiceResult, apriori_alpha, discrepancy_principle
 from .spectral import (
     CoefficientVector,
     SourceCondition,
@@ -182,6 +186,36 @@ class AprioriStudyRule:
         return "apriori"
 
 
+RULE_NAMES = ("dp", "dp+es", "apriori")
+
+
+def rule_from_config(entry) -> DiscrepancyRule | AprioriStudyRule:
+    """Build a rule from ``{"name": ...}`` plus ``q`` for ``dp`` / ``dp+es``,
+    or ``variant``, ``c``, ``nu`` and ``rho`` for ``apriori``."""
+    if not isinstance(entry, dict):
+        raise InputError("each rule must be an object with a 'name'")
+    name = entry.get("name")
+    if name not in RULE_NAMES:
+        raise InputError(f"unknown rule {name!r}")
+    settings = {"variant", "c", "nu", "rho"} if name == "apriori" else {"q"}
+    unknown = sorted(set(entry) - {"name", *settings})
+    if unknown:
+        raise InputError(f"rule {name} does not take {unknown}")
+    if name != "apriori":
+        q = entry.get("q", 0.7)
+        if not (_is_number(q) and 0.0 < q < 1.0):
+            raise InputError("rule q must lie in (0, 1)")
+        return DiscrepancyRule(q=float(q), emergency=(name == "dp+es"))
+    params = {key: entry.get(key, 1.0) for key in ("c", "nu", "rho")}
+    not_numbers = [key for key, value in params.items() if not _is_number(value)]
+    if not_numbers:
+        raise InputError(f"apriori rule {', '.join(not_numbers)} must be numbers")
+    variant = entry.get("variant", "inv_sqrt_n_alpha")
+    return AprioriStudyRule(AprioriRule(
+        variant, **{key: float(value) for key, value in params.items()}
+    ))
+
+
 _SCENARIOS = ("diagonal_synthetic", "counterexample", "heat_like", "binary_option", "matrix_file")
 
 
@@ -219,6 +253,8 @@ class StudyConfig:
         rules = _parse_rules(raw.get("rules"), violations)
         delta_rule, delta_tau = _parse_delta_rule(raw.get("delta_rule"), violations)
         sample_sizes = _parse_sample_sizes(raw.get("sample_sizes"), violations)
+        if delta_rule == "lil" and min(sample_sizes) < LIL_MIN_N:
+            violations.append(f"lil delta rule needs every sample size >= {LIL_MIN_N}")
 
         replications = raw.get("replications")
         if not _is_int(replications) or replications < 1:
@@ -308,15 +344,11 @@ def _parse_source(section, scenario_name, violations):
 
 
 def _parse_filter(section, violations):
-    fallback = FilterSpec.tikhonov()
-    if not isinstance(section, dict):
-        violations.append("filter must be an object with a 'kind'")
-        return fallback
     try:
         return FilterSpec.from_config(section)
     except InputError as exc:
         violations.append(str(exc))
-        return fallback
+        return FilterSpec.tikhonov()
 
 
 def _parse_noise(section, scenario_name, violations):
@@ -352,33 +384,10 @@ def _parse_rules(section, violations):
         return (DiscrepancyRule(),)
     rules = []
     for entry in section:
-        if not isinstance(entry, dict):
-            violations.append("each rule must be an object with a 'name'")
-            continue
-        name = entry.get("name")
-        if name in ("dp", "dp+es"):
-            _check_keys(entry, {"name", "q"}, f"rule {name}", violations)
-            q = entry.get("q", 0.7)
-            if not (_is_number(q) and 0.0 < q < 1.0):
-                violations.append("rule q must lie in (0, 1)")
-                q = 0.7
-            rules.append(DiscrepancyRule(q=float(q), emergency=(name == "dp+es")))
-        elif name == "apriori":
-            _check_keys(entry, {"name", "variant", "c", "nu", "rho"}, "rule apriori", violations)
-            variant = entry.get("variant", "inv_sqrt_n_alpha")
-            params = {key: entry.get(key, 1.0) for key in ("c", "nu", "rho")}
-            not_numbers = [key for key, value in params.items() if not _is_number(value)]
-            if not_numbers:
-                violations.append(f"apriori rule {', '.join(not_numbers)} must be numbers")
-                continue
-            try:
-                rules.append(AprioriStudyRule(AprioriRule(
-                    variant, **{key: float(value) for key, value in params.items()}
-                )))
-            except (InputError, TypeError, ValueError) as exc:
-                violations.append(f"invalid apriori rule: {exc}")
-        else:
-            violations.append(f"unknown rule {name!r}")
+        try:
+            rules.append(rule_from_config(entry))
+        except InputError as exc:
+            violations.append(str(exc))
     names = [rule.name for rule in rules]
     if len(set(names)) != len(names):
         violations.append("rule names must be unique")
@@ -391,7 +400,7 @@ def _parse_delta_rule(section, violations):
         return "sample_std", None
     _check_keys(section, {"name", "tau"}, "delta_rule", violations)
     name = section.get("name")
-    if name not in ("inv_sqrt_n", "sample_std", "lil"):
+    if name not in DELTA_RULES:
         violations.append(f"unknown delta rule {name!r}")
         return "sample_std", None
     tau = section.get("tau")
@@ -590,6 +599,31 @@ def build_scenario(config: StudyConfig) -> Scenario:
 # execution
 
 
+def solve_rule(
+    op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriStudyRule,
+    batch: MeasurementBatch, y_bar: CoefficientVector, delta_rule: str, tau: float | None = None,
+) -> tuple[ChoiceResult, RegularizedSolution]:
+    """Estimate the noise level of ``batch``, choose alpha by ``rule`` and
+    regularize ``y_bar``, the batch mean in the left singular basis of ``op``.
+
+    An a priori choice has k = -1 and no evaluations; alpha = 1/sqrt(n) is
+    paired with the estimate 1/sqrt(n) whatever ``delta_rule`` says.  Raises
+    DegenerateBatchError when a sample-based estimate is undefined and
+    NonTerminationError when the discrepancy search cannot stop.
+    """
+    if isinstance(rule, AprioriStudyRule) and rule.rule.variant == "inv_sqrt_n_alpha":
+        delta = delta_est(batch, "inv_sqrt_n")
+    else:
+        delta = delta_est(batch, delta_rule, tau)
+    if isinstance(rule, DiscrepancyRule):
+        choice = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
+                                       emergency_n=batch.n if rule.emergency else None)
+        return choice, apply_regularizer(op, spec, choice.alpha, y_bar)
+    alpha = apriori_alpha(rule.rule, delta, batch.n)
+    solution = apply_regularizer(op, spec, alpha, y_bar)
+    return ChoiceResult(alpha, -1, solution.residual, False, delta, 0), solution
+
+
 @dataclass(frozen=True)
 class ReplicationRecord:
     replication: int
@@ -646,7 +680,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             d_true = delta_true(batch, scenario.y_hat)
             for rule in config.rules:
                 total += 1
-                record = _run_rule(config, scenario, rule, y_bar, batch, d_true, n, rep)
+                record = _run_rule(config, scenario, rule, y_bar, batch, d_true, rep)
                 failed += record.failed
                 records[(rule.name, n)].append(record)
             # release this batch before the next is drawn: a full-sample
@@ -654,8 +688,11 @@ def run_study(config: StudyConfig) -> StudyResult:
             del batch, y_bar
 
     if failed > 0.05 * total:
+        reasons = Counter(rec.reason for recs in records.values() for rec in recs if rec.failed)
+        detail = "; ".join(f"{count} x {reason}" for reason, count in reasons.most_common())
         raise StudyError(
-            f"{failed} of {total} replications failed; summaries would be meaningless"
+            f"{failed} of {total} replications failed ({detail}); "
+            "summaries would be meaningless"
         )
     summaries = {}
     for key, recs in records.items():
@@ -665,39 +702,23 @@ def run_study(config: StudyConfig) -> StudyResult:
     return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries, failed)
 
 
-def _run_rule(config, scenario, rule, y_bar, batch, d_true, n, rep) -> ReplicationRecord:
+def _run_rule(config, scenario, rule, y_bar, batch, d_true, rep) -> ReplicationRecord:
     try:
-        if isinstance(rule, AprioriStudyRule) and rule.rule.variant == "inv_sqrt_n_alpha":
-            d_est = delta_est(batch, "inv_sqrt_n")
-        else:
-            d_est = delta_est(batch, config.delta_rule, config.delta_tau)
-    except DegenerateBatchError as exc:
+        choice, solution = solve_rule(scenario.op, config.filter_spec, rule, batch, y_bar,
+                                      config.delta_rule, config.delta_tau)
+    except (DegenerateBatchError, NonTerminationError) as exc:
+        # a degenerate batch has no estimate; a search that cannot stop carries it
+        d_est = getattr(exc, "delta_est", math.nan)
         return ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
-                                 math.nan, failed=True, reason=str(exc))
+                                 d_est, failed=True, reason=str(exc))
 
-    if isinstance(rule, DiscrepancyRule):
-        try:
-            choice = discrepancy_principle(
-                scenario.op, config.filter_spec, y_bar, d_est, q=rule.q,
-                emergency_n=n if rule.emergency else None,
-            )
-        except NonTerminationError as exc:
-            return ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
-                                     d_est, failed=True, reason=str(exc))
-        alpha, k, emergency = choice.alpha, choice.k, choice.emergency_triggered
-    else:
-        alpha = apriori_alpha(rule.rule, d_est, n)
-        k, emergency = -1, False
-
-    solution = apply_regularizer(scenario.op, config.filter_spec, alpha, y_bar)
     if scenario.ambient:
         estimate = embed_solution(scenario.op, solution.x)
         error = float(np.linalg.norm(estimate - scenario.x_hat_ambient))
     else:
-        error = float(np.linalg.norm(
-            solution.x.coefficients - scenario.x_hat.coefficients
-        ))
-    return ReplicationRecord(rep, error, alpha, k, emergency, d_true, d_est)
+        error = float(np.linalg.norm(solution.x.coefficients - scenario.x_hat.coefficients))
+    return ReplicationRecord(rep, error, choice.alpha, choice.k, choice.emergency_triggered,
+                             d_true, choice.delta_est_used)
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +729,17 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` through a temporary file in its directory,
+    with the mode ``open`` would give (0666 less the umask), not mkstemp's 0600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -741,7 +767,7 @@ def write_study_csvs(result: StudyResult, out_dir: str) -> list:
                     _fmt(rec.delta_true), _fmt(rec.delta_est),
                 ]))
             path = os.path.join(out_dir, f"{_rule_slug(rule)}_n{n}.csv")
-            _atomic_write(path, "\n".join(rows) + "\n")
+            atomic_write(path, "\n".join(rows) + "\n")
             paths.append(path)
 
     rows = ["rule,n,mean,median,q1,q3,outliers,max"]
@@ -756,7 +782,7 @@ def write_study_csvs(result: StudyResult, out_dir: str) -> list:
                 _fmt(summary.max),
             ]))
     path = os.path.join(out_dir, "summary.csv")
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
     paths.append(path)
     return paths
 

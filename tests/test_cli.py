@@ -1,4 +1,10 @@
+import hashlib
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +20,27 @@ def _write_identity_problem(tmp_path, n_rows=8):
     measurements = tmp_path / "measurements.csv"
     np.savetxt(measurements, samples, delimiter=",")
     return str(matrix), str(measurements)
+
+
+def _write_trapezoid_problem(tmp_path, n_rows=12):
+    m = 6
+    h = 1.0 / m
+    a = np.tril(np.full((m, m), h), -1) + np.eye(m) * (h / 2.0)
+    matrix = tmp_path / "matrix.csv"
+    np.savetxt(matrix, a, delimiter=",")
+    rng = np.random.default_rng(1)
+    samples = a @ np.linspace(0.0, 1.0, m) + 0.05 * rng.standard_normal((n_rows, m))
+    measurements = tmp_path / "measurements.csv"
+    np.savetxt(measurements, samples, delimiter=",")
+    return str(matrix), str(measurements)
+
+
+_PROBLEMS = {"identity": (_write_identity_problem, 8),
+             "trapezoid": (_write_trapezoid_problem, 12)}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _tiny_config(tmp_path):
@@ -97,6 +124,128 @@ def test_solve_apriori_rule(tmp_path, capsys):
     capsys.readouterr()
     choice = json.loads((out / "choice.json").read_text())
     assert choice["k"] == -1
+
+
+def test_solve_single_measurement_with_inv_sqrt_n(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path, n_rows=1)
+    out = tmp_path / "out"
+    code = main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--delta", "inv_sqrt_n", "--out", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    assert json.loads((out / "choice.json").read_text())["delta_est_used"] == 1.0
+
+
+def test_solve_single_measurement_lil_is_degenerate(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path, n_rows=1)
+    code = main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--delta", "lil", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_lil_with_few_measurements_is_input_error(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path, n_rows=8)
+    code = main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--delta", "lil", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "n >= 16" in capsys.readouterr().err
+
+
+def test_solve_typed_failure_is_an_error_line(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path)
+    code = main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--filter", "landweber", "--relaxation", "5", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error: Landweber relaxation exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--filter", "tikhonov", "--order", "3"],
+    ["--filter", "tsvd", "--relaxation", "0.5"],
+    ["--filter", "landweber", "--order", "2"],
+    ["--rule", "apriori", "--q", "0.5"],
+])
+def test_solve_rejects_settings_the_choice_does_not_take(tmp_path, capsys, flags):
+    matrix, measurements = _write_identity_problem(tmp_path)
+    code = main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 *flags, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "does not take" in capsys.readouterr().err
+
+
+def test_solve_writes_files_with_the_umask_mode(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path)
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["solve", "--matrix", matrix, "--measurements", measurements,
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    capsys.readouterr()
+    for name in ("solution.csv", "choice.json"):
+        assert (out / name).stat().st_mode & 0o777 == 0o644
+    assert sorted(path.name for path in out.iterdir()) == ["choice.json", "solution.csv"]
+
+
+# sha256 of (solution.csv, choice.json), pinned from the output of the solve
+# command before it shared its solve path with the study harness
+_GOLDEN = {
+    ("identity", "dp", "sample_std"): (
+        "2e9dbfbefa5ca217e26a5d1c612ba6b56edb8e84876720c01091fb1c8c73abdd",
+        "fb4aeac3810f040400641c447d0a30face09b783785e7b639b4bc4934390c538"),
+    ("identity", "dp", "inv_sqrt_n"): (
+        "ec7aa8cb2e2d94ab82b9b912563d3d63cbc98cb9ae35ab860a69b2f36a5cacde",
+        "f4cd900b3c885dc278a5f60c088f26e690ad4790a0283d03a03e31dc200d6877"),
+    ("identity", "dp+es", "sample_std"): (
+        "ca5e6684a0c5becece451150d4fd4696b6c38d02773858f1449aaa9b536e6d58",
+        "85b7f13f834bcf34d32f164cca8612bc23488db21a2f5d5ab4cc60a26b893776"),
+    ("identity", "dp+es", "inv_sqrt_n"): (
+        "ec7aa8cb2e2d94ab82b9b912563d3d63cbc98cb9ae35ab860a69b2f36a5cacde",
+        "f4cd900b3c885dc278a5f60c088f26e690ad4790a0283d03a03e31dc200d6877"),
+    ("trapezoid", "dp", "sample_std"): (
+        "96bbcb9e43d92528b559e858682c1af23ec683dca605fbfef821976ee2414293",
+        "799ff4c47c7bc32436aaaa328010763f38b7d8a92ee1577621f53368767224e6"),
+    ("trapezoid", "dp", "inv_sqrt_n"): (
+        "8b1659eeaf08a2674d1a549f2f59e7cb8cee1687c47b335779ffe4dd08f24e23",
+        "2499dd187fec023a8648fb5e560118677d3d6200a0eaa8497c95cdb21ec10081"),
+    ("trapezoid", "dp+es", "sample_std"): (
+        "620c7dbc889d7f1e8bb3553c7782fe305b29c0fe236e4661f87811907937a1b5",
+        "a5e837e5cf33a815b859e7733c60cac58a72d978e7f01c1c50bdabe0b08bbb67"),
+    ("trapezoid", "dp+es", "inv_sqrt_n"): (
+        "8b1659eeaf08a2674d1a549f2f59e7cb8cee1687c47b335779ffe4dd08f24e23",
+        "2499dd187fec023a8648fb5e560118677d3d6200a0eaa8497c95cdb21ec10081"),
+}
+
+_GOLDEN_APRIORI_SOLUTION = {
+    "identity": "83bd49904ff6650cb07165d2a0af81ccaa25daa7691fff5508b0edd34bf8b4e5",
+    "trapezoid": "837efd53172692868397c465a286e0b51ae707102f34704aeb22b38f3ab889ca",
+}
+
+
+@pytest.mark.parametrize("problem, rule, delta", sorted(_GOLDEN))
+def test_solve_golden_outputs(tmp_path, capsys, problem, rule, delta):
+    matrix, measurements = _PROBLEMS[problem][0](tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--rule", rule, "--delta", delta, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (_sha256(out / "solution.csv"), _sha256(out / "choice.json")) == \
+        _GOLDEN[(problem, rule, delta)]
+
+
+@pytest.mark.parametrize("problem", sorted(_GOLDEN_APRIORI_SOLUTION))
+def test_solve_apriori_golden_solution(tmp_path, capsys, problem):
+    write, n_rows = _PROBLEMS[problem]
+    matrix, measurements = write(tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--rule", "apriori", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out / "solution.csv") == _GOLDEN_APRIORI_SOLUTION[problem]
+    choice = json.loads((out / "choice.json").read_text())
+    assert choice["delta_est_used"] == 1.0 / math.sqrt(n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +369,20 @@ def test_verify_filters_passes(capsys):
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_perfbench_tracer_finds_every_boundary(tmp_path):
+    # the traced benchmark wraps names where each module binds them; a module
+    # that stops binding one makes the child fail before it runs the command
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "trace", str(report),
+         "--", "verify-filters"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["calls"]["cli"] == 1

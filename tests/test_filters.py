@@ -110,6 +110,39 @@ def test_filter_spec_validation_and_config_round_trip():
         FilterSpec.from_config({"kind": "tikhonov", "bogus": 1})
 
 
+@pytest.mark.parametrize("cfg", [
+    {"kind": "landweber", "relaxation": "abc"},
+    {"kind": "landweber", "relaxation": True},
+    {"kind": "landweber", "relaxation": float("nan")},
+    {"kind": "iterated_tikhonov", "order": 2.7},
+    {"kind": "iterated_tikhonov", "order": True},
+    {"kind": "iterated_tikhonov", "order": "2"},
+    {"kind": "tikhonov", "order": 3},
+    {"kind": "tsvd", "relaxation": 0.5},
+    {"kind": "landweber", "order": 2},
+    {"kind": "iterated_tikhonov", "relaxation": 0.5},
+    {"kind": None},
+])
+def test_filter_config_rejects_what_it_would_ignore_or_misread(cfg):
+    with pytest.raises(InputError):
+        FilterSpec.from_config(cfg)
+
+
+def test_filter_config_defaults_and_integral_order():
+    assert FilterSpec.from_config({"kind": "iterated_tikhonov"}) == FilterSpec.iterated_tikhonov(2)
+    assert FilterSpec.from_config({"kind": "iterated_tikhonov", "order": 3.0}).order == 3
+    assert FilterSpec.from_config({"kind": "landweber"}) == FilterSpec.landweber(0.9)
+    assert FilterSpec.from_config({"kind": "landweber", "relaxation": 1}).relaxation == 1.0
+
+
+def test_landweber_filter_at_unit_relaxation_runs_clean():
+    # a * lambda = 1 makes log1p(-1) = -inf; the filter value is exactly 1/lambda
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = filter_value(FilterSpec.landweber(1.0), 0.5, np.array([1.0, 0.25]))
+    assert value[0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # regularizer application
 

@@ -117,6 +117,35 @@ def test_subnormal_alpha_stall_raises_promptly():
     assert time.perf_counter() - start < 1.0
 
 
+def test_search_that_cannot_stop_raises_before_evaluating(monkeypatch):
+    import avereg.selection as selection
+
+    calls = []
+    original = selection.residual_norm
+    monkeypatch.setattr(selection, "residual_norm",
+                        lambda *args: calls.append(1) or original(*args))
+    op = SpectralDecomposition([1.0])
+    y = CoefficientVector([1.0], orthogonal_norm=1.0)
+    with pytest.raises(NonTerminationError, match="outside the operator's range") as excinfo:
+        discrepancy_principle(op, FilterSpec.tikhonov(), y, delta_est=0.5, q=0.7)
+    assert calls == []
+    assert excinfo.value.delta_est == 0.5
+    # the emergency stop still ends such a search at alpha <= 1/n
+    result = discrepancy_principle(op, FilterSpec.tikhonov(), y, delta_est=0.5,
+                                   q=0.7, emergency_n=4)
+    assert result.emergency_triggered and result.alpha <= 0.25
+
+
+def test_subnormal_alpha_stall_with_a_tiny_singular_value_raises():
+    # lambda = 1e-320 keeps the Tikhonov residual factor near 5e-4 at the
+    # stalled alpha = 5e-324, far above delta / |y| = 5e-7
+    op = SpectralDecomposition([1e-160])
+    y = CoefficientVector([1e6])
+    with pytest.raises(NonTerminationError, match="underflowed") as excinfo:
+        discrepancy_principle(op, FilterSpec.tikhonov(), y, delta_est=0.5, q=0.7)
+    assert excinfo.value.delta_est == 0.5
+
+
 def test_invalid_arguments():
     op = SpectralDecomposition([1.0])
     y = CoefficientVector([1.0])
@@ -237,13 +266,10 @@ def test_bounds_exponent_monotone_in_nu():
         theoretical_bounds(1.0, 1.0, 0.0, 0.01)
 
 
-def test_choice_result_json_round_trip():
-    import json
-
+def test_choice_result_fields():
     op = SpectralDecomposition([1.0])
     result = discrepancy_principle(op, FilterSpec.tikhonov(),
                                    CoefficientVector([2.0]), delta_est=0.9, q=0.5)
-    payload = json.loads(result.to_json())
-    assert payload["k"] == 1
-    assert payload["alpha"] == 0.5
-    assert payload["emergency_triggered"] is False
+    assert result.k == 1
+    assert result.alpha == 0.5
+    assert result.emergency_triggered is False

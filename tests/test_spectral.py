@@ -274,12 +274,10 @@ def test_identity_basis_projections_pass_through():
     assert np.array_equal(embed_solution(op, CoefficientVector(vec)), vec)
 
 
-def test_decomposition_json_export():
-    import json
-
+def test_decomposition_fields():
     op = SpectralDecomposition([2.0, 1.0])
-    payload = json.loads(op.to_json())
-    assert payload == {"singular_values": [2.0, 1.0], "rank": 2}
+    assert op.singular_values.tolist() == [2.0, 1.0]
+    assert op.rank == 2
 
 
 def test_load_matrix_csv(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,10 +216,31 @@ def test_config_reports_all_violations():
     {"rules": [{"name": "apriori", "c": True}]},
     {"rules": [{"name": "apriori", "nu": True}]},
     {"rules": [{"name": "apriori", "rho": False}]},
+    {"filter": {"kind": "iterated_tikhonov", "order": True}},
+    {"filter": {"kind": "landweber", "relaxation": True}},
 ])
 def test_config_rejects_booleans_as_integers(overrides):
     with pytest.raises(ConfigError):
         StudyConfig.from_dict(_tiny_config(**overrides))
+
+
+@pytest.mark.parametrize("section, message", [
+    ({"kind": "landweber", "relaxation": "abc"}, "relaxation must be a number"),
+    ({"kind": "iterated_tikhonov", "order": 2.7}, "order must be an integer"),
+    ({"kind": "tikhonov", "order": 3}, "does not take ['order']"),
+])
+def test_config_rejects_filter_settings_it_would_misread_or_ignore(section, message):
+    with pytest.raises(ConfigError) as excinfo:
+        StudyConfig.from_dict(_tiny_config(filter=section))
+    assert message in str(excinfo.value)
+
+
+def test_config_rejects_lil_with_sample_sizes_below_its_minimum():
+    raw = _tiny_config(delta_rule={"name": "lil", "tau": 1.5}, sample_sizes=[10, 100])
+    with pytest.raises(ConfigError, match="every sample size >= 16"):
+        StudyConfig.from_dict(raw)
+    StudyConfig.from_dict(_tiny_config(delta_rule={"name": "lil", "tau": 1.5},
+                                       sample_sizes=[16, 100]))
 
 
 def test_config_rejects_source_for_fixed_scenarios():
@@ -377,8 +399,8 @@ def test_search_that_cannot_stop_fails_only_its_replication():
     y_bar = CoefficientVector(np.array([1.0]), 1.0)
     zero = CoefficientVector(np.zeros(1), 0.0)
     scenario = Scenario(SpectralDecomposition(np.array([1.0])), zero, zero, model=None)
-    batch = MeasurementBatch(4, 0, "test", y_bar, 1.0)
-    record = _run_rule(config, scenario, DiscrepancyRule(q=0.7), y_bar, batch, 0.25, 4, 3)
+    batch = MeasurementBatch(4, y_bar, 1.0)
+    record = _run_rule(config, scenario, DiscrepancyRule(q=0.7), y_bar, batch, 0.25, 3)
     assert record.failed
     assert record.replication == 3
     assert record.delta_est == 0.5
@@ -394,6 +416,53 @@ def test_matrix_file_study_whose_searches_cannot_stop_raises_study_error(tmp_pat
     )
     with pytest.raises(StudyError, match="replications failed"):
         run_study(StudyConfig.from_dict(raw))
+
+
+def test_study_error_names_each_failure_reason_with_its_count(tmp_path):
+    raw = _matrix_file_config(
+        tmp_path, noise={"variant": "coefficient_gaussian", "scale": 5},
+        delta_rule={"name": "inv_sqrt_n"}, sample_sizes=[10, 100], replications=20,
+        base_seed=1,
+    )
+    with pytest.raises(StudyError) as excinfo:
+        run_study(StudyConfig.from_dict(raw))
+    assert str(excinfo.value).startswith(
+        "40 of 40 replications failed (40 x the data component outside the "
+        "operator's range exceeds delta_est)"
+    )
+
+
+def test_landweber_study_runs_clean():
+    raw = _tiny_config(scenario={"name": "diagonal_synthetic", "m": 6, "decay": 1.0},
+                       filter={"kind": "landweber", "relaxation": 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_study(StudyConfig.from_dict(raw))
+    assert result.failed_count == 0
+
+
+def test_solve_rule_is_the_study_replication_solve():
+    from avereg.measurements import draw_batch
+    from avereg.study import solve_rule
+
+    config = StudyConfig.from_dict(_tiny_config(
+        rules=[{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}, {"name": "apriori"}]))
+    scenario = build_scenario(config)
+    result = run_study(config)
+    batch = draw_batch(scenario.model, scenario.y_hat, 50, config.base_seed, 0)
+    for rule in config.rules:
+        choice, solution = solve_rule(scenario.op, config.filter_spec, rule, batch,
+                                      batch.mean, config.delta_rule, config.delta_tau)
+        record = result.records[(rule.name, 50)][0]
+        assert (choice.alpha, choice.k, choice.emergency_triggered, choice.delta_est_used) == \
+            (record.alpha, record.k, record.emergency, record.delta_est)
+        error = np.linalg.norm(solution.x.coefficients - scenario.x_hat.coefficients)
+        assert float(error) == record.error
+    choice, solution = solve_rule(scenario.op, config.filter_spec, config.rules[2], batch,
+                                  batch.mean, config.delta_rule)
+    assert choice.delta_est_used == 1.0 / math.sqrt(50)
+    assert choice.iterations_evaluated == 0
+    assert choice.residual_at_stop == solution.residual
 
 
 def test_apriori_rule_records_no_iteration_count():
