@@ -35,6 +35,7 @@ from .study import (
     default_binopt_config,
     default_counterexample_config,
     default_heat_config,
+    failure_reasons,
     format_summary_table,
     rule_from_config,
     run_study,
@@ -51,6 +52,11 @@ def _given(args, *names) -> dict:
 def _cmd_solve(args) -> int:
     spec = FilterSpec.from_config({"kind": args.filter, **_given(args, "order", "relaxation")})
     rule = rule_from_config({"name": args.rule, **_given(args, "q")})
+    tau = args.tau
+    if args.delta == "lil":
+        tau = 1.5 if tau is None else tau
+    elif tau is not None:
+        raise InputError("--tau is only meaningful with --delta lil")
     matrix = load_matrix_csv(args.matrix)
     batch = load_batch_csv(args.measurements)
     if batch.dimension != matrix.shape[0]:
@@ -60,7 +66,7 @@ def _cmd_solve(args) -> int:
         )
     op = svd(matrix)
     y_bar = project_data(op, batch.mean.coefficients)
-    choice, solution = solve_rule(op, spec, rule, batch, y_bar, args.delta, args.tau)
+    choice, solution = solve_rule(op, spec, rule, batch, y_bar, args.delta, tau)
     x = embed_solution(op, solution.x)
     report = {**dataclasses.asdict(choice), "residual": solution.residual}
 
@@ -79,9 +85,12 @@ def _run_and_emit(config: StudyConfig, out_dir: str) -> int:
     write_study_csvs(result, out_dir)
     for rule in result.rule_names:
         for n in result.sample_sizes:
-            summary = result.summaries.get((rule, n))
-            if summary is not None:
-                print(f"completed rule={rule} n={n} ({summary.count} replications)")
+            records = result.records[(rule, n)]
+            failed = [rec for rec in records if rec.failed]
+            line = f"completed rule={rule} n={n} ({len(records) - len(failed)} replications"
+            if failed:
+                line += f", {len(failed)} failed: {failure_reasons(failed)}"
+            print(line + ")")
     print(format_summary_table(result))
     return 0
 
@@ -158,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--delta", default="sample_std", choices=DELTA_RULES)
     solve.add_argument("--q", type=float, default=None,
                        help="discrepancy search factor (default 0.7)")
-    solve.add_argument("--tau", type=float, default=1.5)
+    solve.add_argument("--tau", type=float, default=None,
+                       help="lil envelope factor, > 1 (default 1.5; lil only)")
     solve.add_argument("--out", default=".")
     solve.set_defaults(func=_cmd_solve)
 

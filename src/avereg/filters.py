@@ -131,22 +131,33 @@ class FilterSpec:
         return cls.iterated_tikhonov(int(value))
 
 
-def _landweber_steps(alpha: float) -> int:
-    # alpha ~ 1/k identification: k(alpha) = ceil(1/alpha)
-    return int(math.ceil(1.0 / alpha))
+def _landweber_steps(alpha):
+    """alpha ~ 1/k identification: k(alpha) = ceil(1/alpha), as a float.
+
+    Every such k is a double, so it multiplies exactly as the integer would;
+    below alpha = 2^-1024 it is inf, which drives the factor to 0.
+    """
+    with np.errstate(over="ignore"):
+        return np.ceil(1.0 / alpha)
 
 
-def _validate(alpha: float, lam: np.ndarray):
-    if not (alpha > 0):
+def _validate(alpha, lam: np.ndarray):
+    if not np.all(alpha > 0):
         raise InputError("alpha must be positive")
     if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
         raise InputError("lambda must be positive and finite")
 
 
-def residual_factor(spec: FilterSpec, alpha: float, lam) -> np.ndarray:
-    """1 - lambda F_alpha(lambda), evaluated without cancellation."""
+def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
+    """1 - lambda F_alpha(lambda), evaluated without cancellation.
+
+    A 1-D array of alphas gives one row of factors per alpha.
+    """
     lam = np.asarray(lam, dtype=float)
     _validate(alpha, lam)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim == 1:
+        alpha = alpha[:, None]  # one row per alpha against the lambda axis
     if spec.kind == "tikhonov":
         return alpha / (alpha + lam)
     if spec.kind == "iterated_tikhonov":
@@ -159,7 +170,8 @@ def residual_factor(spec: FilterSpec, alpha: float, lam) -> np.ndarray:
     if np.any(a * lam > 1.0):
         raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
     steps = _landweber_steps(alpha)
-    with np.errstate(divide="ignore"):
+    # at tiny alpha, steps * log1p(-a lambda) overflows to -inf and exp gives 0
+    with np.errstate(divide="ignore", over="ignore"):
         return np.exp(steps * np.log1p(-a * lam))
 
 
@@ -179,8 +191,9 @@ def _filter_direct(spec: FilterSpec, alpha: float, lam: np.ndarray) -> np.ndarra
     if np.any(a * lam > 1.0):
         raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
     steps = _landweber_steps(alpha)
-    # a * lam = 1 gives log1p(-1) = -inf and the exact value 1/lam
-    with np.errstate(divide="ignore"):
+    # a * lam = 1 gives log1p(-1) = -inf and the exact value 1/lam; so does
+    # an overflowing steps * log1p(-a lam) at tiny alpha
+    with np.errstate(divide="ignore", over="ignore"):
         return -np.expm1(steps * np.log1p(-a * lam)) / lam
 
 
@@ -224,12 +237,19 @@ def apply_regularizer(
 
 
 def residual_norm(
-    op: SpectralDecomposition, spec: FilterSpec, alpha: float, y: CoefficientVector
-) -> float:
-    """||(K R_alpha - Id) y||; the quantity driven to delta by the discrepancy loop."""
+    op: SpectralDecomposition, spec: FilterSpec, alpha, y: CoefficientVector
+):
+    """||(K R_alpha - Id) y||; the quantity driven to delta by the discrepancy loop.
+
+    A float alpha gives a float; a 1-D array of alphas gives an array with
+    one residual per alpha, each bitwise the one its float would give (each
+    row is summed in the same pairwise order as a single vector).
+    """
     _check_length(op, y, "data vector")
     factor = residual_factor(spec, alpha, op.singular_values**2)
-    return float(np.sqrt(np.sum((factor * y.coefficients) ** 2) + y.orthogonal_norm**2))
+    squares = np.sum((factor * y.coefficients) ** 2, axis=-1)
+    residual = np.sqrt(squares + y.orthogonal_norm**2)
+    return residual if np.ndim(alpha) == 1 else float(residual)
 
 
 @dataclass(frozen=True)

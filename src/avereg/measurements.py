@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateBatchError, InputError
 from .rng import RandomStream
-from .spectral import CoefficientVector
+from .spectral import CoefficientVector, _load_csv
 
 DELTA_RULES = ("inv_sqrt_n", "sample_std", "lil")
 
@@ -332,10 +332,4 @@ def delta_true(batch: MeasurementBatch, y_hat: CoefficientVector) -> float:
 
 def load_batch_csv(path: str) -> MeasurementBatch:
     """Read a batch from headerless CSV, one measurement per row."""
-    try:
-        samples = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot parse measurements CSV {path}: {exc}") from exc
-    if samples.size == 0:
-        raise InputError(f"measurements CSV {path} holds no measurements")
-    return _finalize_full(samples, 0.0)
+    return _finalize_full(_load_csv(path, "measurements"), 0.0)

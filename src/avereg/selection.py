@@ -6,6 +6,13 @@ level.  The optional emergency stop additionally exits as soon as
 ``alpha <= 1/n``, bounding the regularizer norm by sqrt(C_R C_F n) even when
 the noise level is underestimated.  A priori rules pick alpha from the
 estimated noise level and the source condition alone.
+
+The search evaluates the grid in blocks of consecutive alphas, one
+``residual_norm`` call per block, and stops at the first alpha of a block
+that meets a stop condition.  The alphas are built by the same repeated
+multiplication and each residual is bitwise the one-at-a-time value, so the
+choice is exactly that of a search stepping one alpha at a time; residuals
+computed past the stop within a block are discarded.
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ from .errors import InputError, NonTerminationError
 from .filters import FilterSpec, residual_norm
 from .spectral import CoefficientVector, SpectralDecomposition
 
+#: grid points per residual_norm call in the discrepancy search
+_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class ChoiceResult:
@@ -27,7 +37,9 @@ class ChoiceResult:
     ``alpha`` equals q^k computed by repeated multiplication (bitwise the
     value the loop actually used).  When ``emergency_triggered`` is set the
     loop exited through the guard ``alpha > 1/n`` with the residual still
-    above ``delta_est_used``.  An a priori choice is reported with k = -1 and
+    above ``delta_est_used``.  ``iterations_evaluated`` is k + 1, the grid
+    points up to and including the stop; residuals a block computed beyond
+    the stop do not count.  An a priori choice is reported with k = -1 and
     no evaluations.
     """
 
@@ -74,26 +86,37 @@ def discrepancy_principle(
         )
 
     guard = 1.0 / emergency_n if emergency_n is not None else None
-    k = 0
+    k0 = 0
     alpha = 1.0
-    evaluations = 0
     while True:
-        residual = residual_norm(op, spec, alpha, y_bar)
-        evaluations += 1
-        if residual <= delta_est:
-            return ChoiceResult(alpha, k, residual, False, delta_est, evaluations)
-        if guard is not None and not alpha > guard:
-            return ChoiceResult(alpha, k, residual, True, delta_est, evaluations)
-        if k >= k_max:
-            raise NonTerminationError(
-                f"discrepancy search did not stop within k_max={k_max} steps", delta_est
-            )
-        # in the subnormal range alpha * q can round back to alpha itself
-        if alpha * q in (0.0, alpha):
-            raise NonTerminationError(
-                "alpha underflowed before the residual reached delta_est", delta_est
-            )
-        k += 1
+        # grid points k0, k0 + 1, ... up to the block size or the point after
+        # which a search that never meets delta_est would raise
+        block = [alpha]
+        while True:
+            k = k0 + len(block) - 1
+            if k >= k_max:
+                end = f"discrepancy search did not stop within k_max={k_max} steps"
+            # in the subnormal range alpha * q can round back to alpha itself
+            elif alpha * q in (0.0, alpha):
+                end = "alpha underflowed before the residual reached delta_est"
+            else:
+                end = None
+            if end is not None or len(block) == _BLOCK:
+                break
+            alpha *= q
+            block.append(alpha)
+
+        alphas = np.array(block)
+        residuals = residual_norm(op, spec, alphas, y_bar)
+        met = residuals <= delta_est
+        stops = met if guard is None else met | ~(alphas > guard)
+        if stops.any():
+            i = int(np.argmax(stops))
+            return ChoiceResult(block[i], k0 + i, float(residuals[i]), not met[i],
+                                delta_est, k0 + i + 1)
+        if end is not None:
+            raise NonTerminationError(end, delta_est)
+        k0 += _BLOCK
         alpha *= q
 
 

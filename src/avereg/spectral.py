@@ -10,6 +10,7 @@ component orthogonal to the spanned basis.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,10 +231,28 @@ def embed_solution(op: SpectralDecomposition, x: CoefficientVector) -> np.ndarra
     return op.right_basis @ x.coefficients
 
 
+def _load_csv(path, what: str) -> np.ndarray:
+    """Read headerless numeric CSV as a 2-D array of finite values.
+
+    Every failure is an InputError naming the file: unreadable or ragged
+    input, a file with no data rows, and a non-finite entry, reported with
+    its 1-based data row (blank and comment lines are not counted).
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, not by numpy's UserWarning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot parse {what} CSV {path}: {exc}") from exc
+    if rows.size == 0:
+        raise InputError(f"{what} CSV {path} holds no data")
+    bad = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+    if bad.size:
+        raise InputError(f"{what} CSV {path}: row {bad[0] + 1} has a non-finite entry")
+    return rows
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Read a dense matrix from headerless row-major CSV."""
-    try:
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot parse matrix CSV {path}: {exc}") from exc
-    return matrix
+    return _load_csv(path, "matrix")

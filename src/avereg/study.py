@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -96,6 +95,10 @@ def integration_operator(m: int) -> SpectralDecomposition:
 
 def binary_option_truth(params: BinaryOptionParams) -> dict:
     """Analytic value curve V(S_0) = e^{-rT} Q Phi(d) and its S_0-derivative."""
+    # imported here, not at the top: scipy.special costs about 0.3 s of
+    # start-up that no other scenario needs
+    from scipy.special import ndtr
+
     s0 = params.s0_grid
     vol_sqrt_t = params.volatility * math.sqrt(params.expiry)
     d = (np.log(s0 / params.strike) + params.expiry * params.latent_mean()) / vol_sqrt_t
@@ -291,6 +294,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """JSON number check that also rejects NaN and infinities."""
+    return _is_number(value) and math.isfinite(value)
+
+
 def _check_keys(section: dict, allowed: set, label: str, violations: list) -> None:
     for key in sorted(set(section) - allowed):
         violations.append(f"unknown key {key!r} in {label}")
@@ -313,14 +321,16 @@ def _parse_scenario(section, violations):
     }[name]
     _check_keys(section, allowed, "scenario", violations)
     params = {k: v for k, v in section.items() if k != "name"}
-    if name == "matrix_file" and "path" not in params:
-        violations.append("matrix_file scenario needs a 'path'")
-    m = params.get("m", params.get("grid"))
-    if m is not None and (not _is_int(m) or m < 2):
-        violations.append("scenario dimension must be an integer >= 2")
-    decay = params.get("decay")
-    if decay is not None and not (_is_number(decay) and decay > 0):
+    if name == "matrix_file" and not isinstance(params.get("path"), str):
+        violations.append("matrix_file scenario needs a 'path' string")
+    # a key given as null is a violation too, not the default
+    for key in ("m", "grid"):
+        if key in params and not (_is_int(params[key]) and params[key] >= 2):
+            violations.append("scenario dimension must be an integer >= 2")
+    if "decay" in params and not (_is_number(params["decay"]) and params["decay"] > 0):
         violations.append("scenario decay must be positive")
+    if "forced_value" in params and not _is_finite(params["forced_value"]):
+        violations.append("scenario forced_value must be a finite number")
     return name, params
 
 
@@ -365,16 +375,20 @@ def _parse_noise(section, scenario_name, violations):
         "direction_gaussian": {"variant", "scale"},
         "coefficient_gaussian": {"variant", "scale"},
         "heavy_tailed": {"variant", "shape", "scale", "location", "weight_seed"},
-    }.get(variant)
+    }.get(variant) if isinstance(variant, str) else None
     if allowed is None:
         violations.append(f"unknown noise variant {variant!r}")
         return None
     _check_keys(section, allowed, "noise", violations)
     if scenario_name == "matrix_file" and variant == "heavy_tailed":
         violations.append("scenario 'matrix_file' does not take heavy_tailed noise")
-    scale = section.get("scale")
-    if scale is not None and not (_is_number(scale) and scale > 0):
+    if "scale" in section and not (_is_number(section["scale"]) and section["scale"] > 0):
         violations.append("noise scale must be positive")
+    for key in ("shape", "location"):
+        if key in section and not _is_finite(section[key]):
+            violations.append(f"noise {key} must be a finite number")
+    if "weight_seed" in section and not _is_int(section["weight_seed"]):
+        violations.append("noise weight_seed must be an integer")
     return dict(section)
 
 
@@ -688,8 +702,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             del batch, y_bar
 
     if failed > 0.05 * total:
-        reasons = Counter(rec.reason for recs in records.values() for rec in recs if rec.failed)
-        detail = "; ".join(f"{count} x {reason}" for reason, count in reasons.most_common())
+        detail = failure_reasons(rec for recs in records.values() for rec in recs)
         raise StudyError(
             f"{failed} of {total} replications failed ({detail}); "
             "summaries would be meaningless"
@@ -700,6 +713,13 @@ def run_study(config: StudyConfig) -> StudyResult:
         if errors:
             summaries[key] = summarize(errors)
     return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries, failed)
+
+
+def failure_reasons(records) -> str:
+    """The reasons of the failed records with their counts, most common first:
+    ``"3 x reason; 1 x other reason"``."""
+    reasons = Counter(rec.reason for rec in records if rec.failed)
+    return "; ".join(f"{count} x {reason}" for reason, count in reasons.most_common())
 
 
 def _run_rule(config, scenario, rule, y_bar, batch, d_true, rep) -> ReplicationRecord:

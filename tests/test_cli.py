@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,61 @@ def test_solve_lil_with_few_measurements_is_input_error(tmp_path, capsys):
     assert "n >= 16" in capsys.readouterr().err
 
 
+def test_solve_rejects_tau_without_lil(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path)
+    for delta in ("sample_std", "inv_sqrt_n"):
+        code = main(["solve", "--matrix", matrix, "--measurements", measurements,
+                     "--delta", delta, "--tau", "0.5", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "--tau is only meaningful with --delta lil" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_lil_defaults_tau_to_one_and_a_half(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path, n_rows=20)
+    out_default, out_given = tmp_path / "default", tmp_path / "given"
+    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--delta", "lil", "--out", str(out_default)]) == 0
+    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--delta", "lil", "--tau", "1.5", "--out", str(out_given)]) == 0
+    capsys.readouterr()
+    for name in ("solution.csv", "choice.json"):
+        assert (out_default / name).read_bytes() == (out_given / name).read_bytes()
+    samples = np.loadtxt(measurements, delimiter=",")
+    s_n = math.sqrt(np.sum((samples - samples.mean(axis=0)) ** 2) / 19)
+    choice = json.loads((out_default / "choice.json").read_text())
+    assert choice["delta_est_used"] == pytest.approx(
+        1.5 * s_n * math.sqrt(2.0 * math.log(math.log(20)) / 20), rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["matrix", "measurements"])
+def test_solve_empty_csv_names_the_file_without_a_warning(tmp_path, capsys, which):
+    files = dict(zip(("matrix", "measurements"), _write_identity_problem(tmp_path)))
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    files[which] = str(empty)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--matrix", files["matrix"], "--measurements",
+                     files["measurements"], "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {which} CSV {empty} holds no data\n"
+
+
+@pytest.mark.parametrize("which", ["matrix", "measurements"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_non_finite_csv_entry_names_the_file_and_row(tmp_path, capsys, which, value):
+    files = dict(zip(("matrix", "measurements"), _write_identity_problem(tmp_path)))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1.0,0.0\n0.0,1.0\n1.0,{value}\n0.5,0.5\n")
+    files[which] = str(bad)
+    code = main(["solve", "--matrix", files["matrix"], "--measurements",
+                 files["measurements"], "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {which} CSV {bad}: row 3 has a non-finite entry\n")
+
+
 def test_solve_typed_failure_is_an_error_line(tmp_path, capsys):
     matrix, measurements = _write_identity_problem(tmp_path)
     code = main(["solve", "--matrix", matrix, "--measurements", measurements,
@@ -261,6 +317,33 @@ def test_simulate_writes_csvs(tmp_path, capsys):
     assert (out / "summary.csv").exists()
     stdout = capsys.readouterr().out
     assert "completed rule=dp n=50" in stdout
+
+
+def test_simulate_reports_failed_replications_below_the_gate(tmp_path, capsys):
+    # 1 of 40 searches cannot stop: below the 5% gate, so the study completes
+    matrix = tmp_path / "matrix.csv"
+    np.savetxt(matrix, np.random.default_rng(0).standard_normal((30, 10)), delimiter=",")
+    raw = {
+        "version": 1,
+        "scenario": {"name": "matrix_file", "path": str(matrix)},
+        "filter": {"kind": "tikhonov"},
+        "noise": {"variant": "coefficient_gaussian", "scale": 0.17},
+        "rules": [{"name": "dp", "q": 0.7}],
+        "delta_rule": {"name": "inv_sqrt_n"},
+        "sample_sizes": [100],
+        "replications": 40,
+        "base_seed": 1,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "study"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "completed rule=dp n=100 (39 replications, 1 failed: 1 x the data component "
+        "outside the operator's range exceeds delta_est)"
+    )
+    # the failed replication is still left out of the CSV
+    assert len((out / "dp_n100.csv").read_text().splitlines()) == 1 + 39
 
 
 def test_simulate_rejects_bad_config(tmp_path, capsys):
@@ -386,3 +469,20 @@ def test_perfbench_tracer_finds_every_boundary(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(report.read_text())["calls"]["cli"] == 1
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy.special is only needed by the binary-option truth; importing it
+    # at start-up costs about 0.3 s in every command
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, avereg.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -194,6 +194,41 @@ def test_residual_includes_orthogonal_component():
     assert res == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+def test_residual_norm_of_alpha_array_matches_each_alpha_bitwise(spec):
+    # one row per alpha, each summed in the same pairwise order as one vector
+    rng = np.random.default_rng(3)
+    alphas = 0.7 ** np.arange(40)
+    for m in (1, 2, 7, 8, 9, 100, 129, 512):
+        op = SpectralDecomposition(np.sort(rng.uniform(0.01, 1.0, size=m))[::-1])
+        y = CoefficientVector(rng.standard_normal(m), orthogonal_norm=float(rng.uniform()))
+        block = residual_norm(op, spec, alphas, y)
+        assert block.shape == alphas.shape
+        singles = [residual_norm(op, spec, float(alpha), y) for alpha in alphas]
+        assert [value.hex() for value in block.tolist()] == [value.hex() for value in singles]
+
+
+def test_residual_norm_of_alpha_array_validates_every_alpha():
+    op = SpectralDecomposition([1.0, 0.5])
+    y = CoefficientVector([1.0, 1.0])
+    with pytest.raises(InputError, match="alpha must be positive"):
+        residual_norm(op, FilterSpec.tikhonov(), np.array([1.0, 0.5, 0.0]), y)
+
+
+def test_landweber_below_the_smallest_normal_alpha_runs_clean():
+    # 1/alpha overflows to inf: infinitely many steps leave no residual; the
+    # step count used to be int(ceil(inf)), an OverflowError
+    spec = FilterSpec.landweber()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = residual_factor(spec, 1e-310, [1.0, 1e-3])
+        block = residual_factor(spec, np.array([1e-300, 1e-310]), [1.0, 1e-3])
+        value = filter_value(spec, 1e-310, 0.5)
+    assert np.array_equal(factor, [0.0, 0.0])
+    assert np.array_equal(block, [[0.0, 0.0], [0.0, 0.0]])
+    assert value == 2.0
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avereg.errors import InputError, NonTerminationError
+from avereg.errors import AveregError, InputError, NonTerminationError
 from avereg.filters import FilterSpec, filter_value, residual_norm
 from avereg.selection import (
     AprioriRule,
+    ChoiceResult,
     apriori_alpha,
     discrepancy_principle,
     theoretical_bounds,
@@ -197,6 +198,129 @@ def test_larger_delta_never_increases_k(seed, kind):
     k_small = discrepancy_principle(op, spec, y, small).k
     k_large = discrepancy_principle(op, spec, y, large).k
     assert k_large <= k_small
+
+
+# ---------------------------------------------------------------------------
+# the blocked search against a search that steps one alpha at a time
+
+
+def _reference_search(op, spec, y, delta_est, q, emergency_n=None, k_max=10**6):
+    """The discrepancy search as a plain loop, one residual_norm call per alpha."""
+    if emergency_n is None and y.orthogonal_norm > delta_est:
+        raise NonTerminationError(
+            "the data component outside the operator's range exceeds delta_est", delta_est)
+    guard = None if emergency_n is None else 1.0 / emergency_n
+    k, alpha = 0, 1.0
+    while True:
+        residual = residual_norm(op, spec, alpha, y)
+        if residual <= delta_est:
+            return ChoiceResult(alpha, k, residual, False, delta_est, k + 1)
+        if guard is not None and not alpha > guard:
+            return ChoiceResult(alpha, k, residual, True, delta_est, k + 1)
+        if k >= k_max:
+            raise NonTerminationError(
+                f"discrepancy search did not stop within k_max={k_max} steps", delta_est)
+        if alpha * q in (0.0, alpha):
+            raise NonTerminationError(
+                "alpha underflowed before the residual reached delta_est", delta_est)
+        k += 1
+        alpha *= q
+
+
+def _outcome(search, *args, **kwargs):
+    """A search's result or error as a tuple compared bit for bit."""
+    try:
+        choice = search(*args, **kwargs)
+    except AveregError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "delta_est", None))
+    assert type(choice.alpha) is float and type(choice.residual_at_stop) is float
+    assert type(choice.emergency_triggered) is bool
+    return (choice.alpha.hex(), choice.k, choice.residual_at_stop.hex(),
+            choice.emergency_triggered, choice.delta_est_used.hex(),
+            choice.iterations_evaluated)
+
+
+def _assert_same_search(*args, **kwargs):
+    blocked = _outcome(discrepancy_principle, *args, **kwargs)
+    assert blocked == _outcome(_reference_search, *args, **kwargs)
+    return blocked
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.7, 0.9, 0.97])
+def test_blocked_search_matches_one_alpha_at_a_time(spec, q):
+    rng = np.random.default_rng(int(q * 100))
+    for _ in range(25):
+        m = int(rng.integers(1, 120))
+        sigma = np.sort(10.0 ** rng.uniform(-rng.uniform(0, 10), 0, size=m))[::-1]
+        op = SpectralDecomposition(sigma)
+        orthogonal = float(rng.choice([0.0, 1e-4 * rng.uniform()]))
+        y = CoefficientVector(rng.standard_normal(m), orthogonal)
+        delta = float(np.linalg.norm(y.coefficients) * 10.0 ** rng.uniform(-7, 0.3))
+        emergency_n = None if rng.uniform() < 0.5 else int(10.0 ** rng.uniform(0, 7))
+        _assert_same_search(op, spec, y, delta, q, emergency_n=emergency_n)
+
+
+@pytest.mark.parametrize("target", [0, 1, 30, 31, 32, 33, 63, 64, 65, 100])
+def test_blocked_search_stops_at_block_edges(target):
+    # residual(alpha) = 2 alpha / (alpha + 1) falls strictly, so delta equal
+    # to the residual at q^target stops exactly there
+    op = SpectralDecomposition([1.0])
+    y = CoefficientVector([2.0])
+    alpha = 1.0
+    for _ in range(target):
+        alpha *= 0.7
+    delta = residual_norm(op, FilterSpec.tikhonov(), alpha, y)
+    outcome = _assert_same_search(op, FilterSpec.tikhonov(), y, delta, 0.7)
+    assert outcome[1] == target and outcome[5] == target + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 10**6, 10**9])
+def test_blocked_search_emergency_guard_inside_a_block(n):
+    # the residual never reaches delta: the guard alpha <= 1/n ends the search
+    op = SpectralDecomposition([1.0, 0.3])
+    y = CoefficientVector([1.0, 1.0], orthogonal_norm=1.0)
+    outcome = _assert_same_search(op, FilterSpec.tikhonov(), y, 0.5, 0.7, emergency_n=n)
+    assert outcome[3] is True
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 20, 31, 32, 33, 40, 64])
+def test_blocked_search_k_max_inside_a_block(k_max):
+    # delta met never, one step too late, or exactly at k_max
+    op = SpectralDecomposition([1.0])
+    y = CoefficientVector([1.0])
+    spec = FilterSpec.tikhonov()
+    alphas = [1.0]
+    for _ in range(k_max + 1):
+        alphas.append(alphas[-1] * 0.7)
+    late = residual_norm(op, spec, alphas[k_max + 1], y)
+    for delta in (1e-300, late):
+        outcome = _assert_same_search(op, spec, y, delta, 0.7, k_max=k_max)
+        assert outcome[0] == "NonTerminationError" and f"k_max={k_max}" in outcome[1]
+    in_time = residual_norm(op, spec, alphas[k_max], y)
+    assert _assert_same_search(op, spec, y, in_time, 0.7, k_max=k_max)[1] == k_max
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda spec: spec.name)
+def test_blocked_search_down_to_the_subnormal_range(spec):
+    # lambda = 1e-320: Tikhonov stalls at alpha = 5e-324 and raises; the
+    # other kinds stop on a subnormal alpha.  Landweber stops where 1/alpha
+    # overflows to inf steps, which used to raise OverflowError
+    op = SpectralDecomposition([1e-160])
+    y = CoefficientVector([1e6])
+    outcome = _assert_same_search(op, spec, y, 0.5, 0.7)
+    if spec.kind == "tikhonov":
+        assert outcome[0] == "NonTerminationError" and "underflowed" in outcome[1]
+    else:
+        assert float.fromhex(outcome[0]) < 2.0**-1022
+
+
+def test_blocked_search_rejects_an_underflowing_spectrum():
+    # sigma^2 of the counterexample at m = 300 underflows to 0
+    op, direction = counterexample_operator(300)
+    for search in (discrepancy_principle, _reference_search):
+        with pytest.raises(InputError, match="lambda must be positive"):
+            search(op, FilterSpec.tsvd(), direction, 0.5, 0.5)
 
 
 def test_emergency_guard_bounds_alpha():

@@ -224,6 +224,34 @@ def test_config_rejects_booleans_as_integers(overrides):
         StudyConfig.from_dict(_tiny_config(**overrides))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"scenario": {"name": "diagonal_synthetic", "m": None}}, "dimension must be an integer"),
+    ({"scenario": {"name": "heat_like", "decay": None}}, "decay must be positive"),
+    ({"scenario": {"name": "binary_option", "grid": None}, "source": None},
+     "dimension must be an integer"),
+    ({"scenario": {"name": "counterexample", "forced_value": "x"}, "source": None},
+     "forced_value must be a finite number"),
+    ({"scenario": {"name": "matrix_file", "path": 0}}, "needs a 'path' string"),
+    ({"noise": {"variant": ["heavy_tailed"]}}, "unknown noise variant"),
+    ({"noise": {"variant": "direction_gaussian", "scale": None}}, "scale must be positive"),
+    ({"noise": {"variant": "heavy_tailed", "shape": "x"}}, "shape must be a finite number"),
+    ({"noise": {"variant": "heavy_tailed", "shape": True}}, "shape must be a finite number"),
+    ({"noise": {"variant": "heavy_tailed", "location": None}},
+     "location must be a finite number"),
+    ({"noise": {"variant": "heavy_tailed", "weight_seed": 1.5}},
+     "weight_seed must be an integer"),
+])
+def test_config_rejects_settings_that_used_to_fail_mid_run(overrides, message):
+    # each of these used to pass validation and then raise a bare TypeError or
+    # ValueError from build_scenario
+    raw = _tiny_config(**overrides)
+    if raw["source"] is None:
+        del raw["source"]
+    with pytest.raises(ConfigError) as excinfo:
+        StudyConfig.from_dict(raw)
+    assert message in str(excinfo.value)
+
+
 @pytest.mark.parametrize("section, message", [
     ({"kind": "landweber", "relaxation": "abc"}, "relaxation must be a number"),
     ({"kind": "iterated_tikhonov", "order": 2.7}, "order must be an integer"),
