@@ -13,6 +13,7 @@ proof.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,8 @@ class FilterSpec:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputError(f"filter {setting} must be a number")
         if setting == "relaxation":
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise InputError("filter relaxation must be finite")
             return cls.landweber(float(value))
         if isinstance(value, float) and not value.is_integer():
             raise InputError("iterated Tikhonov order must be an integer")

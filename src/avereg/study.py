@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -206,13 +207,13 @@ def rule_from_config(entry) -> DiscrepancyRule | AprioriStudyRule:
         raise InputError(f"rule {name} does not take {unknown}")
     if name != "apriori":
         q = entry.get("q", 0.7)
-        if not (_is_number(q) and 0.0 < q < 1.0):
+        if not (_is_finite(q) and 0.0 < q < 1.0):
             raise InputError("rule q must lie in (0, 1)")
         return DiscrepancyRule(q=float(q), emergency=(name == "dp+es"))
     params = {key: entry.get(key, 1.0) for key in ("c", "nu", "rho")}
-    not_numbers = [key for key, value in params.items() if not _is_number(value)]
+    not_numbers = [key for key, value in params.items() if not _is_finite(value)]
     if not_numbers:
-        raise InputError(f"apriori rule {', '.join(not_numbers)} must be numbers")
+        raise InputError(f"apriori rule {', '.join(not_numbers)} must be finite numbers")
     variant = entry.get("variant", "inv_sqrt_n_alpha")
     return AprioriStudyRule(AprioriRule(
         variant, **{key: float(value) for key, value in params.items()}
@@ -289,14 +290,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    """JSON number check; ``true`` is not the number 1.0."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_finite(value) -> bool:
-    """JSON number check that also rejects NaN and infinities."""
-    return _is_number(value) and math.isfinite(value)
+    """JSON number check that rejects NaN, infinities and integers beyond the
+    float range; ``true`` is not the number 1.0."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _check_keys(section: dict, allowed: set, label: str, violations: list) -> None:
@@ -327,8 +325,8 @@ def _parse_scenario(section, violations):
     for key in ("m", "grid"):
         if key in params and not (_is_int(params[key]) and params[key] >= 2):
             violations.append("scenario dimension must be an integer >= 2")
-    if "decay" in params and not (_is_number(params["decay"]) and params["decay"] > 0):
-        violations.append("scenario decay must be positive")
+    if "decay" in params and not (_is_finite(params["decay"]) and params["decay"] > 0):
+        violations.append("scenario decay must be positive and finite")
     if "forced_value" in params and not _is_finite(params["forced_value"]):
         violations.append("scenario forced_value must be a finite number")
     return name, params
@@ -347,8 +345,8 @@ def _parse_source(section, scenario_name, violations):
     nu = section.get("nu", 1.0)
     rho = section.get("rho", 1.0)
     for label, value in (("nu", nu), ("rho", rho)):
-        if not (_is_number(value) and value > 0):
-            violations.append(f"source {label} must be positive")
+        if not (_is_finite(value) and value > 0):
+            violations.append(f"source {label} must be positive and finite")
             return 1.0, 1.0
     return float(nu), float(rho)
 
@@ -382,8 +380,8 @@ def _parse_noise(section, scenario_name, violations):
     _check_keys(section, allowed, "noise", violations)
     if scenario_name == "matrix_file" and variant == "heavy_tailed":
         violations.append("scenario 'matrix_file' does not take heavy_tailed noise")
-    if "scale" in section and not (_is_number(section["scale"]) and section["scale"] > 0):
-        violations.append("noise scale must be positive")
+    if "scale" in section and not (_is_finite(section["scale"]) and section["scale"] > 0):
+        violations.append("noise scale must be positive and finite")
     for key in ("shape", "location"):
         if key in section and not _is_finite(section[key]):
             violations.append(f"noise {key} must be a finite number")
@@ -419,8 +417,8 @@ def _parse_delta_rule(section, violations):
         return "sample_std", None
     tau = section.get("tau")
     if name == "lil":
-        if not (_is_number(tau) and tau > 1):
-            violations.append("lil delta rule needs tau > 1")
+        if not (_is_finite(tau) and tau > 1):
+            violations.append("lil delta rule needs a finite tau > 1")
             tau = 1.5
         return name, float(tau)
     if tau is not None:

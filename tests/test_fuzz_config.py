@@ -42,6 +42,9 @@ MATRIX_PATH = "<matrix>"
 
 JUNK_VALUES = [True, False, None, -1, 0, 1.5, -2.5, "x", [], {}]
 
+#: what Python's json module reads from Infinity, -Infinity and NaN
+NON_FINITE = [float("inf"), float("-inf"), float("nan")]
+
 #: a mutation that deletes the key instead of setting it
 _DELETE = object()
 
@@ -138,7 +141,7 @@ def _configs(draw):
     for _ in range(draw(st.integers(0, 2))):
         section, key = draw(st.sampled_from(
             [(section, key) for section in _sections(raw) for key in [*sorted(section), "bogus"]]))
-        _mutate(section, key, draw(st.sampled_from([*JUNK_VALUES, _DELETE])))
+        _mutate(section, key, draw(st.sampled_from([*JUNK_VALUES, *NON_FINITE, _DELETE])))
     return raw
 
 
@@ -221,6 +224,21 @@ def test_every_single_key_mutation_ends_in_a_result_or_a_documented_error(matrix
     for raw in _full_configs(matrix_path):
         for mutated in _single_key_mutations(raw):
             _outcome_is_documented(mutated)
+
+
+def test_every_number_key_rejects_non_finite_values(matrix_path):
+    # a non-finite setting used to pass wherever only a sign was checked: lil
+    # tau = inf ran every search at alpha = 1 and exited 0
+    for raw in _full_configs(matrix_path):
+        for index, section in enumerate(_sections(raw)):
+            numbers = [key for key, value in section.items()
+                       if isinstance(value, (int, float)) and not isinstance(value, bool)]
+            for key in numbers:
+                for value in NON_FINITE:
+                    mutated = copy.deepcopy(raw)
+                    _mutate(_sections(mutated)[index], key, value)
+                    with pytest.raises(ConfigError):
+                        StudyConfig.from_dict(mutated)
 
 
 @pytest.mark.parametrize("error_type", sorted(DOCUMENTED_EXIT, key=lambda t: t.__name__))

@@ -1,9 +1,12 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from avereg import measurements, rng
 from avereg.errors import DegenerateBatchError, InputError
 from avereg.measurements import (
     BernoulliPayoff,
@@ -80,6 +83,57 @@ def test_coefficient_gaussian_batch_is_bitwise_the_out_of_place_formula():
     assert batch.sample_std == math.sqrt(np.sum((samples - mean) ** 2) / 40)
 
 
+def test_coefficient_gaussian_batch_of_many_leaves_is_the_out_of_place_formula():
+    # 5000 * 30 values: s_n is summed in four leaves
+    y_hat = CoefficientVector(np.linspace(-1.0, 1.0, 30))
+    batch = draw_batch(CoefficientGaussian(2.0), y_hat, n=5000, seed=3, stream=1)
+    samples = y_hat.coefficients + 2.0 * RandomStream(3, 1).normals(5000 * 30).reshape(5000, 30)
+    assert np.array_equal(batch.samples, samples)
+    mean = samples.mean(axis=0)
+    assert batch.sample_std == math.sqrt(np.sum((samples - mean) ** 2) / 4999)
+
+
+# (n, m) shapes whose n * m lies around 8, 128 and the leaf size: at the
+# leaf size 128 of numpy's unrolled block, and at the real one.  With m > 1
+# most leaves start mid-row; n = 2 and m = 1 are the edge shapes.
+_LEAF_SHAPES = {
+    128: [(1, 7), (2, 4), (3, 3), (2, 64), (129, 1), (17, 8), (2, 129), (37, 7),
+          (3, 100), (1000, 1), (64, 33)],
+    measurements._LEAF: [(2**16 - 1, 1), (2**16, 1), (2**16 + 1, 1), (2, 2**15 + 1),
+                         (9363, 7), (2**17 + 8, 1), (3001, 100), (12345, 37)],
+}
+
+
+@pytest.mark.parametrize("leaf, shape", [(leaf, shape) for leaf, shapes in
+                                         _LEAF_SHAPES.items() for shape in shapes])
+def test_squared_deviation_leaf_sum_is_bitwise_np_sum(monkeypatch, leaf, shape):
+    monkeypatch.setattr(measurements, "_LEAF", leaf)
+    monkeypatch.setattr(rng, "_cores", lambda: 3)
+    samples = 3.0 * np.random.default_rng(sum(shape)).standard_normal(shape) - 1.0
+    mean = samples.mean(axis=0)
+    expected = np.sum(np.square(samples - mean))
+    assert measurements._squared_deviation_sum(samples, mean) == expected
+    if samples.size > leaf:
+        assert len(measurements._pairwise_leaves(0, samples.size)) > 1
+
+
+def test_leaf_sum_holds_with_more_threads_than_cores_and_fast_switching(monkeypatch):
+    # every leaf sum lands in its own slot; a lost one would change the total
+    monkeypatch.setattr(rng, "_cores", lambda: 8)
+    samples = np.random.default_rng(1).standard_normal((4000, 300))
+    mean = samples.mean(axis=0)
+    expected = np.sum(np.square(samples - mean))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        for _ in range(5):
+            assert measurements._squared_deviation_sum(samples, mean) == expected
+        assert time.perf_counter() - start < 10.0
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_rank_one_batches_match_materialised_samples():
     direction = counterexample_direction(5)
     batch = draw_batch(DirectionGaussian(direction), _zero(5), n=12, seed=9)
@@ -144,8 +198,9 @@ def test_delta_est_degenerate_and_invalid():
     with pytest.raises(DegenerateBatchError):
         delta_est(batch, "sample_std")
     healthy = draw_batch(DirectionGaussian(direction), _zero(4), n=20, seed=0)
-    with pytest.raises(InputError):
-        delta_est(healthy, "lil", tau=1.0)
+    for tau in (1.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            delta_est(healthy, "lil", tau=tau)
     small = draw_batch(DirectionGaussian(direction), _zero(4), n=8, seed=0)
     with pytest.raises(InputError):
         delta_est(small, "lil", tau=1.5)

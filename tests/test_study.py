@@ -252,10 +252,26 @@ def test_config_rejects_settings_that_used_to_fail_mid_run(overrides, message):
     assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"scenario": {"name": "diagonal_synthetic", "m": 10, "decay": 10**400}},
+    {"noise": {"variant": "coefficient_gaussian", "scale": 10**400}},
+    {"source": {"nu": 10**400, "rho": 1.0}},
+    {"rules": [{"name": "dp", "q": -10**400}]},
+    {"rules": [{"name": "apriori", "c": 10**400}]},
+    {"delta_rule": {"name": "lil", "tau": 10**400}},
+    {"filter": {"kind": "landweber", "relaxation": 10**400}},
+])
+def test_config_rejects_integers_beyond_the_float_range(overrides):
+    # JSON reads a 401-digit integer as a Python int that no float can hold
+    with pytest.raises(ConfigError):
+        StudyConfig.from_dict(_tiny_config(**overrides))
+
+
 @pytest.mark.parametrize("section, message", [
     ({"kind": "landweber", "relaxation": "abc"}, "relaxation must be a number"),
     ({"kind": "iterated_tikhonov", "order": 2.7}, "order must be an integer"),
     ({"kind": "tikhonov", "order": 3}, "does not take ['order']"),
+    ({"kind": "landweber", "relaxation": math.inf}, "relaxation must be finite"),
 ])
 def test_config_rejects_filter_settings_it_would_misread_or_ignore(section, message):
     with pytest.raises(ConfigError) as excinfo:
