@@ -46,14 +46,12 @@ from .selection import (
     ChoiceResult,
     apriori_alpha,
     discrepancy_principle,
-    theoretical_bounds,
 )
 from .spectral import (
     CoefficientVector,
     SourceCondition,
     SpectralDecomposition,
     apply_forward,
-    apply_pseudoinverse,
     counterexample_direction,
     counterexample_operator,
     embed_solution,

@@ -29,7 +29,9 @@ from .measurements import DELTA_RULES, load_batch_csv
 from .selection import discrepancy_principle  # noqa: F401
 from .spectral import embed_solution, load_matrix_csv, project_data, svd
 from .study import (
+    FILTERS,
     RULE_NAMES,
+    RULES,
     StudyConfig,
     atomic_write,
     default_binopt_config,
@@ -37,9 +39,10 @@ from .study import (
     default_heat_config,
     failure_reasons,
     format_summary_table,
-    rule_from_config,
+    read_config,
     run_study,
     solve_rule,
+    solve_settings,
     write_study_csvs,
 )
 
@@ -50,8 +53,8 @@ def _given(args, *names) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    spec = FilterSpec.from_config({"kind": args.filter, **_given(args, "order", "relaxation")})
-    rule = rule_from_config({"name": args.rule, **_given(args, "q")})
+    spec, rule = solve_settings({"kind": args.filter, **_given(args, "order", "relaxation")},
+                                {"name": args.rule, **_given(args, "q")})
     tau = args.tau
     if args.delta == "lil":
         tau = 1.5 if tau is None else tau
@@ -96,13 +99,11 @@ def _run_and_emit(config: StudyConfig, out_dir: str) -> int:
 
 
 def _load_config(path: str | None, default: dict, seed: int | None) -> StudyConfig:
-    if path is None:
-        config = StudyConfig.from_dict(default)
-    else:
-        config = StudyConfig.from_json(path)
-    if seed is not None:
-        config = dataclasses.replace(config, base_seed=seed)
-    return config
+    raw = default if path is None else read_config(path)
+    if seed is not None and isinstance(raw, dict):
+        # set before validation, so the seed is checked like the config's own
+        raw = {**raw, "base_seed": seed}
+    return StudyConfig.from_dict(raw)
 
 
 def _cmd_study(args) -> int:
@@ -146,8 +147,17 @@ def _cmd_verify_filters(args) -> int:
     return 0 if all_passed else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as other parse errors do; 2 is reserved for
+    degenerate statistics."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avereg",
         description="Regularized solution of ill-posed linear equations "
                     "from repeated noisy measurements.",
@@ -159,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--measurements", required=True,
                        help="measurements CSV, one sample per row")
     solve.add_argument("--filter", default="tikhonov", choices=KINDS)
-    solve.add_argument("--order", type=int, default=None,
-                       help="iterated Tikhonov order (default 2)")
-    solve.add_argument("--relaxation", type=float, default=None,
-                       help="Landweber relaxation (default 0.9)")
+    solve.add_argument("--order", type=int, default=None, help="iterated Tikhonov order "
+                       f"(default {FILTERS['iterated_tikhonov']['order'][1]})")
+    solve.add_argument("--relaxation", type=float, default=None, help="Landweber relaxation "
+                       f"(default {FILTERS['landweber']['relaxation'][1]})")
     solve.add_argument("--rule", default="dp", choices=RULE_NAMES)
     solve.add_argument("--delta", default="sample_std", choices=DELTA_RULES)
     solve.add_argument("--q", type=float, default=None,
-                       help="discrepancy search factor (default 0.7)")
+                       help=f"discrepancy search factor (default {RULES['dp']['q'][1]})")
     solve.add_argument("--tau", type=float, default=None,
                        help="lil envelope factor, > 1 (default 1.5; lil only)")
     solve.add_argument("--out", default=".")

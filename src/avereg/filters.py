@@ -13,7 +13,6 @@ proof.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,41 +96,6 @@ class FilterSpec:
         if self.kind == "landweber":
             return f"landweber(a={self.relaxation:g})"
         return self.kind
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.kind == "iterated_tikhonov":
-            cfg["order"] = self.order
-        if self.kind == "landweber":
-            cfg["relaxation"] = self.relaxation
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "FilterSpec":
-        """Build a spec from ``{"kind": ...}`` plus the kind's own setting:
-        an integer ``order`` (default 2) for iterated Tikhonov or a number
-        ``relaxation`` (default 0.9) for Landweber; other kinds take none."""
-        if not isinstance(cfg, dict):
-            raise InputError("filter must be an object with a 'kind'")
-        kind = cfg.get("kind")
-        if kind not in KINDS:
-            raise InputError(f"unknown filter kind {kind!r}")
-        setting = {"iterated_tikhonov": "order", "landweber": "relaxation"}.get(kind)
-        unknown = sorted(set(cfg) - {"kind", setting})
-        if unknown:
-            raise InputError(f"filter kind {kind!r} does not take {unknown}")
-        if setting is None:
-            return cls(kind)
-        value = cfg.get(setting, 2 if setting == "order" else 0.9)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"filter {setting} must be a number")
-        if setting == "relaxation":
-            if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise InputError("filter relaxation must be finite")
-            return cls.landweber(float(value))
-        if isinstance(value, float) and not value.is_integer():
-            raise InputError("iterated Tikhonov order must be an integer")
-        return cls.iterated_tikhonov(int(value))
 
 
 def _landweber_steps(alpha):

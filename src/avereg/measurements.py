@@ -8,8 +8,8 @@ iterated-logarithm envelope ``tau s_n sqrt(2 log log n / n)`` are computed.
 
 Noise with a common random direction (``direction_gaussian``, ``heavy_tailed``)
 is stored in factored form — per-sample scalar latents times a fixed vector —
-so batches with n = 1e5 samples cost O(n + m) rather than O(n m); full sample
-matrices are materialised lazily only when requested.  Noise that is not
+so batches with n = 1e5 samples cost O(n + m) rather than O(n m), and their
+sample matrices are never built.  Noise that is not
 rank-one (``coefficient_gaussian``) needs the full n x m sample matrix; it is
 built in place in the array of drawn normals, and it is the batch's only n x m
 array: ``s_n`` sums the squared deviations leaf by leaf in the tree of numpy's
@@ -139,11 +139,6 @@ class HeavyTailed:
             raise InputError("weights must be finite")
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def default(cls, m: int, weight_seed: int = 5) -> "HeavyTailed":
-        """Shape 1/3, scale 1/2, location 3/2 with permuted power-law weights."""
-        return cls(1.0 / 3.0, 0.5, 1.5, heavy_tail_weights(m, weight_seed))
-
 
 @dataclass(frozen=True)
 class BernoulliPayoff:
@@ -160,9 +155,9 @@ NoiseModel = DirectionGaussian | CoefficientGaussian | HeavyTailed | BernoulliPa
 class MeasurementBatch:
     """n i.i.d. measurements with cached mean and sample standard deviation.
 
-    ``samples`` materialises the full (n, dimension) array on first access;
-    factored batches avoid this for everything except inspection.  A single
-    measurement has no sample spread; its ``sample_std`` is 0.
+    ``samples`` is the full (n, dimension) array of a batch drawn or read
+    sample by sample, and None for a factored batch.  A single measurement
+    has no sample spread; its ``sample_std`` is 0.
     """
 
     def __init__(
@@ -171,7 +166,6 @@ class MeasurementBatch:
         mean: CoefficientVector,
         sample_std: float,
         samples: np.ndarray | None = None,
-        factory=None,
     ):
         if n < 1:
             raise InputError("a batch needs n >= 1 samples")
@@ -181,17 +175,13 @@ class MeasurementBatch:
         self.mean = mean
         self.sample_std = float(sample_std)
         self._samples = samples
-        self._factory = factory
 
     @property
     def dimension(self) -> int:
         return len(self.mean)
 
     @property
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            self._samples = self._factory()
-            self._factory = None
+    def samples(self) -> np.ndarray | None:
         return self._samples
 
 
@@ -317,11 +307,7 @@ def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
     mean = CoefficientVector(
         y_hat.coefficients + z_bar * direction, y_hat.orthogonal_norm
     )
-
-    def materialise(base=y_hat.coefficients, d=direction, lat=z):
-        return base[None, :] + lat[:, None] * d[None, :]
-
-    return MeasurementBatch(n, mean, std, factory=materialise)
+    return MeasurementBatch(n, mean, std)
 
 
 def _bernoulli_batch(model, n, rng, forced_latents) -> MeasurementBatch:
@@ -339,11 +325,7 @@ def _bernoulli_batch(model, n, rng, forced_latents) -> MeasurementBatch:
     mean = CoefficientVector(scale * p_hat, 0.0)
     # ||Y_i - Y_bar||^2 summed over i is n p(1-p) per grid point
     std = scale * math.sqrt(n * float(np.sum(p_hat * (1.0 - p_hat))) / (n - 1))
-
-    def materialise(latents=z, thr=thresholds, s=scale):
-        return s * (latents[:, None] >= thr[None, :]).astype(float)
-
-    return MeasurementBatch(n, mean, std, factory=materialise)
+    return MeasurementBatch(n, mean, std)
 
 
 def delta_est(batch: MeasurementBatch, rule: str, tau: float | None = None) -> float:

@@ -29,6 +29,8 @@ from .spectral import CoefficientVector, SpectralDecomposition
 #: grid points per residual_norm call in the discrepancy search
 _BLOCK = 32
 
+APRIORI_VARIANTS = ("inv_sqrt_n_alpha", "scaled_source")
+
 
 @dataclass(frozen=True)
 class ChoiceResult:
@@ -130,7 +132,7 @@ class AprioriRule:
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in ("scaled_source", "inv_sqrt_n_alpha"):
+        if self.variant not in APRIORI_VARIANTS:
             raise InputError(f"unknown a priori variant {self.variant!r}")
         if self.c <= 0 or self.nu <= 0 or self.rho <= 0:
             raise InputError("c, nu and rho must be positive")
@@ -146,35 +148,3 @@ def apriori_alpha(rule: AprioriRule, delta_est: float, n: int) -> float:
         raise InputError("delta_est must be positive")
     alpha = rule.c * (delta_est / rule.rho) ** (2.0 / (rule.nu + 1.0))
     return min(1.0, alpha)
-
-
-def theoretical_bounds(
-    nu: float,
-    rho: float,
-    delta_est: float,
-    delta_true: float,
-    c_apriori: float = 1.0,
-    l_dp: float = 1.0,
-    c_classic: float = 1.0,
-) -> dict:
-    """Diagnostic error bounds with caller-supplied constants.
-
-    ``apriori_rate`` = C' rho^{1/(nu+1)} delta_est^{nu/(nu+1)};
-    ``dp_bound`` = L rho^{1/(nu+1)} max{delta_est^{nu/(nu+1)},
-    delta_true^{nu/(nu+1)} (delta_true/delta_est)^{1/(nu+1)}};
-    ``classic_bound`` = C rho^{1/(nu+1)} delta_true^{nu/(nu+1)} (the rate of a
-    method knowing the true noise level, for comparison).
-    """
-    if min(nu, rho, delta_est, delta_true) <= 0:
-        raise InputError("all bound inputs must be positive")
-    rate = nu / (nu + 1.0)
-    rho_part = rho ** (1.0 / (nu + 1.0))
-    dp = max(
-        delta_est**rate,
-        delta_true**rate * (delta_true / delta_est) ** (1.0 / (nu + 1.0)),
-    )
-    return {
-        "apriori_rate": c_apriori * rho_part * delta_est**rate,
-        "dp_bound": l_dp * rho_part * dp,
-        "classic_bound": c_classic * rho_part * delta_true**rate,
-    }

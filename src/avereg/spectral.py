@@ -124,12 +124,6 @@ def apply_forward(op: SpectralDecomposition, x: CoefficientVector) -> Coefficien
     return CoefficientVector(op.singular_values * x.coefficients, 0.0)
 
 
-def apply_pseudoinverse(op: SpectralDecomposition, y: CoefficientVector) -> CoefficientVector:
-    """Apply the generalized inverse; the orthogonal component is projected away."""
-    _check_length(op, y, "data vector")
-    return CoefficientVector(y.coefficients / op.singular_values, 0.0)
-
-
 def synthesize_source(
     op: SpectralDecomposition, sc: SourceCondition
 ) -> tuple[CoefficientVector, CoefficientVector]:

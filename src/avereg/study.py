@@ -33,7 +33,7 @@ from .errors import (
     NonTerminationError,
     StudyError,
 )
-from .filters import FilterSpec, RegularizedSolution, apply_regularizer
+from .filters import KINDS, FilterSpec, RegularizedSolution, apply_regularizer
 from .measurements import (
     DELTA_RULES,
     LIL_MIN_N,
@@ -46,8 +46,15 @@ from .measurements import (
     delta_est,
     delta_true,
     draw_batch,
+    heavy_tail_weights,
 )
-from .selection import AprioriRule, ChoiceResult, apriori_alpha, discrepancy_principle
+from .selection import (
+    APRIORI_VARIANTS,
+    AprioriRule,
+    ChoiceResult,
+    apriori_alpha,
+    discrepancy_principle,
+)
 from .spectral import (
     CoefficientVector,
     SourceCondition,
@@ -96,17 +103,13 @@ def integration_operator(m: int) -> SpectralDecomposition:
 
 def binary_option_truth(params: BinaryOptionParams) -> dict:
     """Analytic value curve V(S_0) = e^{-rT} Q Phi(d) and its S_0-derivative."""
-    # imported here, not at the top: scipy.special costs about 0.3 s of
-    # start-up that no other scenario needs
-    from scipy.special import ndtr
-
     s0 = params.s0_grid
     vol_sqrt_t = params.volatility * math.sqrt(params.expiry)
     d = (np.log(s0 / params.strike) + params.expiry * params.latent_mean()) / vol_sqrt_t
     disc = params.discounted_payoff
     density = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
     return {
-        "value_curve": disc * ndtr(d),
+        "value_curve": disc * np.array([0.5 * math.erfc(x) for x in -d / math.sqrt(2.0)]),
         "derivative_curve": disc * density / (s0 * vol_sqrt_t),
     }
 
@@ -173,7 +176,7 @@ def rate_fit(ns, medians) -> dict:
 class DiscrepancyRule:
     """Algorithm-style rule: geometric search with factor q, optional floor."""
 
-    q: float = 0.7
+    q: float
     emergency: bool = False
 
     @property
@@ -190,101 +193,6 @@ class AprioriStudyRule:
         return "apriori"
 
 
-RULE_NAMES = ("dp", "dp+es", "apriori")
-
-
-def rule_from_config(entry) -> DiscrepancyRule | AprioriStudyRule:
-    """Build a rule from ``{"name": ...}`` plus ``q`` for ``dp`` / ``dp+es``,
-    or ``variant``, ``c``, ``nu`` and ``rho`` for ``apriori``."""
-    if not isinstance(entry, dict):
-        raise InputError("each rule must be an object with a 'name'")
-    name = entry.get("name")
-    if name not in RULE_NAMES:
-        raise InputError(f"unknown rule {name!r}")
-    settings = {"variant", "c", "nu", "rho"} if name == "apriori" else {"q"}
-    unknown = sorted(set(entry) - {"name", *settings})
-    if unknown:
-        raise InputError(f"rule {name} does not take {unknown}")
-    if name != "apriori":
-        q = entry.get("q", 0.7)
-        if not (_is_finite(q) and 0.0 < q < 1.0):
-            raise InputError("rule q must lie in (0, 1)")
-        return DiscrepancyRule(q=float(q), emergency=(name == "dp+es"))
-    params = {key: entry.get(key, 1.0) for key in ("c", "nu", "rho")}
-    not_numbers = [key for key, value in params.items() if not _is_finite(value)]
-    if not_numbers:
-        raise InputError(f"apriori rule {', '.join(not_numbers)} must be finite numbers")
-    variant = entry.get("variant", "inv_sqrt_n_alpha")
-    return AprioriStudyRule(AprioriRule(
-        variant, **{key: float(value) for key, value in params.items()}
-    ))
-
-
-_SCENARIOS = ("diagonal_synthetic", "counterexample", "heat_like", "binary_option", "matrix_file")
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    scenario_name: str
-    scenario_params: dict
-    filter_spec: FilterSpec
-    rules: tuple
-    delta_rule: str
-    delta_tau: float | None
-    sample_sizes: tuple
-    replications: int
-    base_seed: int
-    source_nu: float = 1.0
-    source_rho: float = 1.0
-    noise: dict | None = None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "StudyConfig":
-        violations = []
-        if not isinstance(raw, dict):
-            raise ConfigError(["configuration must be a JSON object"])
-        known = {"version", "scenario", "source", "filter", "noise", "rules",
-                 "delta_rule", "sample_sizes", "replications", "base_seed"}
-        for key in sorted(set(raw) - known):
-            violations.append(f"unknown key {key!r}")
-        if raw.get("version") != CONFIG_VERSION:
-            violations.append(f"version must be {CONFIG_VERSION}")
-
-        scenario_name, scenario_params = _parse_scenario(raw.get("scenario"), violations)
-        source_nu, source_rho = _parse_source(raw.get("source"), scenario_name, violations)
-        filter_spec = _parse_filter(raw.get("filter"), violations)
-        noise = _parse_noise(raw.get("noise"), scenario_name, violations)
-        rules = _parse_rules(raw.get("rules"), violations)
-        delta_rule, delta_tau = _parse_delta_rule(raw.get("delta_rule"), violations)
-        sample_sizes = _parse_sample_sizes(raw.get("sample_sizes"), violations)
-        if delta_rule == "lil" and min(sample_sizes) < LIL_MIN_N:
-            violations.append(f"lil delta rule needs every sample size >= {LIL_MIN_N}")
-
-        replications = raw.get("replications")
-        if not _is_int(replications) or replications < 1:
-            violations.append("replications must be an integer >= 1")
-            replications = 1
-        base_seed = raw.get("base_seed")
-        if not _is_int(base_seed):
-            violations.append("base_seed must be an integer")
-            base_seed = 0
-
-        if violations:
-            raise ConfigError(violations)
-        return cls(scenario_name, scenario_params, filter_spec, rules, delta_rule,
-                   delta_tau, sample_sizes, replications, base_seed,
-                   source_nu, source_rho, noise)
-
-    @classmethod
-    def from_json(cls, path: str) -> "StudyConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
-
-
 def _is_int(value) -> bool:
     """JSON integer check; bool is an int subclass but not a count or a seed."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -297,148 +205,181 @@ def _is_finite(value) -> bool:
             and -sys.float_info.max <= value <= sys.float_info.max)
 
 
-def _check_keys(section: dict, allowed: set, label: str, violations: list) -> None:
-    for key in sorted(set(section) - allowed):
-        violations.append(f"unknown key {key!r} in {label}")
+# Each check is (what a value must be, test, conversion of a value that passes).
+_DIMENSION = ("an integer >= 2", lambda v: _is_int(v) and v >= 2, int)
+_COUNT = ("an integer >= 1", lambda v: _is_int(v) and v >= 1, int)
+_SEED = ("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 2**64, int)
+# an integral float such as 3.0 is the order 3
+_ORDER = ("an integer >= 1", lambda v: _is_finite(v) and v >= 1 and v == int(v), int)
+_FINITE = ("a finite number", _is_finite, float)
+_POSITIVE = ("positive and finite", lambda v: _is_finite(v) and v > 0, float)
+_UNIT = ("in (0, 1)", lambda v: _is_finite(v) and 0 < v < 1, float)
+_ABOVE_ONE = ("finite and > 1", lambda v: _is_finite(v) and v > 1, float)
+_STRING = ("a string", lambda v: isinstance(v, str), str)
+_APRIORI = (f"one of {list(APRIORI_VARIANTS)}", lambda v: v in APRIORI_VARIANTS, str)
+_SIZES = ("a non-empty list of integers >= 2",
+          lambda v: isinstance(v, list) and v and all(_is_int(n) and n >= 2 for n in v), tuple)
+_LIST = ("a non-empty list", lambda v: isinstance(v, list) and v, list)
+
+#: the default of a key that must be given
+_REQUIRED = object()
+
+# Each table maps a key to (check, default); a choice table maps each value
+# of the section's choice key to the table of the keys that choice takes.
+SCENARIOS = {
+    "diagonal_synthetic": {"m": (_DIMENSION, 200), "decay": (_POSITIVE, 1.0)},
+    "counterexample": {"m": (_DIMENSION, 100), "forced_value": (_FINITE, None)},
+    "heat_like": {"m": (_DIMENSION, 100), "decay": (_POSITIVE, DEFAULT_HEAT_DECAY)},
+    "binary_option": {"grid": (_DIMENSION, 512)},
+    "matrix_file": {"path": (_STRING, _REQUIRED)},
+}
+#: the noise variant of a config without a noise section; the scenarios not
+#: named here fix their noise and their source and take neither section
+DEFAULT_NOISE = {"diagonal_synthetic": "direction_gaussian", "heat_like": "heavy_tailed",
+                 "matrix_file": "direction_gaussian"}
+SOURCE = {"nu": (_POSITIVE, 1.0), "rho": (_POSITIVE, 1.0)}
+NOISES = {
+    "direction_gaussian": {"scale": (_POSITIVE, 1.0)},
+    "coefficient_gaussian": {"scale": (_POSITIVE, 1.0)},
+    "heavy_tailed": {"shape": (_FINITE, 1.0 / 3.0), "scale": (_POSITIVE, 0.5),
+                     "location": (_FINITE, 1.5), "weight_seed": (_SEED, 5)},
+}
+FILTERS = {kind: {} for kind in KINDS} | {
+    "iterated_tikhonov": {"order": (_ORDER, 2)},
+    "landweber": {"relaxation": (_POSITIVE, 0.9)},
+}
+RULES = {
+    "dp": {"q": (_UNIT, 0.7)},
+    "dp+es": {"q": (_UNIT, 0.7)},
+    "apriori": {"variant": (_APRIORI, "inv_sqrt_n_alpha"), "c": (_POSITIVE, 1.0),
+                "nu": (_POSITIVE, 1.0), "rho": (_POSITIVE, 1.0)},
+}
+RULE_NAMES = tuple(RULES)
+DELTAS = {rule: {} for rule in DELTA_RULES} | {"lil": {"tau": (_ABOVE_ONE, _REQUIRED)}}
+#: the top-level keys besides the sections
+STUDY = {"rules": (_LIST, _REQUIRED), "sample_sizes": (_SIZES, _REQUIRED),
+         "replications": (_COUNT, _REQUIRED), "base_seed": (_SEED, _REQUIRED)}
+_SECTIONS = ("version", "scenario", "source", "noise", "filter", "delta_rule")
 
 
-def _parse_scenario(section, violations):
-    if not isinstance(section, dict) or "name" not in section:
-        violations.append("scenario must be an object with a 'name'")
-        return "diagonal_synthetic", {}
-    name = section["name"]
-    if name not in _SCENARIOS:
-        violations.append(f"unknown scenario {name!r}")
-        return "diagonal_synthetic", {}
-    allowed = {
-        "diagonal_synthetic": {"name", "m", "decay"},
-        "counterexample": {"name", "m", "forced_value"},
-        "heat_like": {"name", "m", "decay"},
-        "binary_option": {"name", "grid"},
-        "matrix_file": {"name", "path"},
-    }[name]
-    _check_keys(section, allowed, "scenario", violations)
-    params = {k: v for k, v in section.items() if k != "name"}
-    if name == "matrix_file" and not isinstance(params.get("path"), str):
-        violations.append("matrix_file scenario needs a 'path' string")
-    # a key given as null is a violation too, not the default
-    for key in ("m", "grid"):
-        if key in params and not (_is_int(params[key]) and params[key] >= 2):
-            violations.append("scenario dimension must be an integer >= 2")
-    if "decay" in params and not (_is_finite(params["decay"]) and params["decay"] > 0):
-        violations.append("scenario decay must be positive and finite")
-    if "forced_value" in params and not _is_finite(params["forced_value"]):
-        violations.append("scenario forced_value must be a finite number")
-    return name, params
+def resolve(label: str, table: dict, section, violations: list, choice: str | None = None):
+    """``section`` checked against ``table``, with each absent key set to its
+    default and each value converted.
 
-
-def _parse_source(section, scenario_name, violations):
-    if section is None:
-        return 1.0, 1.0
-    if scenario_name in ("counterexample", "binary_option"):
-        violations.append(f"scenario {scenario_name!r} does not take a source section")
-        return 1.0, 1.0
+    With ``choice``, ``table`` is a choice table and the section's ``choice``
+    key selects the key table.  Each violation is appended to ``violations``;
+    a key that fails its check is left out of the result, and a section that
+    is not an object, or names no known choice, resolves to None.
+    """
     if not isinstance(section, dict):
-        violations.append("source must be an object")
-        return 1.0, 1.0
-    _check_keys(section, {"nu", "rho"}, "source", violations)
-    nu = section.get("nu", 1.0)
-    rho = section.get("rho", 1.0)
-    for label, value in (("nu", nu), ("rho", rho)):
-        if not (_is_finite(value) and value > 0):
-            violations.append(f"source {label} must be positive and finite")
-            return 1.0, 1.0
-    return float(nu), float(rho)
+        violations.append(f"{label} must be an object" + (f" with a {choice!r}" if choice else ""))
+        return None
+    resolved, owner = {}, label
+    if choice is not None:
+        name = section.get(choice)
+        if not (isinstance(name, str) and name in table):
+            violations.append(f"unknown {label} {choice} {name!r}")
+            return None
+        resolved[choice], table, owner = name, table[name], f"{label} {name}"
+    unknown = sorted(set(section) - set(table) - {choice})
+    if unknown:
+        violations.append(f"{owner} does not take {unknown}")
+    for key, ((what, test, convert), default) in table.items():
+        if key in section and test(section[key]):
+            resolved[key] = convert(section[key])
+        elif key in section or default is _REQUIRED:
+            violations.append(f"{label} {key} must be {what}")
+        else:
+            resolved[key] = default
+    return resolved
 
 
-def _parse_filter(section, violations):
+def _rule(entry: dict) -> DiscrepancyRule | AprioriStudyRule:
+    if entry["name"] == "apriori":
+        return AprioriStudyRule(
+            AprioriRule(entry["variant"], entry["c"], entry["nu"], entry["rho"]))
+    return DiscrepancyRule(entry["q"], emergency=entry["name"] == "dp+es")
+
+
+def solve_settings(filter_section: dict, rule_entry: dict) -> tuple:
+    """The FilterSpec and rule of a filter section and a rules entry, checked
+    and completed as in a study config; raises ConfigError."""
+    violations = []
+    spec = resolve("filter", FILTERS, filter_section, violations, "kind")
+    rule = resolve("rule", RULES, rule_entry, violations, "name")
+    if violations:
+        raise ConfigError(violations)
+    return FilterSpec(**spec), _rule(rule)
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """A valid study config.  ``scenario``, ``source`` and ``noise`` are the
+    resolved sections, with every key of their choice; ``source`` and
+    ``noise`` are None for the scenarios that fix them."""
+
+    scenario: dict
+    source: dict | None
+    noise: dict | None
+    filter_spec: FilterSpec
+    rules: tuple
+    delta_rule: str
+    delta_tau: float | None
+    sample_sizes: tuple
+    replications: int
+    base_seed: int
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "StudyConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(["configuration must be a JSON object"])
+        violations = []
+        if raw.get("version") != CONFIG_VERSION:
+            violations.append(f"version must be {CONFIG_VERSION}")
+        study = resolve("config", STUDY,
+                        {key: value for key, value in raw.items() if key not in _SECTIONS},
+                        violations)
+        scenario = resolve("scenario", SCENARIOS, raw.get("scenario"), violations, "name")
+        filter_section = resolve("filter", FILTERS, raw.get("filter"), violations, "kind")
+        rules = [resolve("rule", RULES, entry, violations, "name")
+                 for entry in study.get("rules", [])]
+        delta = resolve("delta_rule", DELTAS, raw.get("delta_rule"), violations, "name")
+
+        name = scenario["name"] if scenario else None
+        source = noise = None
+        if name and name not in DEFAULT_NOISE:
+            violations.extend(f"scenario {name!r} does not take a {key} section"
+                              for key in ("source", "noise") if key in raw)
+        else:
+            source = resolve("source", SOURCE, raw.get("source", {}), violations)
+            if name or "noise" in raw:
+                default = {"variant": DEFAULT_NOISE.get(name)}
+                noise = resolve("noise", NOISES, raw.get("noise", default), violations, "variant")
+        if name == "matrix_file" and noise and noise["variant"] == "heavy_tailed":
+            violations.append("scenario 'matrix_file' does not take heavy_tailed noise")
+        names = [entry["name"] for entry in rules if entry]
+        if len(set(names)) != len(names):
+            violations.append("rule names must be unique")
+        sizes = study.get("sample_sizes", ())
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            violations.append("sample_sizes must be strictly increasing")
+        if delta and delta["name"] == "lil" and sizes and min(sizes) < LIL_MIN_N:
+            violations.append(f"lil delta rule needs every sample size >= {LIL_MIN_N}")
+
+        if violations:
+            raise ConfigError(violations)
+        return cls(scenario, source, noise, FilterSpec(**filter_section),
+                   tuple(map(_rule, rules)), delta["name"], delta.get("tau"), sizes,
+                   study["replications"], study["base_seed"])
+
+
+def read_config(path: str):
+    """The JSON value in the config file ``path``."""
     try:
-        return FilterSpec.from_config(section)
-    except InputError as exc:
-        violations.append(str(exc))
-        return FilterSpec.tikhonov()
-
-
-def _parse_noise(section, scenario_name, violations):
-    if section is None:
-        return None
-    if scenario_name in ("counterexample", "binary_option"):
-        violations.append(f"scenario {scenario_name!r} has a fixed noise model")
-        return None
-    if not isinstance(section, dict):
-        violations.append("noise must be an object with a 'variant'")
-        return None
-    variant = section.get("variant")
-    allowed = {
-        "direction_gaussian": {"variant", "scale"},
-        "coefficient_gaussian": {"variant", "scale"},
-        "heavy_tailed": {"variant", "shape", "scale", "location", "weight_seed"},
-    }.get(variant) if isinstance(variant, str) else None
-    if allowed is None:
-        violations.append(f"unknown noise variant {variant!r}")
-        return None
-    _check_keys(section, allowed, "noise", violations)
-    if scenario_name == "matrix_file" and variant == "heavy_tailed":
-        violations.append("scenario 'matrix_file' does not take heavy_tailed noise")
-    if "scale" in section and not (_is_finite(section["scale"]) and section["scale"] > 0):
-        violations.append("noise scale must be positive and finite")
-    for key in ("shape", "location"):
-        if key in section and not _is_finite(section[key]):
-            violations.append(f"noise {key} must be a finite number")
-    if "weight_seed" in section and not _is_int(section["weight_seed"]):
-        violations.append("noise weight_seed must be an integer")
-    return dict(section)
-
-
-def _parse_rules(section, violations):
-    if not isinstance(section, list) or not section:
-        violations.append("rules must be a non-empty list")
-        return (DiscrepancyRule(),)
-    rules = []
-    for entry in section:
-        try:
-            rules.append(rule_from_config(entry))
-        except InputError as exc:
-            violations.append(str(exc))
-    names = [rule.name for rule in rules]
-    if len(set(names)) != len(names):
-        violations.append("rule names must be unique")
-    return tuple(rules)
-
-
-def _parse_delta_rule(section, violations):
-    if not isinstance(section, dict):
-        violations.append("delta_rule must be an object with a 'name'")
-        return "sample_std", None
-    _check_keys(section, {"name", "tau"}, "delta_rule", violations)
-    name = section.get("name")
-    if name not in DELTA_RULES:
-        violations.append(f"unknown delta rule {name!r}")
-        return "sample_std", None
-    tau = section.get("tau")
-    if name == "lil":
-        if not (_is_finite(tau) and tau > 1):
-            violations.append("lil delta rule needs a finite tau > 1")
-            tau = 1.5
-        return name, float(tau)
-    if tau is not None:
-        violations.append("tau is only meaningful for the lil delta rule")
-    return name, None
-
-
-def _parse_sample_sizes(section, violations):
-    if not isinstance(section, list) or not section:
-        violations.append("sample_sizes must be a non-empty list")
-        return (100,)
-    sizes = []
-    for value in section:
-        if not _is_int(value) or value < 2:
-            violations.append("every sample size must be an integer >= 2")
-            return (100,)
-        sizes.append(value)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        violations.append("sample_sizes must be strictly increasing")
-    return tuple(sizes)
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from exc
 
 
 def default_heat_config(replications: int = 200, base_seed: int = 99) -> dict:
@@ -510,75 +451,61 @@ class Scenario:
     forced_value: float | None = None
 
 
-def _smooth_source(m: int, nu: float, rho: float, alternating: bool) -> SourceCondition:
+def _smooth_source(m: int, source: dict, alternating: bool) -> SourceCondition:
     levels = np.arange(1, m + 1, dtype=float)
     if alternating:
         w = np.exp(-3.0 * levels / m)
         w[1::2] *= -1.0
     else:
         w = levels**-0.55
-    w *= rho / np.linalg.norm(w)
-    return SourceCondition(nu, rho, w)
+    w *= source["rho"] / np.linalg.norm(w)
+    return SourceCondition(source["nu"], source["rho"], w)
 
 
-def _default_direction(m: int) -> CoefficientVector:
+def _noise_model(noise: dict, m: int, basis: np.ndarray | None = None):
+    """The model of a resolved noise section for m levels.  The direction of
+    Gaussian noise is the unit power law l^-3/4, mapped by ``basis`` when the
+    data live in ambient coordinates."""
+    if noise["variant"] == "coefficient_gaussian":
+        return CoefficientGaussian(noise["scale"])
+    if noise["variant"] == "heavy_tailed":
+        return HeavyTailed(noise["shape"], noise["scale"], noise["location"],
+                           heavy_tail_weights(m, noise["weight_seed"]))
     weights = np.arange(1, m + 1, dtype=float) ** -0.75
-    return CoefficientVector(weights / np.linalg.norm(weights), 0.0)
-
-
-def _noise_model(config: StudyConfig, m: int, default):
-    section = config.noise
-    if section is None:
-        return default
-    variant = section["variant"]
-    if variant == "direction_gaussian":
-        base = _default_direction(m)
-        scale = float(section.get("scale", 1.0))
-        return DirectionGaussian(CoefficientVector(scale * base.coefficients, 0.0))
-    if variant == "coefficient_gaussian":
-        return CoefficientGaussian(float(section.get("scale", 1.0)))
-    return HeavyTailed(
-        float(section.get("shape", 1.0 / 3.0)),
-        float(section.get("scale", 0.5)),
-        float(section.get("location", 1.5)),
-        np.asarray(HeavyTailed.default(m, int(section.get("weight_seed", 5))).weights),
-    )
+    direction = weights / np.linalg.norm(weights)
+    if basis is not None:
+        direction = basis @ direction
+    return DirectionGaussian(CoefficientVector(noise["scale"] * direction, 0.0))
 
 
 def build_scenario(config: StudyConfig) -> Scenario:
-    name = config.scenario_name
-    params = config.scenario_params
+    params = config.scenario
+    name = params["name"]
 
     if name == "diagonal_synthetic":
-        m = int(params.get("m", 200))
-        decay = float(params.get("decay", 1.0))
-        op = SpectralDecomposition(np.arange(1, m + 1, dtype=float) ** -decay)
-        sc = _smooth_source(m, config.source_nu, config.source_rho, alternating=False)
+        m = params["m"]
+        op = SpectralDecomposition(np.arange(1, m + 1, dtype=float) ** -params["decay"])
+        sc = _smooth_source(m, config.source, alternating=False)
         x_hat, y_hat = synthesize_source(op, sc)
-        model = _noise_model(config, m, DirectionGaussian(_default_direction(m)))
-        return Scenario(op, x_hat, y_hat, model)
+        return Scenario(op, x_hat, y_hat, _noise_model(config.noise, m))
 
     if name == "counterexample":
-        m = int(params.get("m", 100))
+        m = params["m"]
         op, direction = counterexample_operator(m)
         zero = CoefficientVector(np.zeros(m), 0.0)
-        forced = params.get("forced_value")
         return Scenario(op, zero, zero, DirectionGaussian(direction),
-                        forced_value=None if forced is None else float(forced))
+                        forced_value=params["forced_value"])
 
     if name == "heat_like":
-        m = int(params.get("m", 100))
-        decay = float(params.get("decay", DEFAULT_HEAT_DECAY))
-        op = heat_like_operator(m, decay)
-        sc = _smooth_source(m, config.source_nu, config.source_rho, alternating=True)
+        m = params["m"]
+        op = heat_like_operator(m, params["decay"])
+        sc = _smooth_source(m, config.source, alternating=True)
         x_hat, y_hat = synthesize_source(op, sc)
-        model = _noise_model(config, m, HeavyTailed.default(m))
-        return Scenario(op, x_hat, y_hat, model)
+        return Scenario(op, x_hat, y_hat, _noise_model(config.noise, m))
 
     if name == "binary_option":
-        grid = int(params.get("grid", 512))
-        option = BinaryOptionParams.default(grid)
-        op = integration_operator(grid)
+        option = BinaryOptionParams.default(params["grid"])
+        op = integration_operator(params["grid"])
         truth = binary_option_truth(option)
         root_h = math.sqrt(option.grid_weight)
         x_hat_ambient = root_h * truth["derivative_curve"]
@@ -587,24 +514,14 @@ def build_scenario(config: StudyConfig) -> Scenario:
         return Scenario(op, x_hat, y_hat, BernoulliPayoff(option),
                         ambient=True, x_hat_ambient=x_hat_ambient)
 
-    if name == "matrix_file":
-        op = svd(load_matrix_csv(params["path"]))
-        m = op.rank
-        sc = _smooth_source(m, config.source_nu, config.source_rho, alternating=True)
-        x_hat, y_hat = synthesize_source(op, sc)
-        x_hat_ambient = embed_solution(op, x_hat)
-        y_hat_ambient = CoefficientVector(op.left_basis @ y_hat.coefficients, 0.0)
-        noise = config.noise or {"variant": "direction_gaussian"}
-        scale = float(noise.get("scale", 1.0))
-        if noise["variant"] == "coefficient_gaussian":
-            model = CoefficientGaussian(scale)
-        else:
-            direction = op.left_basis @ _default_direction(m).coefficients
-            model = DirectionGaussian(CoefficientVector(scale * direction, 0.0))
-        return Scenario(op, x_hat, y_hat_ambient, model,
-                        ambient=True, x_hat_ambient=x_hat_ambient)
-
-    raise InputError(f"unknown scenario {name!r}")
+    op = svd(load_matrix_csv(params["path"]))
+    m = op.rank
+    sc = _smooth_source(m, config.source, alternating=True)
+    x_hat, y_hat = synthesize_source(op, sc)
+    x_hat_ambient = embed_solution(op, x_hat)
+    y_hat_ambient = CoefficientVector(op.left_basis @ y_hat.coefficients, 0.0)
+    return Scenario(op, x_hat, y_hat_ambient, _noise_model(config.noise, m, op.left_basis),
+                    ambient=True, x_hat_ambient=x_hat_ambient)
 
 
 # ---------------------------------------------------------------------------

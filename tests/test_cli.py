@@ -364,6 +364,21 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
         assert path.read_bytes() == (out_b / path.name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--seed", str(2**64)],
+    ["counterexample", "--seed", "-1"],
+    ["heat", "--seed", str(2**64)],
+    ["simulate", "--seed", "-1"],
+])
+def test_seed_flag_outside_the_generator_range_is_a_config_error(tmp_path, capsys, argv):
+    # RandomStream reads seeds mod 2^64: --seed 2^64 used to replay --seed 0
+    if argv[0] == "simulate":
+        argv = [*argv, "--config", _tiny_config(tmp_path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert "base_seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_seed_override_changes_records(tmp_path, capsys):
     config = _tiny_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -449,9 +464,20 @@ def test_verify_filters_passes(capsys):
     assert stdout.count("-> pass") == 4
 
 
-def test_unknown_command_exits_via_argparse():
-    with pytest.raises(SystemExit):
+def test_unknown_command_exits_via_argparse(tmp_path, capsys):
+    # README: usage errors are parse errors and exit 1; 2 is for degenerate statistics
+    with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
+    assert excinfo.value.code == 1
+    matrix, measurements = _write_identity_problem(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--matrix", matrix, "--measurements", measurements,
+              "--filter", "iterated_tikhonov", "--order", "abc"])
+    assert excinfo.value.code == 1
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--help"])
+    assert excinfo.value.code == 0
 
 
 def test_perfbench_tracer_finds_every_boundary(tmp_path):
@@ -472,15 +498,16 @@ def test_perfbench_tracer_finds_every_boundary(tmp_path):
 
 
 def test_importing_the_cli_does_not_import_scipy():
-    # scipy.special is only needed by the binary-option truth; importing it
-    # at start-up costs about 0.3 s in every command
+    # scipy is a test dependency only; importing scipy.special costs about
+    # 0.3 s of start-up
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, avereg.cli; "
+         "import sys, avereg.cli, avereg.study as s, avereg.measurements as m; "
+         "s.binary_option_truth(m.BinaryOptionParams.default(16)); "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )

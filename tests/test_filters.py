@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avereg.errors import ConfigurationError, InputError
+from avereg.errors import ConfigError, ConfigurationError, InputError
 from avereg.filters import (
     FilterSpec,
     apply_regularizer,
@@ -21,6 +21,7 @@ from avereg.spectral import (
     counterexample_operator,
     synthesize_source,
 )
+from avereg.study import solve_settings
 
 ALL_SPECS = [
     FilterSpec.tikhonov(),
@@ -97,6 +98,11 @@ def test_landweber_divergent_configuration():
         filter_value(FilterSpec.landweber(2.0), 0.5, 1.0)
 
 
+def _from_config(section):
+    """The FilterSpec of a config's filter section, as a study or solve builds it."""
+    return solve_settings(section, {"name": "dp"})[0]
+
+
 def test_filter_spec_validation_and_config_round_trip():
     with pytest.raises(InputError):
         FilterSpec("unknown")
@@ -104,10 +110,13 @@ def test_filter_spec_validation_and_config_round_trip():
         FilterSpec.iterated_tikhonov(0)
     with pytest.raises(InputError):
         FilterSpec.landweber(0.0)
-    for spec in ALL_SPECS:
-        assert FilterSpec.from_config(spec.to_config()) == spec
-    with pytest.raises(InputError):
-        FilterSpec.from_config({"kind": "tikhonov", "bogus": 1})
+    sections = [{"kind": "tikhonov"}, {"kind": "iterated_tikhonov", "order": 2},
+                {"kind": "iterated_tikhonov", "order": 3}, {"kind": "tsvd"},
+                {"kind": "landweber", "relaxation": 0.9}]
+    for spec, section in zip(ALL_SPECS, sections, strict=True):
+        assert _from_config(section) == spec
+    with pytest.raises(ConfigError):
+        _from_config({"kind": "tikhonov", "bogus": 1})
 
 
 @pytest.mark.parametrize("cfg", [
@@ -124,15 +133,15 @@ def test_filter_spec_validation_and_config_round_trip():
     {"kind": None},
 ])
 def test_filter_config_rejects_what_it_would_ignore_or_misread(cfg):
-    with pytest.raises(InputError):
-        FilterSpec.from_config(cfg)
+    with pytest.raises(ConfigError):
+        _from_config(cfg)
 
 
 def test_filter_config_defaults_and_integral_order():
-    assert FilterSpec.from_config({"kind": "iterated_tikhonov"}) == FilterSpec.iterated_tikhonov(2)
-    assert FilterSpec.from_config({"kind": "iterated_tikhonov", "order": 3.0}).order == 3
-    assert FilterSpec.from_config({"kind": "landweber"}) == FilterSpec.landweber(0.9)
-    assert FilterSpec.from_config({"kind": "landweber", "relaxation": 1}).relaxation == 1.0
+    assert _from_config({"kind": "iterated_tikhonov"}) == FilterSpec.iterated_tikhonov(2)
+    assert _from_config({"kind": "iterated_tikhonov", "order": 3.0}).order == 3
+    assert _from_config({"kind": "landweber"}) == FilterSpec.landweber(0.9)
+    assert _from_config({"kind": "landweber", "relaxation": 1}).relaxation == 1.0
 
 
 def test_landweber_filter_at_unit_relaxation_runs_clean():

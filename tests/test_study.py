@@ -1,11 +1,14 @@
 import json
 import math
+import pathlib
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from avereg import study
 from avereg.errors import ConfigError, InputError, StudyError
 from avereg.filters import FilterSpec, filter_value
 from avereg.measurements import BinaryOptionParams
@@ -20,6 +23,7 @@ from avereg.study import (
     heat_like_operator,
     integration_operator,
     rate_fit,
+    read_config,
     run_study,
     summarize,
     write_study_csvs,
@@ -175,6 +179,11 @@ def test_binary_option_truth_default_parameters():
         math.exp(-1e-4 * 30.0) * ndtr(d))
     assert truth["value_curve"][idx] == pytest.approx(0.6061, abs=2e-3)
     assert np.all(np.diff(truth["value_curve"]) > 0)
+    # erfc in place of scipy's ndtr: 1.3e-14 relative at most on this grid
+    s0 = params.s0_grid
+    d_all = (np.log(s0 / 0.5) + 30.0 * (0.01 - 0.005)) / (0.1 * math.sqrt(30.0))
+    assert np.allclose(truth["value_curve"], math.exp(-1e-4 * 30.0) * ndtr(d_all),
+                       rtol=5e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +192,7 @@ def test_binary_option_truth_default_parameters():
 
 def test_config_round_trip_from_dict():
     config = StudyConfig.from_dict(_tiny_config())
-    assert config.scenario_name == "diagonal_synthetic"
+    assert config.scenario["name"] == "diagonal_synthetic"
     assert config.filter_spec == FilterSpec.tikhonov()
     assert config.sample_sizes == (50, 200)
     assert config.delta_rule == "sample_std"
@@ -225,13 +234,13 @@ def test_config_rejects_booleans_as_integers(overrides):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"scenario": {"name": "diagonal_synthetic", "m": None}}, "dimension must be an integer"),
+    ({"scenario": {"name": "diagonal_synthetic", "m": None}}, "m must be an integer >= 2"),
     ({"scenario": {"name": "heat_like", "decay": None}}, "decay must be positive"),
     ({"scenario": {"name": "binary_option", "grid": None}, "source": None},
-     "dimension must be an integer"),
+     "grid must be an integer >= 2"),
     ({"scenario": {"name": "counterexample", "forced_value": "x"}, "source": None},
      "forced_value must be a finite number"),
-    ({"scenario": {"name": "matrix_file", "path": 0}}, "needs a 'path' string"),
+    ({"scenario": {"name": "matrix_file", "path": 0}}, "path must be a string"),
     ({"noise": {"variant": ["heavy_tailed"]}}, "unknown noise variant"),
     ({"noise": {"variant": "direction_gaussian", "scale": None}}, "scale must be positive"),
     ({"noise": {"variant": "heavy_tailed", "shape": "x"}}, "shape must be a finite number"),
@@ -268,15 +277,29 @@ def test_config_rejects_integers_beyond_the_float_range(overrides):
 
 
 @pytest.mark.parametrize("section, message", [
-    ({"kind": "landweber", "relaxation": "abc"}, "relaxation must be a number"),
+    ({"kind": "landweber", "relaxation": "abc"}, "relaxation must be positive and finite"),
     ({"kind": "iterated_tikhonov", "order": 2.7}, "order must be an integer"),
     ({"kind": "tikhonov", "order": 3}, "does not take ['order']"),
-    ({"kind": "landweber", "relaxation": math.inf}, "relaxation must be finite"),
+    ({"kind": "landweber", "relaxation": math.inf}, "relaxation must be positive and finite"),
 ])
 def test_config_rejects_filter_settings_it_would_misread_or_ignore(section, message):
     with pytest.raises(ConfigError) as excinfo:
         StudyConfig.from_dict(_tiny_config(filter=section))
     assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"base_seed": 2**64},
+    {"base_seed": -1},
+    {"noise": {"variant": "heavy_tailed", "weight_seed": 2**64}},
+    {"noise": {"variant": "heavy_tailed", "weight_seed": -1}},
+])
+def test_config_rejects_seeds_the_generator_would_alias(overrides):
+    # RandomStream reads seeds mod 2^64: 2^64 would replay seed 0, -1 seed 2^64 - 1
+    with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        StudyConfig.from_dict(_tiny_config(**overrides))
+    for seed in (0, 2**64 - 1):
+        StudyConfig.from_dict(_tiny_config(base_seed=seed))
 
 
 def test_config_rejects_lil_with_sample_sizes_below_its_minimum():
@@ -313,11 +336,11 @@ def test_config_lil_requires_tau():
 def test_config_from_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_tiny_config()))
-    config = StudyConfig.from_json(str(path))
+    config = StudyConfig.from_dict(read_config(str(path)))
     assert config.replications == 8
     missing = tmp_path / "nope.json"
     with pytest.raises(InputError):
-        StudyConfig.from_json(str(missing))
+        read_config(str(missing))
 
 
 def test_default_configs_are_valid():
@@ -332,6 +355,61 @@ def _matrix_file_config(tmp_path, **overrides):
     a = np.random.default_rng(0).standard_normal((30, 10))
     np.savetxt(path, a, delimiter=",")
     return _tiny_config(scenario={"name": "matrix_file", "path": str(path)}, **overrides)
+
+
+_SOURCE_DEFAULTS = {"nu": 1.0, "rho": 1.0}
+_GAUSSIAN_DEFAULTS = {"variant": "direction_gaussian", "scale": 1.0}
+_HEAVY_DEFAULTS = {"variant": "heavy_tailed", "shape": 1.0 / 3.0, "scale": 0.5,
+                   "location": 1.5, "weight_seed": 5}
+
+# (each scenario's keys with their defaults written out, the noise section
+# a scenario that takes one defaults to); counterexample's forced_value is
+# absent unless the latent draws are pinned
+_SCENARIO_DEFAULTS = {
+    "diagonal_synthetic": ({"m": 200, "decay": 1.0}, _GAUSSIAN_DEFAULTS),
+    "counterexample": ({"m": 100}, None),
+    "heat_like": ({"m": 100, "decay": 0.326}, _HEAVY_DEFAULTS),
+    "binary_option": ({"grid": 512}, None),
+    "matrix_file": ({}, _GAUSSIAN_DEFAULTS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCENARIO_DEFAULTS))
+def test_absent_keys_take_the_defaults_written_out(tmp_path, name):
+    written, noise = _SCENARIO_DEFAULTS[name]
+    # the path has no default
+    path = {"path": _matrix_file_config(tmp_path)["scenario"]["path"]} \
+        if name == "matrix_file" else {}
+
+    def config(scenario, full):
+        raw = _tiny_config(
+            scenario={"name": name, **path, **scenario},
+            filter={"kind": "iterated_tikhonov", **({"order": 2} if full else {})},
+            rules=[{"name": "dp", **({"q": 0.7} if full else {})},
+                   {"name": "dp+es", **({"q": 0.7} if full else {})},
+                   {"name": "apriori", **({"variant": "inv_sqrt_n_alpha", "c": 1.0,
+                                           "nu": 1.0, "rho": 1.0} if full else {})}],
+        )
+        del raw["source"]
+        if full and noise is not None:
+            raw.update(source=_SOURCE_DEFAULTS, noise=noise)
+        return StudyConfig.from_dict(raw)
+
+    sparse, full = config({}, False), config(written, True)
+    assert sparse == full
+    assert (full.source, full.noise) == ((None, None) if noise is None
+                                         else (_SOURCE_DEFAULTS, noise))
+    assert pickle.dumps(build_scenario(sparse)) == pickle.dumps(build_scenario(full))
+
+
+def test_readme_gives_every_config_key():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Study configuration")[1].split("\n## ")[0]
+    tables = [study.SCENARIOS, study.NOISES, study.FILTERS, study.RULES, study.DELTAS]
+    names = [*study.STUDY, *study.SOURCE, *(name for table in tables for name in table),
+             *(key for table in tables for keys in table.values() for key in keys)]
+    missing = sorted({name for name in names if f"`{name}`" not in section})
+    assert not missing
 
 
 def test_config_rejects_heavy_tailed_noise_for_matrix_file(tmp_path):
