@@ -3,16 +3,21 @@
 A filter family ``F_alpha`` approximates ``lambda -> 1/lambda`` and induces
 the regularizer ``R_alpha = F_alpha(K*K) K*``, which acts coefficientwise as
 ``x_l = F_alpha(sigma_l^2) sigma_l y_l``.  Four families are provided:
-Tikhonov, iterated Tikhonov, truncated SVD and Landweber iteration.  Each
-carries declared constants (C_R, C_F, qualification) that
-:func:`verify_filter_constants` certifies numerically on a grid; grid suprema
-understate the true suprema, so the check is a testing device rather than a
-proof.
+Tikhonov, iterated Tikhonov, truncated SVD and Landweber iteration.  Their
+constants (C_R, C_F, qualification) follow from the kind and the order, and
+:func:`verify_filter_constants` certifies them numerically on a grid; grid
+suprema understate the true suprema, so the check is a testing device rather
+than a proof.  Iterated Tikhonov of order p and Landweber with relaxation a
+share one power form, free of cancellation and at a cost independent of p:
+``1 - lambda F = exp(e)`` and ``F = -expm1(e) / lambda`` with ``e = p log1p(-t)``,
+``t = lambda / (alpha + lambda)`` for iterated Tikhonov and ``t = a lambda``,
+``p = ceil(1/alpha)`` for Landweber.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,36 +30,34 @@ KINDS = ("tikhonov", "iterated_tikhonov", "tsvd", "landweber")
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """A filter family together with its declared regularization constants."""
+    """A filter family; its regularization constants follow from kind and order."""
 
     kind: str
     order: int = 1
     relaxation: float | None = None
-    c_r: float | None = None
-    c_f: float | None = None
-    qualification: float | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown filter kind {self.kind!r}")
-        if self.kind == "iterated_tikhonov" and self.order < 1:
-            raise InputError("iterated Tikhonov order must be >= 1")
-        if self.kind == "landweber":
-            if self.relaxation is None or not self.relaxation > 0:
-                raise InputError("landweber needs a positive relaxation")
-        defaults = self._default_constants()
-        for name, value in defaults.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
+        # bool is an int subclass but not an order; the power form takes a float
+        if (not isinstance(self.order, int) or isinstance(self.order, bool)
+                or not 1 <= self.order <= sys.float_info.max):
+            raise InputError(f"filter order must be an integer >= 1, not {self.order!r}")
+        if self.kind == "landweber" and (self.relaxation is None or not self.relaxation > 0):
+            raise InputError("landweber needs a positive relaxation")
 
-    def _default_constants(self) -> dict:
-        if self.kind == "tikhonov":
-            return {"c_r": 1.0, "c_f": 1.0, "qualification": 2.0}
-        if self.kind == "iterated_tikhonov":
-            return {"c_r": 1.0, "c_f": float(self.order), "qualification": 2.0 * self.order}
-        if self.kind == "tsvd":
-            return {"c_r": 1.0, "c_f": 1.0, "qualification": math.inf}
-        return {"c_r": 1.0, "c_f": 2.0, "qualification": math.inf}
+    #: C_R with lambda |F_alpha(lambda)| <= C_R, the same for every kind
+    c_r = 1.0
+
+    @property
+    def c_f(self) -> float:
+        """C_F with alpha |F_alpha(lambda)| <= C_F."""
+        return {"iterated_tikhonov": float(self.order), "landweber": 2.0}.get(self.kind, 1.0)
+
+    @property
+    def qualification(self) -> float:
+        """The largest nu with a bias bound C_nu alpha^{nu/2}."""
+        return {"tikhonov": 2.0, "iterated_tikhonov": 2.0 * self.order}.get(self.kind, math.inf)
 
     @classmethod
     def tikhonov(cls) -> "FilterSpec":
@@ -85,9 +88,7 @@ class FilterSpec:
             raise InputError("nu must be positive")
         if self.kind == "landweber":
             return (nu / (2.0 * self.relaxation * math.e)) ** (nu / 2.0)
-        if nu > self.qualification:
-            return math.inf
-        return 1.0
+        return math.inf if nu > self.qualification else 1.0
 
     @property
     def name(self) -> str:
@@ -98,21 +99,34 @@ class FilterSpec:
         return self.kind
 
 
-def _landweber_steps(alpha):
-    """alpha ~ 1/k identification: k(alpha) = ceil(1/alpha), as a float.
-
-    Every such k is a double, so it multiplies exactly as the integer would;
-    below alpha = 2^-1024 it is inf, which drives the factor to 0.
-    """
-    with np.errstate(over="ignore"):
-        return np.ceil(1.0 / alpha)
-
-
-def _validate(alpha, lam: np.ndarray):
+def _axes(alpha, lam):
+    """Validated alpha and lambda arrays; a 1-D alpha becomes a column, so
+    results have one row per alpha against the lambda axis."""
+    alpha = np.asarray(alpha, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     if not np.all(alpha > 0):
         raise InputError("alpha must be positive")
     if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
         raise InputError("lambda must be positive and finite")
+    return (alpha[:, None] if alpha.ndim == 1 else alpha), lam
+
+
+def _exponent(spec: FilterSpec, alpha, lam):
+    """The exponent e of the power form (see the module docstring)."""
+    if spec.kind == "iterated_tikhonov":
+        t, p = lam / (alpha + lam), float(spec.order)
+    else:
+        t = spec.relaxation * lam
+        if np.any(t > 1.0):
+            raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
+        # alpha ~ 1/k: every k = ceil(1/alpha) is a double, so it multiplies
+        # exactly as the integer would; below alpha = 2^-1024 it is inf
+        with np.errstate(over="ignore"):
+            p = np.ceil(1.0 / alpha)
+    # t = 1 gives log1p(-1) = -inf and a product overflowing at a large p
+    # gives -inf too: exp(e) is then the exact 0 and F the exact 1/lambda
+    with np.errstate(divide="ignore", over="ignore"):
+        return p * np.log1p(-t)
 
 
 def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
@@ -120,57 +134,28 @@ def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
 
     A 1-D array of alphas gives one row of factors per alpha.
     """
-    lam = np.asarray(lam, dtype=float)
-    _validate(alpha, lam)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim == 1:
-        alpha = alpha[:, None]  # one row per alpha against the lambda axis
+    alpha, lam = _axes(alpha, lam)
     if spec.kind == "tikhonov":
         return alpha / (alpha + lam)
-    if spec.kind == "iterated_tikhonov":
-        # log1p(-1) = -inf once alpha < eps * lambda; exp then gives the exact 0
-        with np.errstate(divide="ignore"):
-            return np.exp(spec.order * np.log1p(-lam / (alpha + lam)))
     if spec.kind == "tsvd":
         return np.where(lam >= alpha, 0.0, 1.0)
-    a = spec.relaxation
-    if np.any(a * lam > 1.0):
-        raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
-    steps = _landweber_steps(alpha)
-    # at tiny alpha, steps * log1p(-a lambda) overflows to -inf and exp gives 0
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(steps * np.log1p(-a * lam))
+    return np.exp(_exponent(spec, alpha, lam))
 
 
-def _filter_direct(spec: FilterSpec, alpha: float, lam: np.ndarray) -> np.ndarray:
-    """F_alpha(lambda) evaluated cancellation-free per kind."""
-    _validate(alpha, lam)
+def filter_value(spec: FilterSpec, alpha, lam):
+    """F_alpha(lambda), evaluated without cancellation.
+
+    A 1-D array of alphas gives one row of values per alpha; a scalar alpha
+    and a scalar lambda give a float.
+    """
+    alpha, lam = _axes(alpha, lam)
     if spec.kind == "tikhonov":
-        return 1.0 / (alpha + lam)
-    if spec.kind == "iterated_tikhonov":
-        # 1 - r^p = (1 - r) sum r^j with r = alpha/(alpha+lam)
-        r = alpha / (alpha + lam)
-        powers = sum(r**j for j in range(spec.order))
-        return powers / (alpha + lam)
-    if spec.kind == "tsvd":
-        return np.where(lam >= alpha, 1.0 / lam, 0.0)
-    a = spec.relaxation
-    if np.any(a * lam > 1.0):
-        raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
-    steps = _landweber_steps(alpha)
-    # a * lam = 1 gives log1p(-1) = -inf and the exact value 1/lam; so does
-    # an overflowing steps * log1p(-a lam) at tiny alpha
-    with np.errstate(divide="ignore", over="ignore"):
-        return -np.expm1(steps * np.log1p(-a * lam)) / lam
-
-
-def filter_value(spec: FilterSpec, alpha: float, lam) -> np.ndarray:
-    """Evaluate F_alpha(lambda) for a scalar or array of spectral values."""
-    lam_arr = np.asarray(lam, dtype=float)
-    value = _filter_direct(spec, alpha, lam_arr)
-    if np.isscalar(lam) or np.ndim(lam) == 0:
-        return float(value)
-    return value
+        value = 1.0 / (alpha + lam)
+    elif spec.kind == "tsvd":
+        value = np.where(lam >= alpha, 1.0 / lam, 0.0)
+    else:
+        value = -np.expm1(_exponent(spec, alpha, lam)) / lam
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -194,11 +179,9 @@ def apply_regularizer(
     _check_length(op, y, "data vector")
     lam = op.singular_values**2
     factor = residual_factor(spec, alpha, lam)
-    f = _filter_direct(spec, alpha, lam)
+    f = filter_value(spec, alpha, lam)
     x = CoefficientVector(f * op.singular_values * y.coefficients, 0.0)
-    residual = float(
-        np.sqrt(np.sum((factor * y.coefficients) ** 2) + y.orthogonal_norm**2)
-    )
+    residual = float(np.sqrt(np.sum((factor * y.coefficients) ** 2) + y.orthogonal_norm**2))
     operator_norm = float(np.max(op.singular_values * f, initial=0.0))
     return RegularizedSolution(alpha, x, residual, operator_norm)
 
@@ -268,24 +251,14 @@ def verify_filter_constants(
     lam = np.logspace(math.log10(lam_hi) - 12, math.log10(lam_hi), n_lambda)
     alphas = np.logspace(-8, 0, n_alpha)  # ascending
 
-    c_r_obs = 0.0
-    c_f_obs = 0.0
-    nu_ratios = np.empty(n_alpha)
-    monotone = True
-    range_ok = True
-    prev_f = None
-    for i, alpha in enumerate(alphas):
-        factor = residual_factor(spec, float(alpha), lam)
-        f = _filter_direct(spec, float(alpha), lam)
-        c_r_obs = max(c_r_obs, float(np.max(lam * f)))
-        c_f_obs = max(c_f_obs, float(alpha * np.max(np.abs(f))))
-        nu_ratios[i] = float(np.max(lam ** (nu / 2.0) * np.abs(factor)) / alpha ** (nu / 2.0))
-        if np.any(f < -_REL_TOL) or np.any(f * lam > 1.0 + _REL_TOL):
-            range_ok = False
-        if prev_f is not None and np.any(f > prev_f * (1.0 + _REL_TOL) + 1e-300):
-            # alpha ascending: F must be non-increasing in alpha
-            monotone = False
-        prev_f = f
+    factor = residual_factor(spec, alphas, lam)  # one row per alpha
+    f = filter_value(spec, alphas, lam)
+    c_r_obs = float(np.max(lam * f, initial=0.0))
+    c_f_obs = float(np.max(alphas[:, None] * np.abs(f), initial=0.0))
+    nu_ratios = np.max(lam ** (nu / 2.0) * np.abs(factor), axis=1) / alphas ** (nu / 2.0)
+    range_ok = not (np.any(f < -_REL_TOL) or np.any(f * lam > 1.0 + _REL_TOL))
+    # alpha ascending: F must be non-increasing in alpha
+    monotone = not np.any(f[1:] > f[:-1] * (1.0 + _REL_TOL) + 1e-300)
     c_nu_obs = float(np.max(nu_ratios))
     # beyond the qualification the per-alpha ratio keeps growing as alpha -> 0
     # (within it, the ratio saturates); compare across the two smallest decades

@@ -334,7 +334,7 @@ class StudyConfig:
         if not isinstance(raw, dict):
             raise ConfigError(["configuration must be a JSON object"])
         violations = []
-        if raw.get("version") != CONFIG_VERSION:
+        if not (_is_int(raw.get("version")) and raw["version"] == CONFIG_VERSION):
             violations.append(f"version must be {CONFIG_VERSION}")
         study = resolve("config", STUDY,
                         {key: value for key, value in raw.items() if key not in _SECTIONS},

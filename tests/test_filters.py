@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_iterated_tikhonov_matches_recursion_oracle():
                 assert value * sigma == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 10])
+def test_iterated_tikhonov_closed_form_matches_exact_rationals(order):
+    # F = (1 - (alpha / (alpha + lam))^order) / lam, exact in the rationals the
+    # floats stand for; the closed form stays within 1e-15 relative of it
+    lam = np.logspace(-12, 0, 60)
+    alphas = np.logspace(-8, 0, 40)
+    values = filter_value(FilterSpec.iterated_tikhonov(order), alphas, lam)
+    worst = Fraction(0)
+    for alpha, row in zip(alphas.tolist(), values.tolist(), strict=True):
+        for lam_j, value in zip(lam.tolist(), row, strict=True):
+            a, x = Fraction(alpha), Fraction(lam_j)
+            exact = (1 - (a / (a + x)) ** order) / x
+            worst = max(worst, abs(Fraction(value) - exact) / exact)
+    assert worst < Fraction(1, 10**15)
+
+
 def test_iterated_tikhonov_tiny_alpha_runs_clean():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -108,6 +125,9 @@ def test_filter_spec_validation_and_config_round_trip():
         FilterSpec("unknown")
     with pytest.raises(InputError):
         FilterSpec.iterated_tikhonov(0)
+    for order in (2.5, True):  # 2.5 used to build and fail on first use
+        with pytest.raises(InputError, match="order must be an integer"):
+            FilterSpec.iterated_tikhonov(order)
     with pytest.raises(InputError):
         FilterSpec.landweber(0.0)
     sections = [{"kind": "tikhonov"}, {"kind": "iterated_tikhonov", "order": 2},
@@ -142,6 +162,20 @@ def test_filter_config_defaults_and_integral_order():
     assert _from_config({"kind": "iterated_tikhonov", "order": 3.0}).order == 3
     assert _from_config({"kind": "landweber"}) == FilterSpec.landweber(0.9)
     assert _from_config({"kind": "landweber", "relaxation": 1}).relaxation == 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    FilterSpec.iterated_tikhonov(10**12),
+    _from_config({"kind": "iterated_tikhonov", "order": 1e300}),
+], ids=["order 1e12", "config order 1e300"])
+def test_iterated_tikhonov_huge_order_is_finite_and_in_range(spec):
+    # the cost of an order does not depend on its size
+    lam = np.logspace(-12, 0, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = filter_value(spec, np.logspace(-300, 0, 31), lam)
+    assert np.all(np.isfinite(values))
+    assert np.all(values >= 0.0) and np.all(values <= 1.0 / lam)
 
 
 def test_landweber_filter_at_unit_relaxation_runs_clean():
@@ -320,9 +354,12 @@ def test_verify_filter_constants_default_kinds_pass():
         assert not report.qualification_exceeded
 
 
+class _TamperedTikhonov(FilterSpec):
+    c_r = 0.5  # below the observed sup of lambda F_alpha = 1
+
+
 def test_verify_filter_constants_flags_tampered_c_r():
-    tampered = FilterSpec("tikhonov", c_r=0.5)
-    report = verify_filter_constants(tampered, sigma_max=1.0, nu=2.0)
+    report = verify_filter_constants(_TamperedTikhonov("tikhonov"), sigma_max=1.0, nu=2.0)
     assert not report.passed
     assert any("C_R" in violation for violation in report.violations)
 

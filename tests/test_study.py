@@ -210,6 +210,13 @@ def test_config_reports_all_violations():
     assert "nonsense" in text
 
 
+@pytest.mark.parametrize("version", [2, True, 1.0, "1", None])
+def test_config_rejects_any_version_but_the_integer_1(version):
+    # True == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+    with pytest.raises(ConfigError, match="version must be 1"):
+        StudyConfig.from_dict(_tiny_config(version=version))
+
+
 @pytest.mark.parametrize("overrides", [
     {"replications": True},
     {"base_seed": True},
