@@ -39,3 +39,7 @@ class ConfigError(AveregError, ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid configuration: " + "; ".join(self.violations))
+
+    def __reduce__(self):
+        # rebuilt from its violations, not its message, when unpickled
+        return type(self), (self.violations,)

@@ -11,7 +11,8 @@ than a proof.  Iterated Tikhonov of order p and Landweber with relaxation a
 share one power form, free of cancellation and at a cost independent of p:
 ``1 - lambda F = exp(e)`` and ``F = -expm1(e) / lambda`` with ``e = p log1p(-t)``,
 ``t = lambda / (alpha + lambda)`` for iterated Tikhonov and ``t = a lambda``,
-``p = ceil(1/alpha)`` for Landweber.
+``p = ceil(1/alpha)`` for Landweber.  Where t underflows below the normal
+range, F is taken from the small-t limit ``e = -p t`` of the same form.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import ConfigurationError, InputError
 from .spectral import CoefficientVector, SpectralDecomposition, _check_length
 
 KINDS = ("tikhonov", "iterated_tikhonov", "tsvd", "landweber")
+
+_TINY = sys.float_info.min  # 2^-1022, the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,13 @@ class FilterSpec:
         if (not isinstance(self.order, int) or isinstance(self.order, bool)
                 or not 1 <= self.order <= sys.float_info.max):
             raise InputError(f"filter order must be an integer >= 1, not {self.order!r}")
+        # a setting the kind ignores would change neither name nor values,
+        # only equality
+        if self.kind != "iterated_tikhonov" and self.order != 1:
+            raise InputError(f"{self.kind} takes no order, got order {self.order!r}")
+        if self.kind != "landweber" and self.relaxation is not None:
+            raise InputError(f"{self.kind} takes no relaxation, got relaxation "
+                             f"{self.relaxation!r}")
         if self.kind == "landweber" and (self.relaxation is None or not self.relaxation > 0):
             raise InputError("landweber needs a positive relaxation")
 
@@ -111,18 +121,21 @@ def _axes(alpha, lam):
     return (alpha[:, None] if alpha.ndim == 1 else alpha), lam
 
 
-def _exponent(spec: FilterSpec, alpha, lam):
-    """The exponent e of the power form (see the module docstring)."""
+def _power(spec: FilterSpec, alpha, lam):
+    """t and p of the power form (see the module docstring)."""
     if spec.kind == "iterated_tikhonov":
-        t, p = lam / (alpha + lam), float(spec.order)
-    else:
-        t = spec.relaxation * lam
-        if np.any(t > 1.0):
-            raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
-        # alpha ~ 1/k: every k = ceil(1/alpha) is a double, so it multiplies
-        # exactly as the integer would; below alpha = 2^-1024 it is inf
-        with np.errstate(over="ignore"):
-            p = np.ceil(1.0 / alpha)
+        return lam / (alpha + lam), float(spec.order)
+    t = spec.relaxation * lam
+    if np.any(t > 1.0):
+        raise ConfigurationError("Landweber relaxation exceeds 1/sigma_1^2: divergent iteration")
+    # alpha ~ 1/k: every k = ceil(1/alpha) is a double, so it multiplies
+    # exactly as the integer would; below alpha = 2^-1024 it is inf
+    with np.errstate(over="ignore"):
+        return t, np.ceil(1.0 / alpha)
+
+
+def _exponent(t, p):
+    """The exponent e = p log1p(-t) of the power form."""
     # t = 1 gives log1p(-1) = -inf and a product overflowing at a large p
     # gives -inf too: exp(e) is then the exact 0 and F the exact 1/lambda
     with np.errstate(divide="ignore", over="ignore"):
@@ -139,7 +152,7 @@ def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
         return alpha / (alpha + lam)
     if spec.kind == "tsvd":
         return np.where(lam >= alpha, 0.0, 1.0)
-    return np.exp(_exponent(spec, alpha, lam))
+    return np.exp(_exponent(*_power(spec, alpha, lam)))
 
 
 def filter_value(spec: FilterSpec, alpha, lam):
@@ -154,7 +167,16 @@ def filter_value(spec: FilterSpec, alpha, lam):
     elif spec.kind == "tsvd":
         value = np.where(lam >= alpha, 1.0 / lam, 0.0)
     else:
-        value = -np.expm1(_exponent(spec, alpha, lam)) / lam
+        t, p = _power(spec, alpha, lam)
+        value = -np.expm1(_exponent(t, p)) / lam
+        # below the normal range t has lost bits or is 0; there e = -pt and
+        # F = h(pt) p t/lambda with h(x) = -expm1(-x)/x, which needs few bits
+        # of pt, and t/lambda, 1/(alpha + lambda) or a, formed without t
+        x = p * t
+        h = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+        rate = 1.0 / (alpha + lam) if spec.kind == "iterated_tikhonov" else spec.relaxation
+        with np.errstate(invalid="ignore"):  # h p is 0 inf where p is inf, and unused
+            value = np.where((t < _TINY) & (p < math.inf), h * p * rate, value)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -11,7 +11,10 @@ and arbitrary operators imported from CSV matrices.
 
 All randomness flows from ``base_seed`` through one substream per
 (sample-size index, replication) pair, so studies are bit-reproducible and
-each rule sees the same batches.
+each rule sees the same batches.  No such pair depends on another, so a
+study that draws enough samples spreads them over one forked process per
+core; the records come back in their serial order, and the outputs do not
+depend on the number of cores.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import tempfile
+import traceback
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import (
     ConfigError,
     DegenerateBatchError,
@@ -586,36 +593,40 @@ def run_study(config: StudyConfig) -> StudyResult:
     All rules share the batch of a given (sample size, replication) pair.
     Replications whose sample-based noise estimate degenerates, or whose
     discrepancy search cannot stop, are recorded as failed with the reason and
-    excluded from summaries; more than 5% failures abort the study.
+    excluded from summaries; more than 5% failures abort the study.  The
+    (sample size, replication) pairs run in ``_fan_out``.
     """
     scenario = build_scenario(config)
     rule_names = tuple(rule.name for rule in config.rules)
+
+    def cell(item):
+        n_index, rep = item
+        n = config.sample_sizes[n_index]
+        forced = None
+        if scenario.forced_value is not None:
+            forced = np.full(n, scenario.forced_value)
+        batch = draw_batch(scenario.model, scenario.y_hat, n,
+                           config.base_seed, (n_index << 32) | rep, forced)
+        if scenario.ambient:
+            y_bar = project_data(scenario.op, batch.mean.coefficients)
+        else:
+            y_bar = batch.mean
+        d_true = delta_true(batch, scenario.y_hat)
+        # the batch is released on return, before the next is drawn: a
+        # full-sample batch holds an n x m matrix
+        return [_run_rule(config, scenario, rule, y_bar, batch, d_true, rep)
+                for rule in config.rules]
+
+    items = [(n_index, rep) for n_index in range(len(config.sample_sizes))
+             for rep in range(config.replications)]
+    samples = sum(config.sample_sizes) * config.replications
     records = {(name, n): [] for name in rule_names for n in config.sample_sizes}
-    failed = 0
-    total = 0
+    for (n_index, _), cell_records in zip(items, _fan_out(cell, items, samples)):
+        for name, record in zip(rule_names, cell_records):
+            records[(name, config.sample_sizes[n_index])].append(record)
 
-    for n_index, n in enumerate(config.sample_sizes):
-        stream_base = n_index << 32
-        for rep in range(config.replications):
-            forced = None
-            if scenario.forced_value is not None:
-                forced = np.full(n, scenario.forced_value)
-            batch = draw_batch(scenario.model, scenario.y_hat, n,
-                               config.base_seed, stream_base | rep, forced)
-            if scenario.ambient:
-                y_bar = project_data(scenario.op, batch.mean.coefficients)
-            else:
-                y_bar = batch.mean
-            d_true = delta_true(batch, scenario.y_hat)
-            for rule in config.rules:
-                total += 1
-                record = _run_rule(config, scenario, rule, y_bar, batch, d_true, rep)
-                failed += record.failed
-                records[(rule.name, n)].append(record)
-            # release this batch before the next is drawn: a full-sample
-            # batch holds an n x m matrix
-            del batch, y_bar
-
+    total = len(items) * len(rule_names)
+    failed = sum(rec.failed for recs in records.values() for rec in recs)
     if failed > 0.05 * total:
         detail = failure_reasons(rec for recs in records.values() for rec in recs)
         raise StudyError(
@@ -628,6 +639,91 @@ def run_study(config: StudyConfig) -> StudyResult:
         if errors:
             summaries[key] = summarize(errors)
     return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries, failed)
+
+
+#: work that draws fewer samples in all runs in the caller, where a fork
+#: would cost more than it saves; counterexample studies and small tests do
+_MIN_FORK_SAMPLES = 1 << 16
+
+
+def _fan_out(func, items: list, samples: int) -> list:
+    """``[func(item) for item in items]``, computed in strided runs.
+
+    Work that draws at least ``_MIN_FORK_SAMPLES`` samples in all makes one
+    run per core (at most one per item); run r computes ``items[r::runs]``.
+    Each run but the first is a forked child that pickles its results, or
+    its exception, into a pipe; the caller computes the first run, then reads
+    and reaps every child.  An exception of the caller's own run kills the
+    children first; that of a child is re-raised once all are reaped, with
+    the child's traceback text as its cause, and a child that ends without a
+    result raises StudyError.  ``func`` must
+    depend only on its item, so the results do not depend on the number of
+    runs.
+    """
+    runs = min(rng._cores(), len(items)) if samples >= _MIN_FORK_SAMPLES else 1
+    if runs == 1 or not hasattr(os, "fork"):
+        return [func(item) for item in items]
+
+    children = []  # (pid, read end of its pipe) of each forked run
+    try:
+        for r in range(1, runs):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _serve(func, items[r::runs], write_end)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        outputs = [[func(item) for item in items[::runs]]]
+        payloads = [pipe.read() for _, pipe in children]
+    except BaseException:
+        # a child may be blocked writing to a pipe nobody will read
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+    for (pid, _), code, payload in zip(children, codes, payloads):
+        if code not in (0, 1) or not payload:
+            raise StudyError(f"study process {pid} ended with exit status {code} "
+                             "and sent no result")
+        output = pickle.loads(payload)  # written by _serve in a fork of this process
+        if code == 1:
+            # a traceback does not pickle; its text becomes the cause
+            error, trace = output
+            raise error from StudyError(f"in study process {pid}:\n{trace}")
+        outputs.append(output)
+    results = [None] * len(items)
+    for r, output in enumerate(outputs):
+        results[r::runs] = output
+    return results
+
+
+def _serve(func, items: list, write_end: int) -> None:
+    """The body of a forked run: pickle ``[func(item) for item in items]``
+    into ``write_end`` and exit with status 0, or the exception it raised
+    with its traceback text and exit with 1; 2 if neither can be sent.  It never returns into the
+    caller's stack."""
+    code = 2
+    try:
+        try:
+            output, status = [func(item) for item in items], 0
+        except BaseException as exc:  # handed to the caller through the pipe
+            output, status = (exc, traceback.format_exc()), 1
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(output, pickle.HIGHEST_PROTOCOL))
+        code = status
+    finally:
+        os._exit(code)
 
 
 def failure_reasons(records) -> str:

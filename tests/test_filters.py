@@ -85,6 +85,41 @@ def test_iterated_tikhonov_closed_form_matches_exact_rationals(order):
     assert worst < Fraction(1, 10**15)
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-310, 1e-300])
+def test_power_form_at_underflowing_t_matches_exact_rationals(lam):
+    # t = lam / (alpha + lam) or a lam is subnormal or 0 at the two smaller
+    # lambdas; F is (1 - (1 - t)^p) / lam with t exact in the rationals
+    x = Fraction(lam)
+    cases = []
+    for alpha in (0.5, 2.0):
+        a = Fraction(alpha)
+        cases += [(FilterSpec.iterated_tikhonov(order), alpha,
+                   (1 - (a / (a + x)) ** order) / x) for order in range(1, 11)]
+    cases += [(FilterSpec.landweber(0.9), 1.0 / k,
+               (1 - (1 - Fraction(0.9) * x) ** k) / x) for k in range(1, 11)]
+    for spec, alpha, exact in cases:
+        value = filter_value(spec, alpha, lam)
+        assert abs(Fraction(value) - exact) / exact < Fraction(1, 10**15), (spec, alpha)
+
+
+def test_power_form_where_t_rounds_to_zero():
+    # t = 5e-324 / 2 rounds to 0, and 1 - (1 - t)^2 with it
+    assert filter_value(FilterSpec.iterated_tikhonov(2), 2.0, 5e-324) == 1.0
+
+
+def test_power_form_keeps_its_bits_where_t_is_normal():
+    lam = np.logspace(-320, 0, 65)
+    alphas = np.logspace(-8, 2, 11)[:, None]
+    for spec in (FilterSpec.iterated_tikhonov(3), FilterSpec.landweber(0.9)):
+        t = lam / (alphas + lam) if spec.kind == "iterated_tikhonov" else 0.9 * lam
+        p = 3.0 if spec.kind == "iterated_tikhonov" else np.ceil(1.0 / alphas)
+        power_form = -np.expm1(p * np.log1p(-t)) / lam
+        values = filter_value(spec, alphas[:, 0], lam)
+        normal = np.broadcast_to(t >= 2.0**-1022, values.shape)
+        assert normal.any() and not normal.all()
+        assert np.array_equal(values[normal], power_form[normal])
+
+
 def test_iterated_tikhonov_tiny_alpha_runs_clean():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -130,6 +165,15 @@ def test_filter_spec_validation_and_config_round_trip():
             FilterSpec.iterated_tikhonov(order)
     with pytest.raises(InputError):
         FilterSpec.landweber(0.0)
+    # a setting the kind ignores is an error, not a second spec of that kind
+    for kind in ("tikhonov", "tsvd", "landweber"):
+        with pytest.raises(InputError, match=f"{kind} takes no order"):
+            FilterSpec(kind, order=5, relaxation=0.9 if kind == "landweber" else None)
+    for kind in ("tikhonov", "iterated_tikhonov", "tsvd"):
+        with pytest.raises(InputError, match=f"{kind} takes no relaxation"):
+            FilterSpec(kind, relaxation=0.5)
+    assert FilterSpec("iterated_tikhonov", order=1).order == 1
+    assert FilterSpec("tikhonov", order=1) == FilterSpec.tikhonov()
     sections = [{"kind": "tikhonov"}, {"kind": "iterated_tikhonov", "order": 2},
                 {"kind": "iterated_tikhonov", "order": 3}, {"kind": "tsvd"},
                 {"kind": "landweber", "relaxation": 0.9}]

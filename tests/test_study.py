@@ -1,15 +1,18 @@
+import dataclasses
 import json
 import math
+import os
 import pathlib
 import pickle
+import signal
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from avereg import study
-from avereg.errors import ConfigError, InputError, StudyError
+from avereg import rng, study
+from avereg.errors import ConfigError, InputError, NonTerminationError, StudyError
 from avereg.filters import FilterSpec, filter_value
 from avereg.measurements import BinaryOptionParams
 from avereg.study import (
@@ -600,6 +603,199 @@ def test_apriori_rule_records_no_iteration_count():
     for rec in result.records[("apriori", 50)]:
         assert rec.k == -1
         assert rec.alpha == pytest.approx(1.0 / math.sqrt(50))
+
+
+# ---------------------------------------------------------------------------
+# cells on forked runs
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids forked during the test; each must have been reaped by its end."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _assert_same_records(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        assert len(a[key]) == len(b[key])
+        for ra, rb in zip(a[key], b[key]):
+            for field in dataclasses.fields(ra):
+                va, vb = getattr(ra, field.name), getattr(rb, field.name)
+                both_nan = isinstance(va, float) and math.isnan(va) and math.isnan(vb)
+                assert va == vb or both_nan, (key, ra.replication, field.name)
+
+
+def _heat_raw(tmp_path):
+    return default_heat_config(replications=4)
+
+
+def _coefficient_gaussian_raw(tmp_path):
+    return _tiny_config(noise={"variant": "coefficient_gaussian", "scale": 1.0},
+                        rules=[{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}],
+                        sample_sizes=[100, 1000, 5000], replications=5)
+
+
+def _failing_matrix_file_raw(tmp_path):
+    # 3 of the 100 searches cannot stop: failed records carry NaN fields
+    return _matrix_file_config(tmp_path, noise={"variant": "coefficient_gaussian", "scale": 0.17},
+                               delta_rule={"name": "inv_sqrt_n"}, sample_sizes=[100],
+                               replications=100)
+
+
+@pytest.mark.parametrize("make_raw", [_heat_raw, _coefficient_gaussian_raw,
+                                      _failing_matrix_file_raw])
+def test_study_outputs_do_not_depend_on_the_number_of_runs(make_raw, tmp_path, monkeypatch,
+                                                           forks):
+    monkeypatch.setattr(study, "_MIN_FORK_SAMPLES", 1)
+    config = StudyConfig.from_dict(make_raw(tmp_path))
+    results = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(rng, "_cores", lambda: cores)
+        before = len(forks)
+        results[cores] = run_study(config)
+        assert len(forks) - before == cores - 1
+        write_study_csvs(results[cores], str(tmp_path / f"cores{cores}"))
+    for cores in (2, 3):
+        _assert_same_records(results[1].records, results[cores].records)
+        assert results[cores].failed_count == results[1].failed_count
+        for path in (tmp_path / "cores1").iterdir():
+            assert path.read_bytes() == (tmp_path / f"cores{cores}" / path.name).read_bytes()
+    if make_raw is _failing_matrix_file_raw:
+        assert results[1].failed_count == 3
+
+
+def test_default_heat_study_forks_without_a_lowered_bound(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    run_study(StudyConfig.from_dict(default_heat_config(replications=1)))
+    assert len(forks) == 1
+
+
+def test_small_study_runs_in_the_caller(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 3)
+    raw = _tiny_config()  # (50 + 200) x 8 samples, below the bound
+    assert sum(raw["sample_sizes"]) * raw["replications"] < study._MIN_FORK_SAMPLES
+    run_study(StudyConfig.from_dict(raw))
+    assert forks == []
+
+
+def test_fan_out_keeps_item_order(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 3)
+    results = study._fan_out(lambda item: (item, os.getpid()), list(range(7)), 1 << 20)
+    pids = [os.getpid(), *forks]  # run r computes the items r, r + 3, ...
+    assert results == [(item, pids[item % 3]) for item in range(7)]
+
+
+def test_exception_in_a_child_cell_reaches_the_caller_typed(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 3)
+
+    def cell(item):
+        if item == 5:  # run 2 of 3
+            raise ConfigError(["bad item", f"item {item}"])
+        if item == 4:  # run 1 of 3
+            raise NonTerminationError("cannot stop", delta_est=0.25)
+        return item
+
+    with pytest.raises(NonTerminationError, match="cannot stop") as excinfo:
+        study._fan_out(cell, list(range(6)), 1 << 20)
+    assert excinfo.value.delta_est == 0.25
+    assert len(forks) == 2
+    with pytest.raises(ConfigError) as excinfo:
+        study._fan_out(lambda item: cell(item) if item == 5 else item, list(range(6)), 1 << 20)
+    assert excinfo.value.violations == ["bad item", "item 5"]
+    assert str(excinfo.value) == "invalid configuration: bad item; item 5"
+
+
+def test_study_cell_exception_in_a_child_reaches_the_caller(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    monkeypatch.setattr(study, "_MIN_FORK_SAMPLES", 1)
+    caller = os.getpid()
+    real_delta_true = study.delta_true
+
+    def delta_true(batch, y_hat):
+        if os.getpid() != caller:
+            raise InputError("delta_true failed in a forked run")
+        return real_delta_true(batch, y_hat)
+
+    monkeypatch.setattr(study, "delta_true", delta_true)
+    with pytest.raises(InputError, match="failed in a forked run") as excinfo:
+        run_study(StudyConfig.from_dict(_tiny_config()))
+    assert len(forks) == 1
+    # the child's traceback comes along as the cause
+    cause = str(excinfo.value.__cause__)
+    assert cause.startswith(f"in study process {forks[0]}:\nTraceback")
+    assert 'raise InputError("delta_true failed in a forked run")' in cause
+
+
+def test_child_that_exits_without_a_result_raises_study_error(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 3)
+    caller = os.getpid()
+
+    def cell(item):
+        if os.getpid() != caller and item == 4:
+            os._exit(9)
+        return item
+
+    with pytest.raises(StudyError, match="exit status 9 and sent no result"):
+        study._fan_out(cell, list(range(6)), 1 << 20)
+    assert len(forks) == 2
+
+
+def test_child_killed_by_a_signal_raises_study_error(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    caller = os.getpid()
+
+    def cell(item):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    with pytest.raises(StudyError, match=f"exit status {-signal.SIGKILL}"):
+        study._fan_out(cell, list(range(4)), 1 << 20)
+    assert len(forks) == 1
+
+
+def test_caller_exception_stops_and_reaps_its_children(monkeypatch, forks):
+    monkeypatch.setattr(rng, "_cores", lambda: 3)
+    caller = os.getpid()
+
+    def cell(item):
+        if os.getpid() == caller:
+            raise KeyError("caller's run failed")
+        # a result larger than a pipe holds: the child blocks in its write
+        return bytes(1 << 20)
+
+    def too_long(signum, frame):
+        raise TimeoutError("the children were not stopped")
+
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(60)
+    try:
+        with pytest.raises(KeyError, match="caller's run failed"):
+            study._fan_out(cell, list(range(6)), 1 << 20)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 2
+
+
+def test_config_error_survives_pickling():
+    error = pickle.loads(pickle.dumps(ConfigError(["a must be b", "c must be d"])))
+    assert error.violations == ["a must be b", "c must be d"]
+    assert str(error) == "invalid configuration: a must be b; c must be d"
 
 
 # ---------------------------------------------------------------------------
