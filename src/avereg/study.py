@@ -12,9 +12,10 @@ and arbitrary operators imported from CSV matrices.
 All randomness flows from ``base_seed`` through one substream per
 (sample-size index, replication) pair, so studies are bit-reproducible and
 each rule sees the same batches.  No such pair depends on another, so a
-study that draws enough samples spreads them over one forked process per
-core; the records come back in their serial order, and the outputs do not
-depend on the number of cores.
+study spreads them over one forked process per core, unless each pair draws a
+full sample matrix, whose draw is spread over the cores instead; the records
+come back in their serial order, and the outputs do not depend on the number
+of cores.
 """
 
 from __future__ import annotations
@@ -594,7 +595,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     Replications whose sample-based noise estimate degenerates, or whose
     discrepancy search cannot stop, are recorded as failed with the reason and
     excluded from summaries; more than 5% failures abort the study.  The
-    (sample size, replication) pairs run in ``_fan_out``.
+    (sample size, replication) pairs run in ``_fan_out``, one run per core
+    unless each pair draws a full n x m sample matrix.
     """
     scenario = build_scenario(config)
     rule_names = tuple(rule.name for rule in config.rules)
@@ -619,9 +621,11 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     items = [(n_index, rep) for n_index in range(len(config.sample_sizes))
              for rep in range(config.replications)]
-    samples = sum(config.sample_sizes) * config.replications
+    # a full-sample cell holds an n x m matrix whose draw already spreads over
+    # the cores: one run keeps one such matrix alive at a time
+    runs = 1 if isinstance(scenario.model, CoefficientGaussian) else rng._cores()
     records = {(name, n): [] for name in rule_names for n in config.sample_sizes}
-    for (n_index, _), cell_records in zip(items, _fan_out(cell, items, samples)):
+    for (n_index, _), cell_records in zip(items, _fan_out(cell, items, runs)):
         for name, record in zip(rule_names, cell_records):
             records[(name, config.sample_sizes[n_index])].append(record)
 
@@ -641,29 +645,27 @@ def run_study(config: StudyConfig) -> StudyResult:
     return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries, failed)
 
 
-#: work that draws fewer samples in all runs in the caller, where a fork
-#: would cost more than it saves; counterexample studies and small tests do
-_MIN_FORK_SAMPLES = 1 << 16
+def _fan_out(func, items: list, runs: int) -> list:
+    """``[func(item) for item in items]``, computed in up to ``runs`` strided runs.
 
-
-def _fan_out(func, items: list, samples: int) -> list:
-    """``[func(item) for item in items]``, computed in strided runs.
-
-    Work that draws at least ``_MIN_FORK_SAMPLES`` samples in all makes one
-    run per core (at most one per item); run r computes ``items[r::runs]``.
-    Each run but the first is a forked child that pickles its results, or
-    its exception, into a pipe; the caller computes the first run, then reads
-    and reaps every child.  An exception of the caller's own run kills the
-    children first; that of a child is re-raised once all are reaped, with
-    the child's traceback text as its cause, and a child that ends without a
-    result raises StudyError.  ``func`` must
-    depend only on its item, so the results do not depend on the number of
-    runs.
+    Run r computes ``items[r::runs]``.  Each run but the first is a forked
+    child that keeps its draws on one thread and pickles its results into a
+    pipe; the caller computes the first run, then reads and reaps every child.
+    A run stops at its first exception, and once all children are reaped the
+    exception of the lowest item is raised, a child's with its traceback text
+    as the cause.  A child that ends without a result raises StudyError, a
+    child whose caller has gone exits before its next item, and an interrupt
+    of the caller kills the children.  ``func`` must depend only on its item,
+    so neither the results nor the error depend on the number of runs.
     """
-    runs = min(rng._cores(), len(items)) if samples >= _MIN_FORK_SAMPLES else 1
-    if runs == 1 or not hasattr(os, "fork"):
-        return [func(item) for item in items]
+    runs = min(runs, len(items)) if hasattr(os, "fork") else 1
+    if runs == 1:
+        results, failure = _run(func, items, 0, 1)
+        if failure:
+            raise failure[1]
+        return results
 
+    caller = os.getpid()
     children = []  # (pid, read end of its pipe) of each forked run
     try:
         for r in range(1, runs):
@@ -676,10 +678,12 @@ def _fan_out(func, items: list, samples: int) -> list:
                 raise
             if pid == 0:
                 os.close(read_end)
-                _serve(func, items[r::runs], write_end)
+                for _, pipe in children:  # so a sibling's writes fail once the caller is gone
+                    pipe.close()
+                _serve(func, items, r, runs, caller, write_end)
             os.close(write_end)
             children.append((pid, os.fdopen(read_end, "rb")))
-        outputs = [[func(item) for item in items[::runs]]]
+        own, failure = _run(func, items, 0, runs)
         payloads = [pipe.read() for _, pipe in children]
     except BaseException:
         # a child may be blocked writing to a pipe nobody will read
@@ -692,36 +696,57 @@ def _fan_out(func, items: list, samples: int) -> list:
             pipe.close()
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
+    outputs, failures = [own], [failure] if failure else []
     for (pid, _), code, payload in zip(children, codes, payloads):
-        if code not in (0, 1) or not payload:
+        if code != 0 or not payload:
             raise StudyError(f"study process {pid} ended with exit status {code} "
                              "and sent no result")
-        output = pickle.loads(payload)  # written by _serve in a fork of this process
-        if code == 1:
-            # a traceback does not pickle; its text becomes the cause
-            error, trace = output
-            raise error from StudyError(f"in study process {pid}:\n{trace}")
+        output, failure = pickle.loads(payload)  # written by _serve in a fork of this process
         outputs.append(output)
+        if failure:
+            # a traceback does not pickle; its text becomes the cause
+            index, error, trace = failure
+            error.__cause__ = StudyError(f"in study process {pid}:\n{trace}")
+            failures.append((index, error))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     results = [None] * len(items)
     for r, output in enumerate(outputs):
         results[r::runs] = output
     return results
 
 
-def _serve(func, items: list, write_end: int) -> None:
-    """The body of a forked run: pickle ``[func(item) for item in items]``
-    into ``write_end`` and exit with status 0, or the exception it raised
-    with its traceback text and exit with 1; 2 if neither can be sent.  It never returns into the
-    caller's stack."""
-    code = 2
-    try:
+def _run(func, items: list, r: int, runs: int, caller: int = 0) -> tuple:
+    """Run r of ``runs``: the results of ``items[r::runs]`` up to the first
+    that raises an ``Exception``, and ``(index, exception)`` of that item or
+    None.  A run given its ``caller``'s pid ends the process with status 2
+    before an item once the caller is gone."""
+    results = []
+    for index in range(r, len(items), runs):
+        if caller and os.getppid() != caller:
+            os._exit(2)
         try:
-            output, status = [func(item) for item in items], 0
-        except BaseException as exc:  # handed to the caller through the pipe
-            output, status = (exc, traceback.format_exc()), 1
+            results.append(func(items[index]))
+        except Exception as exc:  # raised by _fan_out once every run has ended
+            return results, (index, exc)
+    return results, None
+
+
+def _serve(func, items: list, r: int, runs: int, caller: int, write_end: int) -> None:
+    """The body of a forked run: with draws on one thread, pickle the results
+    of ``_run`` into ``write_end``, a failure with its traceback text, and
+    exit with status 0, or 2 if they cannot be sent.  It never returns into
+    the caller's stack."""
+    code = 2
+    rng._cores = lambda: 1
+    try:
+        results, failure = _run(func, items, r, runs, caller)
+        if failure:
+            index, exc = failure
+            failure = index, exc, "".join(traceback.format_exception(exc))
         with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(output, pickle.HIGHEST_PROTOCOL))
-        code = status
+            pipe.write(pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL))
+        code = 0
     finally:
         os._exit(code)
 

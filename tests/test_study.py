@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -5,6 +6,8 @@ import os
 import pathlib
 import pickle
 import signal
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -639,69 +642,71 @@ def _assert_same_records(a, b):
                 assert va == vb or both_nan, (key, ra.replication, field.name)
 
 
-def _heat_raw(tmp_path):
+def _heat_raw(monkeypatch):
     return default_heat_config(replications=4)
 
 
-def _coefficient_gaussian_raw(tmp_path):
+def _failing_heat_raw(monkeypatch):
+    # some dp searches, chosen by the bits of their batch, cannot stop: the
+    # failed records carry NaN fields
+    real_solve_rule = study.solve_rule
+
+    def solve_rule(op, spec, rule, batch, *args):
+        if rule.name == "dp" and int(batch.sample_std * 2.0 ** 52) % 9 == 0:
+            raise NonTerminationError("cannot stop", delta_est=0.5)
+        return real_solve_rule(op, spec, rule, batch, *args)
+
+    monkeypatch.setattr(study, "solve_rule", solve_rule)
+    return default_heat_config(replications=20)
+
+
+def _coefficient_gaussian_raw(monkeypatch):
     return _tiny_config(noise={"variant": "coefficient_gaussian", "scale": 1.0},
                         rules=[{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}],
                         sample_sizes=[100, 1000, 5000], replications=5)
 
 
-def _failing_matrix_file_raw(tmp_path):
-    # 3 of the 100 searches cannot stop: failed records carry NaN fields
-    return _matrix_file_config(tmp_path, noise={"variant": "coefficient_gaussian", "scale": 0.17},
-                               delta_rule={"name": "inv_sqrt_n"}, sample_sizes=[100],
-                               replications=100)
-
-
-@pytest.mark.parametrize("make_raw", [_heat_raw, _coefficient_gaussian_raw,
-                                      _failing_matrix_file_raw])
+@pytest.mark.parametrize("make_raw", [_heat_raw, _failing_heat_raw, _coefficient_gaussian_raw])
 def test_study_outputs_do_not_depend_on_the_number_of_runs(make_raw, tmp_path, monkeypatch,
                                                            forks):
-    monkeypatch.setattr(study, "_MIN_FORK_SAMPLES", 1)
-    config = StudyConfig.from_dict(make_raw(tmp_path))
+    config = StudyConfig.from_dict(make_raw(monkeypatch))
+    # a full-sample study spreads its draws over the cores instead
+    full_sample = make_raw is _coefficient_gaussian_raw
     results = {}
     for cores in (1, 2, 3):
         monkeypatch.setattr(rng, "_cores", lambda: cores)
         before = len(forks)
         results[cores] = run_study(config)
-        assert len(forks) - before == cores - 1
+        assert len(forks) - before == (0 if full_sample else cores - 1)
         write_study_csvs(results[cores], str(tmp_path / f"cores{cores}"))
     for cores in (2, 3):
         _assert_same_records(results[1].records, results[cores].records)
         assert results[cores].failed_count == results[1].failed_count
         for path in (tmp_path / "cores1").iterdir():
             assert path.read_bytes() == (tmp_path / f"cores{cores}" / path.name).read_bytes()
-    if make_raw is _failing_matrix_file_raw:
-        assert results[1].failed_count == 3
+    if make_raw is _failing_heat_raw:
+        assert 0 < results[1].failed_count <= 0.05 * 20 * 9
 
 
-def test_default_heat_study_forks_without_a_lowered_bound(monkeypatch, forks):
+def test_small_study_forks_too(monkeypatch, forks):
     monkeypatch.setattr(rng, "_cores", lambda: 2)
-    run_study(StudyConfig.from_dict(default_heat_config(replications=1)))
+    run_study(StudyConfig.from_dict(default_counterexample_config()))
     assert len(forks) == 1
 
 
-def test_small_study_runs_in_the_caller(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 3)
-    raw = _tiny_config()  # (50 + 200) x 8 samples, below the bound
-    assert sum(raw["sample_sizes"]) * raw["replications"] < study._MIN_FORK_SAMPLES
-    run_study(StudyConfig.from_dict(raw))
-    assert forks == []
-
-
-def test_fan_out_keeps_item_order(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 3)
-    results = study._fan_out(lambda item: (item, os.getpid()), list(range(7)), 1 << 20)
+def test_fan_out_keeps_item_order(forks):
+    results = study._fan_out(lambda item: (item, os.getpid()), list(range(7)), 3)
     pids = [os.getpid(), *forks]  # run r computes the items r, r + 3, ...
     assert results == [(item, pids[item % 3]) for item in range(7)]
 
 
-def test_exception_in_a_child_cell_reaches_the_caller_typed(monkeypatch, forks):
+def test_forked_runs_keep_their_draws_on_one_thread(monkeypatch, forks):
     monkeypatch.setattr(rng, "_cores", lambda: 3)
+    assert study._fan_out(lambda item: rng._cores(), list(range(6)), 3) == [3, 1, 1] * 2
+    assert rng._cores() == 3
 
+
+def test_exception_in_a_child_cell_reaches_the_caller_typed(forks):
     def cell(item):
         if item == 5:  # run 2 of 3
             raise ConfigError(["bad item", f"item {item}"])
@@ -710,18 +715,30 @@ def test_exception_in_a_child_cell_reaches_the_caller_typed(monkeypatch, forks):
         return item
 
     with pytest.raises(NonTerminationError, match="cannot stop") as excinfo:
-        study._fan_out(cell, list(range(6)), 1 << 20)
+        study._fan_out(cell, list(range(6)), 3)
     assert excinfo.value.delta_est == 0.25
     assert len(forks) == 2
     with pytest.raises(ConfigError) as excinfo:
-        study._fan_out(lambda item: cell(item) if item == 5 else item, list(range(6)), 1 << 20)
+        study._fan_out(lambda item: cell(item) if item == 5 else item, list(range(6)), 3)
     assert excinfo.value.violations == ["bad item", "item 5"]
     assert str(excinfo.value) == "invalid configuration: bad item; item 5"
 
 
+@pytest.mark.parametrize("failing, first", [((1, 3), 1), ((2, 3), 2), ((3, 4), 3)])
+def test_the_lowest_failing_item_wins_whatever_the_number_of_runs(failing, first, forks):
+    def cell(item):
+        if item in failing:
+            raise KeyError(f"item {item}")
+        return item
+
+    for runs in (1, 2, 3, 4):
+        with pytest.raises(KeyError, match=f"item {first}"):
+            study._fan_out(cell, list(range(8)), runs)
+    assert len(forks) == 1 + 2 + 3
+
+
 def test_study_cell_exception_in_a_child_reaches_the_caller(monkeypatch, forks):
     monkeypatch.setattr(rng, "_cores", lambda: 2)
-    monkeypatch.setattr(study, "_MIN_FORK_SAMPLES", 1)
     caller = os.getpid()
     real_delta_true = study.delta_true
 
@@ -740,8 +757,7 @@ def test_study_cell_exception_in_a_child_reaches_the_caller(monkeypatch, forks):
     assert 'raise InputError("delta_true failed in a forked run")' in cause
 
 
-def test_child_that_exits_without_a_result_raises_study_error(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 3)
+def test_child_that_exits_without_a_result_raises_study_error(forks):
     caller = os.getpid()
 
     def cell(item):
@@ -750,12 +766,11 @@ def test_child_that_exits_without_a_result_raises_study_error(monkeypatch, forks
         return item
 
     with pytest.raises(StudyError, match="exit status 9 and sent no result"):
-        study._fan_out(cell, list(range(6)), 1 << 20)
+        study._fan_out(cell, list(range(6)), 3)
     assert len(forks) == 2
 
 
-def test_child_killed_by_a_signal_raises_study_error(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 2)
+def test_child_killed_by_a_signal_raises_study_error(forks):
     caller = os.getpid()
 
     def cell(item):
@@ -764,32 +779,117 @@ def test_child_killed_by_a_signal_raises_study_error(monkeypatch, forks):
         return item
 
     with pytest.raises(StudyError, match=f"exit status {-signal.SIGKILL}"):
-        study._fan_out(cell, list(range(4)), 1 << 20)
+        study._fan_out(cell, list(range(4)), 2)
     assert len(forks) == 1
 
 
-def test_caller_exception_stops_and_reaps_its_children(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 3)
+def _with_alarm(seconds, action):
+    def too_long(signum, frame):
+        raise TimeoutError("the children were not stopped")
+
+    previous = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(seconds)
+    try:
+        action()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_caller_exception_waits_for_its_children(forks):
     caller = os.getpid()
 
     def cell(item):
         if os.getpid() == caller:
             raise KeyError("caller's run failed")
+        # a result larger than a pipe holds: the caller reads it all
+        return bytes(1 << 20)
+
+    def action():
+        with pytest.raises(KeyError, match="caller's run failed"):
+            study._fan_out(cell, list(range(6)), 3)
+
+    _with_alarm(60, action)
+    assert len(forks) == 2
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+def test_caller_interrupt_kills_and_reaps_its_children(forks):
+    caller = os.getpid()
+
+    def cell(item):
+        if os.getpid() == caller:
+            raise _Interrupt()
         # a result larger than a pipe holds: the child blocks in its write
         return bytes(1 << 20)
 
-    def too_long(signum, frame):
-        raise TimeoutError("the children were not stopped")
+    def action():
+        with pytest.raises(_Interrupt):
+            study._fan_out(cell, list(range(6)), 3)
 
-    previous = signal.signal(signal.SIGALRM, too_long)
-    signal.alarm(60)
-    try:
-        with pytest.raises(KeyError, match="caller's run failed"):
-            study._fan_out(cell, list(range(6)), 1 << 20)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    _with_alarm(60, action)
     assert len(forks) == 2
+
+
+_KILLED_CALLER = """
+import ctypes, os, time
+from avereg import study
+
+# PR_SET_CHILD_SUBREAPER: the orphaned children are reparented here
+ctypes.CDLL(None).prctl(36, 1, 0, 0, 0)
+caller = os.fork()
+if caller == 0:
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            print("child", pid, flush=True)
+        return pid
+
+    def cell(item):
+        if os.getpid() == caller:
+            print("ready", flush=True)
+            time.sleep(600)
+        time.sleep(0.05)  # 1,000 of these per child
+        return item
+
+    os.fork, caller = fork, os.getpid()
+    study._fan_out(cell, list(range(3000)), 3)
+    os._exit(0)
+print("caller", caller, flush=True)
+while True:
+    try:
+        pid, status = os.wait()
+    except ChildProcessError:
+        break
+    print("ended", pid, os.waitstatus_to_exitcode(status), flush=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs a Linux subreaper")
+def test_children_stop_when_their_caller_is_killed():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(study.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER], env=env,
+                            stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        pids = {}
+        while "ready" not in pids or "caller" not in pids:
+            role, *pid = proc.stdout.readline().split()
+            pids.setdefault(role, []).extend(int(p) for p in pid)
+        os.kill(pids["caller"][0], signal.SIGKILL)
+        ended = [line.split()[1:] for line in proc.communicate(timeout=10)[0].splitlines()]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    # each child saw before its next cell that its caller was gone
+    assert len(pids["child"]) == 2
+    assert sorted(ended) == sorted([[str(pids["caller"][0]), str(-signal.SIGKILL)]]
+                                   + [[str(pid), "2"] for pid in pids["child"]])
 
 
 def test_config_error_survives_pickling():
