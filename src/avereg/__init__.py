@@ -62,7 +62,6 @@ from .spectral import (
     synthesize_source,
 )
 from .study import (
-    AprioriStudyRule,
     DiscrepancyRule,
     ReplicationRecord,
     Scenario,

@@ -247,18 +247,17 @@ class FilterConstantsReport:
 
 
 _REL_TOL = 1e-9
+#: points of the verification grid in lambda and in alpha
+_N_LAMBDA = 200
+_N_ALPHA = 50
 
 
 def verify_filter_constants(
-    spec: FilterSpec,
-    sigma_max: float,
-    nu: float,
-    n_lambda: int = 200,
-    n_alpha: int = 50,
+    spec: FilterSpec, sigma_max: float, nu: float
 ) -> FilterConstantsReport:
     """Grid certification of the filter axioms.
 
-    Evaluates F_alpha on a log grid of at least 200 lambda points in
+    Evaluates F_alpha on a log grid of 200 lambda points in
     (1e-12 sigma_max^2, sigma_max^2] and 50 alpha points in (1e-8, 1] and
     reports the observed suprema of lambda F_alpha, alpha |F_alpha| and
     lambda^{nu/2} |1 - lambda F_alpha| / alpha^{nu/2}, a monotonicity flag and
@@ -267,11 +266,9 @@ def verify_filter_constants(
     """
     if sigma_max <= 0 or nu <= 0:
         raise InputError("sigma_max and nu must be positive")
-    if n_lambda < 2 or n_alpha < 2:
-        raise InputError("grids need at least two points")
     lam_hi = sigma_max**2
-    lam = np.logspace(math.log10(lam_hi) - 12, math.log10(lam_hi), n_lambda)
-    alphas = np.logspace(-8, 0, n_alpha)  # ascending
+    lam = np.logspace(math.log10(lam_hi) - 12, math.log10(lam_hi), _N_LAMBDA)
+    alphas = np.logspace(-8, 0, _N_ALPHA)  # ascending
 
     factor = residual_factor(spec, alphas, lam)  # one row per alpha
     f = filter_value(spec, alphas, lam)
@@ -285,7 +282,7 @@ def verify_filter_constants(
     # beyond the qualification the per-alpha ratio keeps growing as alpha -> 0
     # (within it, the ratio saturates); compare across the two smallest decades
     step = math.log10(alphas[1] / alphas[0])
-    idx = min(n_alpha - 1, max(1, round(2.0 / step)))
+    idx = min(_N_ALPHA - 1, max(1, round(2.0 / step)))
     qualification_exceeded = bool(nu_ratios[0] > 10.0 * nu_ratios[idx])
 
     c_nu_decl = spec.c_nu(nu)

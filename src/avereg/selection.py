@@ -126,6 +126,7 @@ def discrepancy_principle(
 class AprioriRule:
     """alpha from the noise level alone: c (delta/rho)^{2/(nu+1)}, or 1/sqrt(n)."""
 
+    name = "apriori"  # the rule's name in a study; not a dataclass field
     variant: str
     c: float = 1.0
     nu: float = 1.0

@@ -91,6 +91,11 @@ class SpectralDecomposition:
             raise InputError("singular values must be finite and strictly positive")
         if sigma.size and np.any(np.diff(sigma) > 0):
             raise InputError("singular values must be non-increasing")
+        # the filters act on sigma^2, which must stay positive; subnormal is fine
+        if sigma.size and sigma[-1] ** 2 == 0:
+            level = int(np.argmax(sigma**2 == 0)) + 1
+            raise InputError(f"singular value {level} of {sigma.size} ({sigma[level - 1]:.3g}) "
+                             "squares to 0 in double precision")
         object.__setattr__(self, "singular_values", sigma)
         for name in ("left_basis", "right_basis"):
             basis = getattr(self, name)
@@ -103,14 +108,6 @@ class SpectralDecomposition:
     @property
     def rank(self) -> int:
         return self.singular_values.shape[0]
-
-    @property
-    def data_dim(self) -> int:
-        return self.rank if self.left_basis is None else self.left_basis.shape[0]
-
-    @property
-    def solution_dim(self) -> int:
-        return self.rank if self.right_basis is None else self.right_basis.shape[0]
 
 
 def _check_length(op: SpectralDecomposition, vec: CoefficientVector, what: str):
@@ -153,12 +150,13 @@ def counterexample_operator(m: int) -> tuple[SpectralDecomposition, CoefficientV
     """Diagonal operator with sigma_l = 10^-l plus its adversarial noise direction.
 
     The exact data for this scenario is the zero vector.  m is capped so that
-    the smallest singular value stays representable in double precision.
+    the smallest squared singular value, 10^-2m, stays positive in double
+    precision.
     """
     if m < 2:
         raise InputError("need m >= 2")
-    if m > 300:
-        raise InputError("sigma_l = 10^-l underflows beyond m = 300")
+    if m > 161:
+        raise InputError(f"sigma_l^2 = 10^-2l underflows to 0 beyond m = 161, got m = {m}")
     sigma = 10.0 ** (-np.arange(1, m + 1, dtype=float))
     return SpectralDecomposition(sigma), counterexample_direction(m)
 
@@ -189,32 +187,28 @@ def svd(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(sigma[keep], left * signs, right * signs)
 
 
+def _project(basis: np.ndarray | None, rank: int, vector: np.ndarray) -> CoefficientVector:
+    """``vector`` in the columns of ``basis`` with the norm of its remainder;
+    ``None`` is the standard basis of ``rank`` levels, in which ``vector``
+    is its own coefficient list."""
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape[0] != (rank if basis is None else basis.shape[0]):
+        raise InputError("vector dimension mismatch")
+    if basis is None:
+        return CoefficientVector(vector, 0.0)
+    coef = basis.T @ vector
+    residual = vector - basis @ coef
+    return CoefficientVector(coef, float(np.linalg.norm(residual)))
+
+
 def project_data(op: SpectralDecomposition, vector: np.ndarray) -> CoefficientVector:
     """Express an ambient data-space vector in the left singular basis."""
-    vector = np.asarray(vector, dtype=float)
-    if op.left_basis is None:
-        if vector.shape[0] != op.rank:
-            raise InputError("vector dimension mismatch")
-        return CoefficientVector(vector, 0.0)
-    if vector.shape[0] != op.left_basis.shape[0]:
-        raise InputError("vector dimension mismatch")
-    coef = op.left_basis.T @ vector
-    residual = vector - op.left_basis @ coef
-    return CoefficientVector(coef, float(np.linalg.norm(residual)))
+    return _project(op.left_basis, op.rank, vector)
 
 
 def project_solution(op: SpectralDecomposition, vector: np.ndarray) -> CoefficientVector:
     """Express an ambient solution-space vector in the right singular basis."""
-    vector = np.asarray(vector, dtype=float)
-    if op.right_basis is None:
-        if vector.shape[0] != op.rank:
-            raise InputError("vector dimension mismatch")
-        return CoefficientVector(vector, 0.0)
-    if vector.shape[0] != op.right_basis.shape[0]:
-        raise InputError("vector dimension mismatch")
-    coef = op.right_basis.T @ vector
-    residual = vector - op.right_basis @ coef
-    return CoefficientVector(coef, float(np.linalg.norm(residual)))
+    return _project(op.right_basis, op.rank, vector)
 
 
 def embed_solution(op: SpectralDecomposition, x: CoefficientVector) -> np.ndarray:

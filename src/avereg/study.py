@@ -4,7 +4,7 @@ A study runs replicated end-to-end solves — draw a measurement batch,
 estimate the noise level, choose alpha by one or more rules, regularize,
 record the solution error — over a grid of sample sizes, then summarizes the
 error distributions (mean, quartiles, IQR outliers) and fits log-log
-convergence rates.  Three scenario families are packaged: synthetic diagonal
+convergence rates.  Five scenario families are packaged: synthetic diagonal
 operators, the divergence counterexample, a severely ill-posed exponential
 surrogate with heavy-tailed noise, the binary-option differentiation problem,
 and arbitrary operators imported from CSV matrices.
@@ -71,7 +71,8 @@ from .spectral import (
     embed_solution,
     load_matrix_csv,
     project_data,
-    project_solution,
+    # perfbench's tracer requires study to bind project_solution
+    project_solution,  # noqa: F401
     svd,
     synthesize_source,
 )
@@ -192,15 +193,6 @@ class DiscrepancyRule:
         return "dp+es" if self.emergency else "dp"
 
 
-@dataclass(frozen=True)
-class AprioriStudyRule:
-    rule: AprioriRule
-
-    @property
-    def name(self) -> str:
-        return "apriori"
-
-
 def _is_int(value) -> bool:
     """JSON integer check; bool is an int subclass but not a count or a seed."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -302,10 +294,9 @@ def resolve(label: str, table: dict, section, violations: list, choice: str | No
     return resolved
 
 
-def _rule(entry: dict) -> DiscrepancyRule | AprioriStudyRule:
+def _rule(entry: dict) -> DiscrepancyRule | AprioriRule:
     if entry["name"] == "apriori":
-        return AprioriStudyRule(
-            AprioriRule(entry["variant"], entry["c"], entry["nu"], entry["rho"]))
+        return AprioriRule(entry["variant"], entry["c"], entry["nu"], entry["rho"])
     return DiscrepancyRule(entry["q"], emergency=entry["name"] == "dp+es")
 
 
@@ -448,29 +439,22 @@ def default_counterexample_config(n_max: int = 6, forced: bool = False,
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a study replication needs: operator, truth and noise model."""
+    """Everything a study replication needs: the operator, the true solution
+    ``x_hat`` as an array in the operator's solution coordinates, the exact
+    data ``y_hat`` in its data coordinates, the noise model, and the value of
+    every latent draw when the draws are forced.  An operator without bases
+    is diagonal and its coordinates are its coefficients; otherwise they are
+    ambient, and ``project_data`` and ``embed_solution`` map to and from
+    coefficients."""
 
     op: SpectralDecomposition
-    x_hat: CoefficientVector
+    x_hat: np.ndarray
     y_hat: CoefficientVector
     model: object
-    ambient: bool = False
-    x_hat_ambient: np.ndarray | None = None
     forced_value: float | None = None
 
 
-def _smooth_source(m: int, source: dict, alternating: bool) -> SourceCondition:
-    levels = np.arange(1, m + 1, dtype=float)
-    if alternating:
-        w = np.exp(-3.0 * levels / m)
-        w[1::2] *= -1.0
-    else:
-        w = levels**-0.55
-    w *= source["rho"] / np.linalg.norm(w)
-    return SourceCondition(source["nu"], source["rho"], w)
-
-
-def _noise_model(noise: dict, m: int, basis: np.ndarray | None = None):
+def _noise_model(noise: dict, m: int, basis: np.ndarray | None):
     """The model of a resolved noise section for m levels.  The direction of
     Gaussian noise is the unit power law l^-3/4, mapped by ``basis`` when the
     data live in ambient coordinates."""
@@ -486,50 +470,57 @@ def _noise_model(noise: dict, m: int, basis: np.ndarray | None = None):
     return DirectionGaussian(CoefficientVector(noise["scale"] * direction, 0.0))
 
 
+def _smooth_scenario(op: SpectralDecomposition, config: StudyConfig,
+                     alternating: bool) -> Scenario:
+    """The scenario of the smooth solution x = (K*K)^{nu/2} w on ``op``, with
+    ||w|| = rho and w_l proportional to l^-0.55, or with ``alternating`` to
+    (-1)^(l-1) exp(-3 l/m).  The data and the noise direction are mapped
+    into ambient coordinates when ``op`` has a left basis."""
+    m, source = op.rank, config.source
+    levels = np.arange(1, m + 1, dtype=float)
+    if alternating:
+        w = np.exp(-3.0 * levels / m)
+        w[1::2] *= -1.0
+    else:
+        w = levels**-0.55
+    w *= source["rho"] / np.linalg.norm(w)
+    x_hat, y_hat = synthesize_source(op, SourceCondition(source["nu"], source["rho"], w))
+    if op.left_basis is not None:
+        y_hat = CoefficientVector(op.left_basis @ y_hat.coefficients, 0.0)
+    return Scenario(op, embed_solution(op, x_hat), y_hat,
+                    _noise_model(config.noise, m, op.left_basis))
+
+
 def build_scenario(config: StudyConfig) -> Scenario:
+    """The scenario of a config: the counterexample's zero truth with its
+    adversarial noise direction, the binary option's analytic truth with
+    Bernoulli payoffs, or a smooth source on a diagonal, heat-like or
+    CSV-matrix operator."""
     params = config.scenario
     name = params["name"]
 
-    if name == "diagonal_synthetic":
-        m = params["m"]
-        op = SpectralDecomposition(np.arange(1, m + 1, dtype=float) ** -params["decay"])
-        sc = _smooth_source(m, config.source, alternating=False)
-        x_hat, y_hat = synthesize_source(op, sc)
-        return Scenario(op, x_hat, y_hat, _noise_model(config.noise, m))
-
     if name == "counterexample":
-        m = params["m"]
-        op, direction = counterexample_operator(m)
-        zero = CoefficientVector(np.zeros(m), 0.0)
-        return Scenario(op, zero, zero, DirectionGaussian(direction),
+        op, direction = counterexample_operator(params["m"])
+        zero = np.zeros(params["m"])
+        return Scenario(op, zero, CoefficientVector(zero, 0.0), DirectionGaussian(direction),
                         forced_value=params["forced_value"])
-
-    if name == "heat_like":
-        m = params["m"]
-        op = heat_like_operator(m, params["decay"])
-        sc = _smooth_source(m, config.source, alternating=True)
-        x_hat, y_hat = synthesize_source(op, sc)
-        return Scenario(op, x_hat, y_hat, _noise_model(config.noise, m))
 
     if name == "binary_option":
         option = BinaryOptionParams.default(params["grid"])
-        op = integration_operator(params["grid"])
         truth = binary_option_truth(option)
         root_h = math.sqrt(option.grid_weight)
-        x_hat_ambient = root_h * truth["derivative_curve"]
-        y_hat = CoefficientVector(root_h * truth["value_curve"], 0.0)
-        x_hat = project_solution(op, x_hat_ambient)
-        return Scenario(op, x_hat, y_hat, BernoulliPayoff(option),
-                        ambient=True, x_hat_ambient=x_hat_ambient)
+        return Scenario(integration_operator(params["grid"]),
+                        root_h * truth["derivative_curve"],
+                        CoefficientVector(root_h * truth["value_curve"], 0.0),
+                        BernoulliPayoff(option))
 
-    op = svd(load_matrix_csv(params["path"]))
-    m = op.rank
-    sc = _smooth_source(m, config.source, alternating=True)
-    x_hat, y_hat = synthesize_source(op, sc)
-    x_hat_ambient = embed_solution(op, x_hat)
-    y_hat_ambient = CoefficientVector(op.left_basis @ y_hat.coefficients, 0.0)
-    return Scenario(op, x_hat, y_hat_ambient, _noise_model(config.noise, m, op.left_basis),
-                    ambient=True, x_hat_ambient=x_hat_ambient)
+    if name == "diagonal_synthetic":
+        op = SpectralDecomposition(np.arange(1, params["m"] + 1, dtype=float) ** -params["decay"])
+    elif name == "heat_like":
+        op = heat_like_operator(params["m"], params["decay"])
+    else:
+        op = svd(load_matrix_csv(params["path"]))
+    return _smooth_scenario(op, config, alternating=name != "diagonal_synthetic")
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +528,7 @@ def build_scenario(config: StudyConfig) -> Scenario:
 
 
 def solve_rule(
-    op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriStudyRule,
+    op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriRule,
     batch: MeasurementBatch, y_bar: CoefficientVector, delta_rule: str, tau: float | None = None,
 ) -> tuple[ChoiceResult, RegularizedSolution]:
     """Estimate the noise level of ``batch``, choose alpha by ``rule`` and
@@ -548,7 +539,7 @@ def solve_rule(
     DegenerateBatchError when a sample-based estimate is undefined and
     NonTerminationError when the discrepancy search cannot stop.
     """
-    if isinstance(rule, AprioriStudyRule) and rule.rule.variant == "inv_sqrt_n_alpha":
+    if isinstance(rule, AprioriRule) and rule.variant == "inv_sqrt_n_alpha":
         delta = delta_est(batch, "inv_sqrt_n")
     else:
         delta = delta_est(batch, delta_rule, tau)
@@ -556,7 +547,7 @@ def solve_rule(
         choice = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
                                        emergency_n=batch.n if rule.emergency else None)
         return choice, apply_regularizer(op, spec, choice.alpha, y_bar)
-    alpha = apriori_alpha(rule.rule, delta, batch.n)
+    alpha = apriori_alpha(rule, delta, batch.n)
     solution = apply_regularizer(op, spec, alpha, y_bar)
     return ChoiceResult(alpha, -1, solution.residual, False, delta, 0), solution
 
@@ -609,10 +600,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             forced = np.full(n, scenario.forced_value)
         batch = draw_batch(scenario.model, scenario.y_hat, n,
                            config.base_seed, (n_index << 32) | rep, forced)
-        if scenario.ambient:
-            y_bar = project_data(scenario.op, batch.mean.coefficients)
-        else:
-            y_bar = batch.mean
+        y_bar = project_data(scenario.op, batch.mean.coefficients)
         d_true = delta_true(batch, scenario.y_hat)
         # the batch is released on return, before the next is drawn: a
         # full-sample batch holds an n x m matrix
@@ -659,12 +647,6 @@ def _fan_out(func, items: list, runs: int) -> list:
     so neither the results nor the error depend on the number of runs.
     """
     runs = min(runs, len(items)) if hasattr(os, "fork") else 1
-    if runs == 1:
-        results, failure = _run(func, items, 0, 1)
-        if failure:
-            raise failure[1]
-        return results
-
     caller = os.getpid()
     children = []  # (pid, read end of its pipe) of each forked run
     try:
@@ -768,11 +750,7 @@ def _run_rule(config, scenario, rule, y_bar, batch, d_true, rep) -> ReplicationR
         return ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
                                  d_est, failed=True, reason=str(exc))
 
-    if scenario.ambient:
-        estimate = embed_solution(scenario.op, solution.x)
-        error = float(np.linalg.norm(estimate - scenario.x_hat_ambient))
-    else:
-        error = float(np.linalg.norm(solution.x.coefficients - scenario.x_hat.coefficients))
+    error = float(np.linalg.norm(embed_solution(scenario.op, solution.x) - scenario.x_hat))
     return ReplicationRecord(rep, error, choice.alpha, choice.k, choice.emergency_triggered,
                              d_true, choice.delta_est_used)
 

@@ -315,11 +315,16 @@ def test_blocked_search_down_to_the_subnormal_range(spec):
 
 
 def test_blocked_search_rejects_an_underflowing_spectrum():
-    # sigma^2 of the counterexample at m = 300 underflows to 0
-    op, direction = counterexample_operator(300)
-    for search in (discrepancy_principle, _reference_search):
-        with pytest.raises(InputError, match="lambda must be positive"):
-            search(op, FilterSpec.tsvd(), direction, 0.5, 0.5)
+    # sigma_l^2 = 10^-2l of the counterexample is 0 from l = 162 on, where no
+    # filter is defined: the spectrum is rejected before any search runs
+    with pytest.raises(InputError, match="singular value 162 of 300 .* squares to 0"):
+        SpectralDecomposition(10.0 ** -np.arange(1.0, 301.0))
+    with pytest.raises(InputError, match="beyond m = 161"):
+        counterexample_operator(162)
+    # at m = 161 the smallest square is subnormal, and both searches agree
+    op, direction = counterexample_operator(161)
+    assert 0 < op.singular_values[-1] ** 2 < 2.0**-1022
+    _assert_same_search(op, FilterSpec.tsvd(), direction, 0.5, 0.5)
 
 
 def test_emergency_guard_bounds_alpha():

@@ -43,7 +43,7 @@ def test_decomposition_requires_sorted_positive_singular_values():
     with pytest.raises(InputError):
         SpectralDecomposition([1.0, 0.0])
     op = SpectralDecomposition([2.0, 1.0])
-    assert op.rank == 2 and op.data_dim == 2 and op.solution_dim == 2
+    assert op.rank == 2
 
 
 def test_source_condition_enforces_norm_bound():

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -457,6 +458,90 @@ def test_run_study_is_deterministic():
             assert ra == rb
 
 
+_THREE_RULES = [{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}, {"name": "apriori"}]
+
+# sha256 of every CSV of small studies that need no SVD, one per filter or
+# scenario family; a change of any bit of any record shows here
+_GOLDEN_STUDIES = {
+    "iterated_tikhonov": (
+        lambda: _tiny_config(filter={"kind": "iterated_tikhonov", "order": 3},
+                             rules=_THREE_RULES), {
+            "apriori_n200.csv": "29434f0d8f49d81334fba08b91cd808f2365d10649b1c436ae4ac9a98e7ace38",
+            "apriori_n50.csv": "39bf9bde0afb017e419cbe9f0273426d34fe9e2f8ec8ea78a79024415e72e688",
+            "dp_n200.csv": "7124d5c1e49a0742d43863cf90a9ee4ccff12db030e233245fd492cefe9a737b",
+            "dp_n50.csv": "a9a633cbff314831f6f62a8a74646cb5a2658b3c3877795c992461bd63bfc12d",
+            "dp_plus_es_n200.csv":
+                "7124d5c1e49a0742d43863cf90a9ee4ccff12db030e233245fd492cefe9a737b",
+            "dp_plus_es_n50.csv":
+                "a9a633cbff314831f6f62a8a74646cb5a2658b3c3877795c992461bd63bfc12d",
+            "summary.csv": "94f4ea1cb65bf93b3b8bc283da60c9383c2c7eb7a0ac6eef2b71ac4abf797e36",
+        }),
+    "landweber": (
+        lambda: _tiny_config(filter={"kind": "landweber"}, rules=_THREE_RULES), {
+            "apriori_n200.csv": "8988a0ba7579fb8f1c29e9b9e57b2ac1bc580ea3dda07f41338084c0397637e1",
+            "apriori_n50.csv": "ec3382e41fb47319320cccf13a755838af5be42d741bd8a8cbaf449ff89730f4",
+            "dp_n200.csv": "80fb110fa3a793a19da600b5685879c19224505c08322c7b9a9678936e1574a1",
+            "dp_n50.csv": "8f0ba3c4d9a0909e068a7a9cd9df01bd7bdfa1a3b8153d317be95ba3dbebd00a",
+            "dp_plus_es_n200.csv":
+                "80fb110fa3a793a19da600b5685879c19224505c08322c7b9a9678936e1574a1",
+            "dp_plus_es_n50.csv":
+                "8f0ba3c4d9a0909e068a7a9cd9df01bd7bdfa1a3b8153d317be95ba3dbebd00a",
+            "summary.csv": "b271b44476cc3b06af9bce3f537fad6d7876ec116bdb79eb38e278d9e390c1fc",
+        }),
+    "heat_like": (
+        lambda: default_heat_config(replications=4), {
+            "apriori_n1000.csv":
+                "0839e3c32d96c3494efcb708dda41ea887039a66d14be657440fb70a63288712",
+            "apriori_n10000.csv":
+                "bc1783a69884ea0e787b91e125ddd28195cbf2159a4c7512b19bc4f58d301510",
+            "apriori_n100000.csv":
+                "7888a14bf7d6228f6e9cdbf50686583afe07d1a5fec706a1b61238bd3583466e",
+            "dp_n1000.csv": "6db121e28baa62ddf66b62405228928d584aaf1aca96be05c826740ed403e9fc",
+            "dp_n10000.csv": "d8a98d801690cd0b43abb3c641406fe65f869de358daecb832470cf7c57aa5f0",
+            "dp_n100000.csv": "206718b2a4c19d126efb0c4a4095db10b6a1c9c7ec9acb5153ab0e76f84a7c53",
+            "dp_plus_es_n1000.csv":
+                "6db121e28baa62ddf66b62405228928d584aaf1aca96be05c826740ed403e9fc",
+            "dp_plus_es_n10000.csv":
+                "ca9f926775c71e62f2b38fb037276d84f7483c1408d49489042b7f408b4b146b",
+            "dp_plus_es_n100000.csv":
+                "206718b2a4c19d126efb0c4a4095db10b6a1c9c7ec9acb5153ab0e76f84a7c53",
+            "summary.csv": "17f5d4d05d5c992fe8c8f4cc62d45d2ccd39d51b98fd448a8069b866da4e0d51",
+        }),
+    "counterexample_forced": (
+        lambda: default_counterexample_config(forced=True), {
+            "dp_n2.csv": "5dd62947eafeae4b7e301837edc75f0386022092450a530b7b9de984a658f6ff",
+            "dp_n3.csv": "6c00361668e58c5ea57355038162f6807320392276e5f8d4a379234b3eb41e92",
+            "dp_n4.csv": "fe2a6803ab3b171259d879cef4e785029e338e72c8fff35f533532bfce0029de",
+            "dp_n5.csv": "e9873bd9cba075a85917f917ea8b2cd8f811c84fe6da9176f1cfd66890395f63",
+            "dp_n6.csv": "c18b8107a7125b08b70771b97c62ead236c12513c1f3361d20516d8b3e7f915d",
+            "summary.csv": "5d144af05df3a7e4974fee5ddcc20dcfe610519eb52e3e0182857182ddcdc0c1",
+        }),
+    "counterexample_forced_emergency": (
+        lambda: default_counterexample_config(forced=True, emergency=True), {
+            "dp_plus_es_n2.csv":
+                "24de03d59c4d6cbc3eb6fc38b176169728bfe7e0f35d95c2df060f38e55fecbd",
+            "dp_plus_es_n3.csv":
+                "9502f883a56c81913daeb486814626adda0418938123576fcab9b3d97c2a8bad",
+            "dp_plus_es_n4.csv":
+                "ec47d1e98ef536ad7f1d33a2496fe3c982b249f710177e7133accfd2308853a8",
+            "dp_plus_es_n5.csv":
+                "f7d2d59c274b0a5a99c27d2153f854737344029c96dd785816fde143b2e0aab3",
+            "dp_plus_es_n6.csv":
+                "d3bd3938953883ebd9c19121a50f30d70b1a8eb88623810342811286e119c420",
+            "summary.csv": "3a513f5ef51459171c7c0a251135f1abe62091ac992ec62233c4741be5db51da",
+        }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_STUDIES))
+def test_study_csvs_keep_their_golden_bytes(name, tmp_path):
+    make_raw, expected = _GOLDEN_STUDIES[name]
+    write_study_csvs(run_study(StudyConfig.from_dict(make_raw())), str(tmp_path))
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == expected
+
+
 def test_rules_share_batches():
     raw = _tiny_config(rules=[{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}])
     result = run_study(StudyConfig.from_dict(raw))
@@ -521,7 +606,26 @@ def test_heat_scenario_uses_heavy_tailed_noise():
     scenario = build_scenario(config)
     assert type(scenario.model).__name__ == "HeavyTailed"
     assert scenario.op.rank == 100
-    assert scenario.x_hat.norm() <= 1.0 + 1e-9  # rho * sigma_1^nu < 1
+    assert np.linalg.norm(scenario.x_hat) <= 1.0 + 1e-9  # rho * sigma_1^nu < 1
+
+
+@pytest.mark.parametrize("scenario", [
+    {"name": "counterexample", "m": 200},
+    {"name": "heat_like", "m": 100, "decay": 5.0},
+    {"name": "diagonal_synthetic", "m": 200, "decay": 100.0},
+], ids=lambda scenario: scenario["name"])
+def test_a_spectrum_whose_squares_underflow_fails_before_any_draw(scenario, monkeypatch):
+    # each config is valid, but some sigma_l^2 round to 0, where no filter is
+    # defined; the study used to fail in its first replication
+    raw = _tiny_config(scenario=scenario)
+    if scenario["name"] == "counterexample":
+        del raw["source"]
+    config = StudyConfig.from_dict(raw)
+    monkeypatch.setattr(study, "draw_batch", lambda *args: pytest.fail("a batch was drawn"))
+    with pytest.raises(InputError, match="to 0"):
+        build_scenario(config)
+    with pytest.raises(InputError, match="to 0"):
+        run_study(config)
 
 
 def test_search_that_cannot_stop_fails_only_its_replication():
@@ -533,7 +637,7 @@ def test_search_that_cannot_stop_fails_only_its_replication():
     # the data component outside the range (1.0) exceeds delta = 1/sqrt(4)
     y_bar = CoefficientVector(np.array([1.0]), 1.0)
     zero = CoefficientVector(np.zeros(1), 0.0)
-    scenario = Scenario(SpectralDecomposition(np.array([1.0])), zero, zero, model=None)
+    scenario = Scenario(SpectralDecomposition(np.array([1.0])), np.zeros(1), zero, model=None)
     batch = MeasurementBatch(4, y_bar, 1.0)
     record = _run_rule(config, scenario, DiscrepancyRule(q=0.7), y_bar, batch, 0.25, 3)
     assert record.failed
@@ -591,7 +695,7 @@ def test_solve_rule_is_the_study_replication_solve():
         record = result.records[(rule.name, 50)][0]
         assert (choice.alpha, choice.k, choice.emergency_triggered, choice.delta_est_used) == \
             (record.alpha, record.k, record.emergency, record.delta_est)
-        error = np.linalg.norm(solution.x.coefficients - scenario.x_hat.coefficients)
+        error = np.linalg.norm(solution.x.coefficients - scenario.x_hat)
         assert float(error) == record.error
     choice, solution = solve_rule(scenario.op, config.filter_spec, config.rules[2], batch,
                                   batch.mean, config.delta_rule)
