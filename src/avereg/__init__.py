@@ -49,9 +49,7 @@ from .selection import (
 )
 from .spectral import (
     CoefficientVector,
-    SourceCondition,
     SpectralDecomposition,
-    apply_forward,
     counterexample_direction,
     counterexample_operator,
     embed_solution,
@@ -59,7 +57,6 @@ from .spectral import (
     project_data,
     project_solution,
     svd,
-    synthesize_source,
 )
 from .study import (
     DiscrepancyRule,
@@ -76,7 +73,6 @@ from .study import (
     format_summary_table,
     heat_like_operator,
     integration_operator,
-    rate_fit,
     run_study,
     solve_rule,
     summarize,

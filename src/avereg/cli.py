@@ -68,7 +68,7 @@ def _cmd_solve(args) -> int:
             f"matrix has {matrix.shape[0]} rows"
         )
     op = svd(matrix)
-    y_bar = project_data(op, batch.mean.coefficients)
+    y_bar = project_data(op, batch.mean)
     choice, solution = solve_rule(op, spec, rule, batch, y_bar, args.delta, tau)
     x = embed_solution(op, solution.x)
     report = {**dataclasses.asdict(choice), "residual": solution.residual}

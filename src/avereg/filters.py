@@ -182,12 +182,11 @@ def filter_value(spec: FilterSpec, alpha, lam):
 
 @dataclass(frozen=True)
 class RegularizedSolution:
-    """Result of applying R_alpha to data: solution, residual and operator norm."""
+    """Result of applying R_alpha to data: the solution's coefficients in the
+    right singular basis and the residual."""
 
-    alpha: float
-    x: CoefficientVector
+    x: np.ndarray
     residual: float
-    operator_norm: float
 
 
 def apply_regularizer(
@@ -202,10 +201,9 @@ def apply_regularizer(
     lam = op.singular_values**2
     factor = residual_factor(spec, alpha, lam)
     f = filter_value(spec, alpha, lam)
-    x = CoefficientVector(f * op.singular_values * y.coefficients, 0.0)
+    x = f * op.singular_values * y.coefficients
     residual = float(np.sqrt(np.sum((factor * y.coefficients) ** 2) + y.orthogonal_norm**2))
-    operator_norm = float(np.max(op.singular_values * f, initial=0.0))
-    return RegularizedSolution(alpha, x, residual, operator_norm)
+    return RegularizedSolution(x, residual)
 
 
 def residual_norm(

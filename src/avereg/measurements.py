@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateBatchError, InputError
 from .rng import RandomStream, _spread
-from .spectral import CoefficientVector, _load_csv
+from .spectral import _load_csv
 
 DELTA_RULES = ("inv_sqrt_n", "sample_std", "lil")
 
@@ -95,11 +95,7 @@ class BinaryOptionParams:
 class DirectionGaussian:
     """Y_i = y_hat + Z_i * direction with Z_i standard normal."""
 
-    direction: CoefficientVector
-
-    def __post_init__(self):
-        if self.direction.orthogonal_norm != 0:
-            raise InputError("noise direction must lie in the spanned basis")
+    direction: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -155,6 +151,7 @@ NoiseModel = DirectionGaussian | CoefficientGaussian | HeavyTailed | BernoulliPa
 class MeasurementBatch:
     """n i.i.d. measurements with cached mean and sample standard deviation.
 
+    ``mean`` is the array Y_bar in the data coordinates of the measurements.
     ``samples`` is the full (n, dimension) array of a batch drawn or read
     sample by sample, and None for a factored batch.  A single measurement
     has no sample spread; its ``sample_std`` is 0.
@@ -163,7 +160,7 @@ class MeasurementBatch:
     def __init__(
         self,
         n: int,
-        mean: CoefficientVector,
+        mean: np.ndarray,
         sample_std: float,
         samples: np.ndarray | None = None,
     ):
@@ -233,19 +230,18 @@ def _squared_deviation_sum(samples: np.ndarray, mean: np.ndarray) -> float:
     return _pairwise_combine(iter(sums), flat.size)
 
 
-def _finalize_full(samples, orthogonal_norm) -> MeasurementBatch:
+def _finalize_full(samples) -> MeasurementBatch:
     """Batch of a C-ordered (n, dim) sample matrix, which it keeps."""
     n = samples.shape[0]
-    mean_coef = samples.mean(axis=0)
-    sq = _squared_deviation_sum(samples, mean_coef)
+    mean = samples.mean(axis=0)
+    sq = _squared_deviation_sum(samples, mean)
     std = math.sqrt(sq / (n - 1)) if n > 1 else 0.0
-    mean = CoefficientVector(mean_coef, orthogonal_norm)
     return MeasurementBatch(n, mean, std, samples=samples)
 
 
 def draw_batch(
     model: NoiseModel,
-    y_hat: CoefficientVector,
+    y_hat: np.ndarray,
     n: int,
     seed: int,
     stream: int = 0,
@@ -263,7 +259,7 @@ def draw_batch(
 
     if isinstance(model, DirectionGaussian):
         z = rng.normals(n) if forced_latents is None else _coerce_latents(forced_latents, n)
-        return _rank_one_batch(y_hat, model.direction.coefficients, z, n)
+        return _rank_one_batch(y_hat, model.direction, z, n)
 
     if isinstance(model, HeavyTailed):
         if forced_latents is not None:
@@ -281,8 +277,8 @@ def draw_batch(
         m = len(y_hat)
         samples = rng.normals(n * m).reshape(n, m)
         samples *= model.scale
-        samples += y_hat.coefficients
-        return _finalize_full(samples, y_hat.orthogonal_norm)
+        samples += y_hat
+        return _finalize_full(samples)
 
     if isinstance(model, BernoulliPayoff):
         return _bernoulli_batch(model, n, rng, forced_latents)
@@ -304,10 +300,7 @@ def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
     z_bar = float(z.mean())
     dir_norm = float(np.linalg.norm(direction))
     std = float(np.sqrt(np.sum((z - z_bar) ** 2) / (n - 1))) * dir_norm
-    mean = CoefficientVector(
-        y_hat.coefficients + z_bar * direction, y_hat.orthogonal_norm
-    )
-    return MeasurementBatch(n, mean, std)
+    return MeasurementBatch(n, y_hat + z_bar * direction, std)
 
 
 def _bernoulli_batch(model, n, rng, forced_latents) -> MeasurementBatch:
@@ -322,10 +315,9 @@ def _bernoulli_batch(model, n, rng, forced_latents) -> MeasurementBatch:
     hit_counts = n - np.searchsorted(z_sorted, thresholds, side="left")
     p_hat = hit_counts / n
     scale = p.discounted_payoff * math.sqrt(p.grid_weight)
-    mean = CoefficientVector(scale * p_hat, 0.0)
     # ||Y_i - Y_bar||^2 summed over i is n p(1-p) per grid point
     std = scale * math.sqrt(n * float(np.sum(p_hat * (1.0 - p_hat))) / (n - 1))
-    return MeasurementBatch(n, mean, std)
+    return MeasurementBatch(n, scale * p_hat, std)
 
 
 def delta_est(batch: MeasurementBatch, rule: str, tau: float | None = None) -> float:
@@ -356,16 +348,13 @@ def delta_est(batch: MeasurementBatch, rule: str, tau: float | None = None) -> f
     return tau * batch.sample_std * math.sqrt(2.0 * math.log(math.log(n)) / n)
 
 
-def delta_true(batch: MeasurementBatch, y_hat: CoefficientVector) -> float:
+def delta_true(batch: MeasurementBatch, y_hat: np.ndarray) -> float:
     """Actual averaging error ||Y_bar_n - y_hat||."""
     if len(y_hat) != batch.dimension:
         raise InputError("y_hat dimension does not match the batch")
-    coef = batch.mean.coefficients - y_hat.coefficients
-    # the orthogonal components of mean and y_hat are collinear by construction
-    orth = batch.mean.orthogonal_norm - y_hat.orthogonal_norm
-    return float(np.hypot(np.linalg.norm(coef), orth))
+    return float(np.linalg.norm(batch.mean - y_hat))
 
 
 def load_batch_csv(path: str) -> MeasurementBatch:
     """Read a batch from headerless CSV, one measurement per row."""
-    return _finalize_full(_load_csv(path, "measurements"), 0.0)
+    return _finalize_full(_load_csv(path, "measurements"))

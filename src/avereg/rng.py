@@ -114,8 +114,6 @@ class RandomStream:
         _mix(key_sub, np.empty_like(key_sub))
         self._base = int(key_sub[0] ^ key_sub[1])
         self._counter = 0
-        self.seed = int(seed)
-        self.stream = int(stream)
 
     def _take(self, n: int) -> int:
         """Reserve the next n words; returns the counter of the first."""

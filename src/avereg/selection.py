@@ -140,12 +140,23 @@ class AprioriRule:
 
 
 def apriori_alpha(rule: AprioriRule, delta_est: float, n: int) -> float:
-    """Evaluate an a priori rule; the result is clamped into (0, 1]."""
+    """Evaluate an a priori rule; the result is clamped into (0, 1].
+
+    Where ``c (delta/rho)^{2/(nu+1)}`` overflows or underflows to 0 in
+    floats, it is evaluated in logs and clamped into [2^-1074, 1].
+    """
     if rule.variant == "inv_sqrt_n_alpha":
         if n < 1:
             raise InputError("n must be positive")
         return min(1.0, 1.0 / math.sqrt(n))
     if not (delta_est > 0):
         raise InputError("delta_est must be positive")
-    alpha = rule.c * (delta_est / rule.rho) ** (2.0 / (rule.nu + 1.0))
+    power = 2.0 / (rule.nu + 1.0)
+    try:
+        alpha = rule.c * (delta_est / rule.rho) ** power
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        log_alpha = math.log(rule.c) + power * (math.log(delta_est) - math.log(rule.rho))
+        alpha = max(math.ulp(0.0), math.exp(min(log_alpha, 0.0)))
     return min(1.0, alpha)

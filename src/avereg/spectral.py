@@ -2,9 +2,11 @@
 
 Operators are carried around as their singular system ``(sigma_l, u_l, v_l)``
 with ``K v_l = sigma_l u_l`` and ``K* u_l = sigma_l v_l``.  Dense matrices
-enter only through :func:`svd` (LAPACK gesdd).  All vectors are handled as
-coefficient lists with respect to the singular bases plus the norm of any
-component orthogonal to the spanned basis.
+enter only through :func:`svd` (LAPACK gesdd).  Vectors are plain float
+arrays, which are coefficients for a diagonal operator and ambient
+coordinates otherwise.  Only a projection onto a singular basis is a
+:class:`CoefficientVector`, which also carries the norm of the part outside
+the basis; the regularizer and the discrepancy residual read projected data.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ SV_TRUNCATION = 1e-14
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """A vector expressed in one of the singular bases.
+    """A vector projected onto a singular basis by :func:`project_data` or
+    :func:`project_solution`.
 
     ``coefficients[l]`` is the inner product with ``u_l`` (data side) or
     ``v_l`` (solution side); ``orthogonal_norm`` is the Euclidean norm of the
-    component outside the spanned basis (0 for full-rank discretisations).
+    remainder outside the spanned basis (0 for a diagonal operator), which
+    the discrepancy residual of projected data counts.
     """
 
     coefficients: np.ndarray
@@ -46,30 +50,6 @@ class CoefficientVector:
 
     def __len__(self) -> int:
         return self.coefficients.shape[0]
-
-    def norm(self) -> float:
-        return float(np.hypot(np.linalg.norm(self.coefficients), self.orthogonal_norm))
-
-
-@dataclass(frozen=True)
-class SourceCondition:
-    """Smoothness assumption: the true solution equals (K*K)^{nu/2} w, ||w|| <= rho."""
-
-    nu: float
-    rho: float
-    w_coefficients: np.ndarray
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise InputError("nu must be positive")
-        if self.rho <= 0:
-            raise InputError("rho must be positive")
-        w = np.atleast_1d(np.asarray(self.w_coefficients, dtype=float))
-        if not np.all(np.isfinite(w)):
-            raise InputError("w must be finite")
-        if np.linalg.norm(w) > self.rho * (1 + 1e-12):
-            raise InputError("||w|| exceeds rho")
-        object.__setattr__(self, "w_coefficients", w)
 
 
 @dataclass(frozen=True)
@@ -110,32 +90,12 @@ class SpectralDecomposition:
         return self.singular_values.shape[0]
 
 
-def _check_length(op: SpectralDecomposition, vec: CoefficientVector, what: str):
+def _check_length(op: SpectralDecomposition, vec, what: str):
     if len(vec) != op.rank:
         raise InputError(f"{what} has length {len(vec)}, operator rank is {op.rank}")
 
 
-def apply_forward(op: SpectralDecomposition, x: CoefficientVector) -> CoefficientVector:
-    """Apply K coefficientwise: (Kx, u_l) = sigma_l (x, v_l)."""
-    _check_length(op, x, "solution vector")
-    return CoefficientVector(op.singular_values * x.coefficients, 0.0)
-
-
-def synthesize_source(
-    op: SpectralDecomposition, sc: SourceCondition
-) -> tuple[CoefficientVector, CoefficientVector]:
-    """Build the exact solution/data pair from a source condition.
-
-    Returns ``(x_hat, y_hat)`` with ``x_hat_l = sigma_l^nu w_l`` and
-    ``y_hat = K x_hat``.
-    """
-    if sc.w_coefficients.shape[0] != op.rank:
-        raise InputError("w length must equal operator rank")
-    x_hat = CoefficientVector(op.singular_values**sc.nu * sc.w_coefficients, 0.0)
-    return x_hat, apply_forward(op, x_hat)
-
-
-def counterexample_direction(m: int) -> CoefficientVector:
+def counterexample_direction(m: int) -> np.ndarray:
     """Noise direction of the divergence construction: coefficient l is
     1/sqrt(l(l-1)) for l >= 2 and 0 for l = 1, truncated at level m."""
     if m < 2:
@@ -143,10 +103,10 @@ def counterexample_direction(m: int) -> CoefficientVector:
     levels = np.arange(1, m + 1, dtype=float)
     coef = np.zeros(m)
     coef[1:] = 1.0 / np.sqrt(levels[1:] * (levels[1:] - 1.0))
-    return CoefficientVector(coef, 0.0)
+    return coef
 
 
-def counterexample_operator(m: int) -> tuple[SpectralDecomposition, CoefficientVector]:
+def counterexample_operator(m: int) -> tuple[SpectralDecomposition, np.ndarray]:
     """Diagonal operator with sigma_l = 10^-l plus its adversarial noise direction.
 
     The exact data for this scenario is the zero vector.  m is capped so that
@@ -211,12 +171,13 @@ def project_solution(op: SpectralDecomposition, vector: np.ndarray) -> Coefficie
     return _project(op.right_basis, op.rank, vector)
 
 
-def embed_solution(op: SpectralDecomposition, x: CoefficientVector) -> np.ndarray:
-    """Map solution-side coefficients back to ambient coordinates."""
+def embed_solution(op: SpectralDecomposition, x: np.ndarray) -> np.ndarray:
+    """Map coefficients in the right singular basis to the operator's solution
+    coordinates: a copy of ``x`` for a diagonal operator."""
     _check_length(op, x, "solution vector")
     if op.right_basis is None:
-        return x.coefficients.copy()
-    return op.right_basis @ x.coefficients
+        return x.copy()
+    return op.right_basis @ x
 
 
 def _load_csv(path, what: str) -> np.ndarray:

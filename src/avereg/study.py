@@ -3,11 +3,11 @@
 A study runs replicated end-to-end solves — draw a measurement batch,
 estimate the noise level, choose alpha by one or more rules, regularize,
 record the solution error — over a grid of sample sizes, then summarizes the
-error distributions (mean, quartiles, IQR outliers) and fits log-log
-convergence rates.  Five scenario families are packaged: synthetic diagonal
-operators, the divergence counterexample, a severely ill-posed exponential
-surrogate with heavy-tailed noise, the binary-option differentiation problem,
-and arbitrary operators imported from CSV matrices.
+error distributions (mean, quartiles, IQR outliers).  Five scenario families
+are packaged: synthetic diagonal operators, the divergence counterexample, a
+severely ill-posed exponential surrogate with heavy-tailed noise, the
+binary-option differentiation problem, and arbitrary operators imported from
+CSV matrices.
 
 All randomness flows from ``base_seed`` through one substream per
 (sample-size index, replication) pair, so studies are bit-reproducible and
@@ -65,7 +65,6 @@ from .selection import (
 )
 from .spectral import (
     CoefficientVector,
-    SourceCondition,
     SpectralDecomposition,
     counterexample_operator,
     embed_solution,
@@ -74,7 +73,6 @@ from .spectral import (
     # perfbench's tracer requires study to bind project_solution
     project_solution,  # noqa: F401
     svd,
-    synthesize_source,
 )
 
 #: sigma_l = exp(-decay l); at m=100 this puts sigma_m/sigma_1 near 1e-14
@@ -124,7 +122,7 @@ def binary_option_truth(params: BinaryOptionParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# summaries and rate fits
+# summaries
 
 
 @dataclass(frozen=True)
@@ -157,24 +155,6 @@ def summarize(errors) -> Summary:
         max=float(values.max()),
         count=int(values.size),
     )
-
-
-def rate_fit(ns, medians) -> dict:
-    """Ordinary least squares of ln(median) on ln(n): {slope, intercept, r_squared}."""
-    ns = np.asarray(ns, dtype=float)
-    medians = np.asarray(medians, dtype=float)
-    if ns.size < 3 or medians.size != ns.size:
-        raise InputError("rate fit needs at least 3 (n, median) pairs")
-    if np.any(ns <= 0) or np.any(medians <= 0):
-        raise InputError("sample sizes and medians must be positive")
-    x = np.log(ns)
-    y = np.log(medians)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return {"slope": float(slope), "intercept": float(intercept), "r_squared": r_squared}
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +193,11 @@ _SEED = ("an integer in [0, 2^64)", lambda v: _is_int(v) and 0 <= v < 2**64, int
 _ORDER = ("an integer >= 1", lambda v: _is_finite(v) and v >= 1 and v == int(v), int)
 _FINITE = ("a finite number", _is_finite, float)
 _POSITIVE = ("positive and finite", lambda v: _is_finite(v) and v > 0, float)
+# a setting that scales the data is at most 1e100 in magnitude, so s_n's sum
+# of n m squared deviations stays finite for n m up to 1e108
+_MAGNITUDE = ("a finite number of magnitude <= 1e100",
+              lambda v: _is_finite(v) and abs(v) <= 1e100, float)
+_SCALE = ("positive and <= 1e100", lambda v: _is_finite(v) and 0 < v <= 1e100, float)
 _UNIT = ("in (0, 1)", lambda v: _is_finite(v) and 0 < v < 1, float)
 _ABOVE_ONE = ("finite and > 1", lambda v: _is_finite(v) and v > 1, float)
 _STRING = ("a string", lambda v: isinstance(v, str), str)
@@ -228,7 +213,7 @@ _REQUIRED = object()
 # of the section's choice key to the table of the keys that choice takes.
 SCENARIOS = {
     "diagonal_synthetic": {"m": (_DIMENSION, 200), "decay": (_POSITIVE, 1.0)},
-    "counterexample": {"m": (_DIMENSION, 100), "forced_value": (_FINITE, None)},
+    "counterexample": {"m": (_DIMENSION, 100), "forced_value": (_MAGNITUDE, None)},
     "heat_like": {"m": (_DIMENSION, 100), "decay": (_POSITIVE, DEFAULT_HEAT_DECAY)},
     "binary_option": {"grid": (_DIMENSION, 512)},
     "matrix_file": {"path": (_STRING, _REQUIRED)},
@@ -237,12 +222,12 @@ SCENARIOS = {
 #: named here fix their noise and their source and take neither section
 DEFAULT_NOISE = {"diagonal_synthetic": "direction_gaussian", "heat_like": "heavy_tailed",
                  "matrix_file": "direction_gaussian"}
-SOURCE = {"nu": (_POSITIVE, 1.0), "rho": (_POSITIVE, 1.0)}
+SOURCE = {"nu": (_POSITIVE, 1.0), "rho": (_SCALE, 1.0)}
 NOISES = {
-    "direction_gaussian": {"scale": (_POSITIVE, 1.0)},
-    "coefficient_gaussian": {"scale": (_POSITIVE, 1.0)},
-    "heavy_tailed": {"shape": (_FINITE, 1.0 / 3.0), "scale": (_POSITIVE, 0.5),
-                     "location": (_FINITE, 1.5), "weight_seed": (_SEED, 5)},
+    "direction_gaussian": {"scale": (_SCALE, 1.0)},
+    "coefficient_gaussian": {"scale": (_SCALE, 1.0)},
+    "heavy_tailed": {"shape": (_FINITE, 1.0 / 3.0), "scale": (_SCALE, 0.5),
+                     "location": (_MAGNITUDE, 1.5), "weight_seed": (_SEED, 5)},
 }
 FILTERS = {kind: {} for kind in KINDS} | {
     "iterated_tikhonov": {"order": (_ORDER, 2)},
@@ -440,16 +425,16 @@ def default_counterexample_config(n_max: int = 6, forced: bool = False,
 @dataclass(frozen=True)
 class Scenario:
     """Everything a study replication needs: the operator, the true solution
-    ``x_hat`` as an array in the operator's solution coordinates, the exact
-    data ``y_hat`` in its data coordinates, the noise model, and the value of
-    every latent draw when the draws are forced.  An operator without bases
-    is diagonal and its coordinates are its coefficients; otherwise they are
+    ``x_hat`` and the exact data ``y_hat`` as arrays in the operator's
+    solution and data coordinates, the noise model, and the value of every
+    latent draw when the draws are forced.  An operator without bases is
+    diagonal and its coordinates are its coefficients; otherwise they are
     ambient, and ``project_data`` and ``embed_solution`` map to and from
     coefficients."""
 
     op: SpectralDecomposition
     x_hat: np.ndarray
-    y_hat: CoefficientVector
+    y_hat: np.ndarray
     model: object
     forced_value: float | None = None
 
@@ -467,7 +452,7 @@ def _noise_model(noise: dict, m: int, basis: np.ndarray | None):
     direction = weights / np.linalg.norm(weights)
     if basis is not None:
         direction = basis @ direction
-    return DirectionGaussian(CoefficientVector(noise["scale"] * direction, 0.0))
+    return DirectionGaussian(noise["scale"] * direction)
 
 
 def _smooth_scenario(op: SpectralDecomposition, config: StudyConfig,
@@ -484,9 +469,10 @@ def _smooth_scenario(op: SpectralDecomposition, config: StudyConfig,
     else:
         w = levels**-0.55
     w *= source["rho"] / np.linalg.norm(w)
-    x_hat, y_hat = synthesize_source(op, SourceCondition(source["nu"], source["rho"], w))
+    x_hat = op.singular_values ** source["nu"] * w
+    y_hat = op.singular_values * x_hat
     if op.left_basis is not None:
-        y_hat = CoefficientVector(op.left_basis @ y_hat.coefficients, 0.0)
+        y_hat = op.left_basis @ y_hat
     return Scenario(op, embed_solution(op, x_hat), y_hat,
                     _noise_model(config.noise, m, op.left_basis))
 
@@ -502,7 +488,7 @@ def build_scenario(config: StudyConfig) -> Scenario:
     if name == "counterexample":
         op, direction = counterexample_operator(params["m"])
         zero = np.zeros(params["m"])
-        return Scenario(op, zero, CoefficientVector(zero, 0.0), DirectionGaussian(direction),
+        return Scenario(op, zero, zero, DirectionGaussian(direction),
                         forced_value=params["forced_value"])
 
     if name == "binary_option":
@@ -511,7 +497,7 @@ def build_scenario(config: StudyConfig) -> Scenario:
         root_h = math.sqrt(option.grid_weight)
         return Scenario(integration_operator(params["grid"]),
                         root_h * truth["derivative_curve"],
-                        CoefficientVector(root_h * truth["value_curve"], 0.0),
+                        root_h * truth["value_curve"],
                         BernoulliPayoff(option))
 
     if name == "diagonal_synthetic":
@@ -600,7 +586,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             forced = np.full(n, scenario.forced_value)
         batch = draw_batch(scenario.model, scenario.y_hat, n,
                            config.base_seed, (n_index << 32) | rep, forced)
-        y_bar = project_data(scenario.op, batch.mean.coefficients)
+        y_bar = project_data(scenario.op, batch.mean)
         d_true = delta_true(batch, scenario.y_hat)
         # the batch is released on return, before the next is drawn: a
         # full-sample batch holds an n x m matrix

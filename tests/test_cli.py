@@ -480,21 +480,48 @@ def test_unknown_command_exits_via_argparse(tmp_path, capsys):
     assert excinfo.value.code == 0
 
 
-def test_perfbench_tracer_finds_every_boundary(tmp_path):
+# a coefficient-Gaussian study: every batch holds its full n x m sample matrix
+_FULL_SAMPLE_STUDY = {
+    "version": 1,
+    "scenario": {"name": "diagonal_synthetic", "m": 7},
+    "noise": {"variant": "coefficient_gaussian", "scale": 1.0},
+    "filter": {"kind": "tikhonov"},
+    "rules": [{"name": "dp"}],
+    "delta_rule": {"name": "sample_std"},
+    "sample_sizes": [10, 30],
+    "replications": 3,
+    "base_seed": 1,
+}
+
+
+@pytest.mark.parametrize("command", ["verify-filters", "simulate"])
+def test_perfbench_tracer_finds_every_boundary(tmp_path, command):
     # the traced benchmark wraps names where each module binds them; a module
     # that stops binding one makes the child fail before it runs the command
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
                                                       env.get("PYTHONPATH")]))
+    argv = [command]
+    if command == "simulate":
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps(_FULL_SAMPLE_STUDY))
+        argv += ["--config", str(config), "--out", str(tmp_path / "out")]
     report = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "child.py"), "trace", str(report),
-         "--", "verify-filters"],
+         "--", *argv],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(report.read_text())["calls"]["cli"] == 1
+    traced = json.loads(report.read_text())
+    assert traced["calls"]["cli"] == 1
+    if command == "simulate":
+        # perfbench reads the batch's private sample matrix; a rename would
+        # silently read no bytes
+        study = _FULL_SAMPLE_STUDY
+        expected = study["replications"] * sum(study["sample_sizes"]) * 7 * 8
+        assert traced["counts"]["measurements.bytes_materialized"] == expected
 
 
 def test_importing_the_cli_does_not_import_scipy():

@@ -21,11 +21,11 @@ from avereg.measurements import (
     load_batch_csv,
 )
 from avereg.rng import RandomStream
-from avereg.spectral import CoefficientVector, counterexample_direction
+from avereg.spectral import counterexample_direction
 
 
 def _zero(m):
-    return CoefficientVector(np.zeros(m))
+    return np.zeros(m)
 
 
 def _heavy_tailed(m):
@@ -41,7 +41,7 @@ def test_direction_gaussian_mean_is_linear_in_latents():
     direction = counterexample_direction(6)
     batch = draw_batch(DirectionGaussian(direction), _zero(6), n=10, seed=321)
     z = RandomStream(321).normals(10)
-    assert np.allclose(batch.mean.coefficients, z.mean() * direction.coefficients)
+    assert np.allclose(batch.mean, z.mean() * direction)
 
 
 def test_bernoulli_with_tiny_strike_pays_everywhere():
@@ -53,7 +53,7 @@ def test_bernoulli_with_tiny_strike_pays_everywhere():
     z = params.latent_mean() + params.latent_std() * RandomStream(1).normals(5)
     samples = scale * (z[:, None] >= np.log(params.strike / params.s0_grid) / params.expiry)
     assert np.allclose(samples, scale)
-    assert np.allclose(batch.mean.coefficients, scale)
+    assert np.allclose(batch.mean, scale)
     assert batch.samples is None
     assert batch.sample_std == 0.0
 
@@ -72,31 +72,31 @@ def test_draw_batch_requires_two_samples():
 
 def test_batch_mean_and_std_match_samples():
     model = CoefficientGaussian(0.7)
-    y_hat = CoefficientVector([1.0, -2.0, 0.5])
+    y_hat = np.array([1.0, -2.0, 0.5])
     batch = draw_batch(model, y_hat, n=40, seed=5)
     samples = batch.samples
-    assert np.allclose(samples.mean(axis=0), batch.mean.coefficients, rtol=1e-12)
+    assert np.allclose(samples.mean(axis=0), batch.mean, rtol=1e-12)
     spread = math.sqrt(np.sum((samples - samples.mean(axis=0)) ** 2) / 39)
     assert batch.sample_std == pytest.approx(spread, rel=1e-12)
 
 
 def test_coefficient_gaussian_batch_is_bitwise_the_out_of_place_formula():
     # n * m odd, so the Box-Muller draw drops its last sine
-    y_hat = CoefficientVector([1.0, -2.0, 0.5])
+    y_hat = np.array([1.0, -2.0, 0.5])
     batch = draw_batch(CoefficientGaussian(0.7), y_hat, n=41, seed=5, stream=2)
     noise = 0.7 * RandomStream(5, 2).normals(41 * 3).reshape(41, 3)
-    samples = y_hat.coefficients + noise
+    samples = y_hat + noise
     assert np.array_equal(batch.samples, samples)
     mean = samples.mean(axis=0)
-    assert np.array_equal(batch.mean.coefficients, mean)
+    assert np.array_equal(batch.mean, mean)
     assert batch.sample_std == math.sqrt(np.sum((samples - mean) ** 2) / 40)
 
 
 def test_coefficient_gaussian_batch_of_many_leaves_is_the_out_of_place_formula():
     # 5000 * 30 values: s_n is summed in four leaves
-    y_hat = CoefficientVector(np.linspace(-1.0, 1.0, 30))
+    y_hat = np.linspace(-1.0, 1.0, 30)
     batch = draw_batch(CoefficientGaussian(2.0), y_hat, n=5000, seed=3, stream=1)
-    samples = y_hat.coefficients + 2.0 * RandomStream(3, 1).normals(5000 * 30).reshape(5000, 30)
+    samples = y_hat + 2.0 * RandomStream(3, 1).normals(5000 * 30).reshape(5000, 30)
     assert np.array_equal(batch.samples, samples)
     mean = samples.mean(axis=0)
     assert batch.sample_std == math.sqrt(np.sum((samples - mean) ** 2) / 4999)
@@ -146,29 +146,29 @@ def test_leaf_sum_holds_with_more_threads_than_cores_and_fast_switching(monkeypa
 def test_rank_one_batches_match_materialised_samples():
     direction = counterexample_direction(5)
     batch = draw_batch(DirectionGaussian(direction), _zero(5), n=12, seed=9)
-    samples = RandomStream(9).normals(12)[:, None] * direction.coefficients
+    samples = RandomStream(9).normals(12)[:, None] * direction
     assert batch.samples is None
-    assert np.allclose(samples.mean(axis=0), batch.mean.coefficients, rtol=1e-12)
+    assert np.allclose(samples.mean(axis=0), batch.mean, rtol=1e-12)
     spread = math.sqrt(np.sum((samples - samples.mean(axis=0)) ** 2) / 11)
     assert batch.sample_std == pytest.approx(spread, rel=1e-12)
 
 
 def test_determinism_bitwise():
     model = _heavy_tailed(8)
-    y_hat = CoefficientVector(np.linspace(0, 1, 8))
+    y_hat = np.linspace(0, 1, 8)
     a = draw_batch(model, y_hat, n=20, seed=13, stream=2)
     b = draw_batch(model, y_hat, n=20, seed=13, stream=2)
-    assert np.array_equal(a.mean.coefficients, b.mean.coefficients)
+    assert np.array_equal(a.mean, b.mean)
     assert a.sample_std == b.sample_std
     c = draw_batch(model, y_hat, n=20, seed=13, stream=3)
-    assert not np.array_equal(a.mean.coefficients, c.mean.coefficients)
+    assert not np.array_equal(a.mean, c.mean)
 
 
 def test_forced_latents_hook():
     direction = counterexample_direction(6)
     batch = draw_batch(DirectionGaussian(direction), _zero(6), n=4, seed=0,
                        forced_latents=np.ones(4))
-    assert delta_true(batch, _zero(6)) == pytest.approx(direction.norm())
+    assert delta_true(batch, _zero(6)) == pytest.approx(np.linalg.norm(direction))
     assert batch.sample_std == 0.0
 
 
@@ -219,12 +219,12 @@ def test_delta_est_degenerate_and_invalid():
 
 
 def test_delta_true_examples():
-    y_hat = CoefficientVector([1.0, 2.0])
+    y_hat = np.array([1.0, 2.0])
     batch = draw_batch(CoefficientGaussian(1.0), y_hat, n=10, seed=3)
-    direct = np.linalg.norm(batch.mean.coefficients - y_hat.coefficients)
+    direct = np.linalg.norm(batch.mean - y_hat)
     assert delta_true(batch, y_hat) == pytest.approx(direct)
     with pytest.raises(InputError):
-        delta_true(batch, CoefficientVector([1.0]))
+        delta_true(batch, np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_delta_true_examples():
 
 def test_unbiasedness_over_replications():
     m = 8
-    y_hat = CoefficientVector(np.linspace(0.2, 1.0, m))
+    y_hat = np.linspace(0.2, 1.0, m)
     option = BinaryOptionParams.default(m)
     truth_scale = option.discounted_payoff * math.sqrt(option.grid_weight)
     models = {
@@ -247,7 +247,7 @@ def test_unbiasedness_over_replications():
         sq = 0.0
         for rep in range(reps):
             batch = draw_batch(model, target, n, seed=42, stream=rep)
-            acc += batch.mean.coefficients - target.coefficients
+            acc += batch.mean - target
             sq += batch.sample_std**2
         bias = np.linalg.norm(acc / reps)
         s = math.sqrt(sq / reps)
@@ -259,13 +259,13 @@ def test_bernoulli_unbiasedness():
 
     option = BinaryOptionParams.default(32)
     truth = binary_option_truth(option)
-    target = CoefficientVector(math.sqrt(option.grid_weight) * truth["value_curve"])
+    target = math.sqrt(option.grid_weight) * truth["value_curve"]
     reps, n = 2000, 50
     acc = np.zeros(32)
     sq = 0.0
     for rep in range(reps):
         batch = draw_batch(BernoulliPayoff(option), target, n, seed=17, stream=rep)
-        acc += batch.mean.coefficients - target.coefficients
+        acc += batch.mean - target
         sq += batch.sample_std**2
     bias = np.linalg.norm(acc / reps)
     s = math.sqrt(sq / reps)
@@ -307,7 +307,7 @@ def test_batch_csv_round_trip(tmp_path):
     loaded = load_batch_csv(path)
     assert loaded.n == 6
     assert np.allclose(loaded.samples, batch.samples)
-    assert np.allclose(loaded.mean.coefficients, batch.mean.coefficients)
+    assert np.allclose(loaded.mean, batch.mean)
     assert loaded.sample_std == pytest.approx(batch.sample_std)
 
 

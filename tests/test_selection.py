@@ -64,7 +64,7 @@ def test_counterexample_forced_noise_selects_tiny_alpha():
     # with Y_bar equal to the noise direction and delta = 1/sqrt(4) = 1/2,
     # TSVD must resolve at least 3 levels before the residual drops below 1/2
     op, direction = counterexample_operator(6)
-    result = discrepancy_principle(op, FilterSpec.tsvd(), direction,
+    result = discrepancy_principle(op, FilterSpec.tsvd(), CoefficientVector(direction),
                                    delta_est=0.5, q=0.5)
     assert result.alpha <= 1e-6
     assert result.alpha > 0.5e-6
@@ -73,7 +73,7 @@ def test_counterexample_forced_noise_selects_tiny_alpha():
 
 def test_counterexample_forced_noise_with_emergency_stop():
     op, direction = counterexample_operator(6)
-    result = discrepancy_principle(op, FilterSpec.tsvd(), direction,
+    result = discrepancy_principle(op, FilterSpec.tsvd(), CoefficientVector(direction),
                                    delta_est=0.5, q=0.5, emergency_n=4)
     assert result.emergency_triggered
     assert 1.0 / 8.0 < result.alpha <= 1.0 / 4.0
@@ -324,14 +324,14 @@ def test_blocked_search_rejects_an_underflowing_spectrum():
     # at m = 161 the smallest square is subnormal, and both searches agree
     op, direction = counterexample_operator(161)
     assert 0 < op.singular_values[-1] ** 2 < 2.0**-1022
-    _assert_same_search(op, FilterSpec.tsvd(), direction, 0.5, 0.5)
+    _assert_same_search(op, FilterSpec.tsvd(), CoefficientVector(direction), 0.5, 0.5)
 
 
 def test_emergency_guard_bounds_alpha():
     # with the guard active, alpha always exceeds q/n
     op, direction = counterexample_operator(10)
     for n in (3, 10, 50):
-        result = discrepancy_principle(op, FilterSpec.tsvd(), direction,
+        result = discrepancy_principle(op, FilterSpec.tsvd(), CoefficientVector(direction),
                                        delta_est=1e-6, q=0.7, emergency_n=n)
         assert result.alpha > 0.7 / n
         if result.emergency_triggered:
@@ -358,6 +358,17 @@ def test_apriori_inv_sqrt_n():
 def test_apriori_clamped_to_unit_interval():
     rule = AprioriRule("scaled_source", c=100.0, nu=1.0, rho=1.0)
     assert apriori_alpha(rule, 0.5, n=10) == 1.0
+    # (delta/rho)^(2/(nu+1)) overflows a float: it used to raise OverflowError
+    rule = AprioriRule("scaled_source", nu=1e-3, rho=1e-300)
+    assert apriori_alpha(rule, 0.5, n=10) == 1.0
+    # ... and underflows to 0, which no filter takes
+    rule = AprioriRule("scaled_source", nu=1e-3, rho=1e308)
+    assert apriori_alpha(rule, 0.5, n=10) == math.ulp(0.0)
+    # an overflowing power times a tiny c is evaluated in logs, not clamped
+    rule = AprioriRule("scaled_source", c=5e-324, nu=1e-3, rho=1e-160)
+    expected = math.exp(math.log(5e-324) + 2.0 / 1.001 * math.log(1e160))
+    assert 1e-5 < expected < 1e-3
+    assert apriori_alpha(rule, 1.0, n=10) == pytest.approx(expected, rel=1e-12)
 
 
 def test_apriori_validation():

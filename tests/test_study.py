@@ -29,7 +29,6 @@ from avereg.study import (
     format_summary_table,
     heat_like_operator,
     integration_operator,
-    rate_fit,
     read_config,
     run_study,
     summarize,
@@ -85,7 +84,7 @@ def test_summarize_singleton_and_errors():
         summarize([1.0, math.inf])
 
 
-def test_rate_fit_recovers_exact_power_law():
+def test_rate_fit_recovers_exact_power_law(rate_fit):
     ns = [100, 1000, 10000, 100000]
     medians = [3.0 * n**-0.25 for n in ns]
     fit = rate_fit(ns, medians)
@@ -94,17 +93,17 @@ def test_rate_fit_recovers_exact_power_law():
     assert fit["r_squared"] == pytest.approx(1.0)
 
 
-def test_rate_fit_constant_medians():
+def test_rate_fit_constant_medians(rate_fit):
     fit = rate_fit([10, 100, 1000], [2.0, 2.0, 2.0])
     assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rate_fit_validation():
-    with pytest.raises(InputError):
+def test_rate_fit_validation(rate_fit):
+    with pytest.raises(ValueError):
         rate_fit([10, 100], [1.0, 0.5])
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         rate_fit([10, 100, 1000], [1.0, 0.5, 0.0])
-    with pytest.raises(InputError):
+    with pytest.raises(ValueError):
         rate_fit([10, -100, 1000], [1.0, 0.5, 0.2])
 
 
@@ -263,10 +262,21 @@ def test_config_rejects_booleans_as_integers(overrides):
      "location must be a finite number"),
     ({"noise": {"variant": "heavy_tailed", "weight_seed": 1.5}},
      "weight_seed must be an integer"),
+    ({"source": {"nu": 1.0, "rho": 1e200}}, "source rho must be positive and <= 1e100"),
+    ({"noise": {"variant": "direction_gaussian", "scale": 1e200}},
+     "noise scale must be positive and <= 1e100"),
+    ({"noise": {"variant": "coefficient_gaussian", "scale": 1e200}},
+     "noise scale must be positive and <= 1e100"),
+    ({"noise": {"variant": "heavy_tailed", "scale": 1e200}},
+     "noise scale must be positive and <= 1e100"),
+    ({"noise": {"variant": "heavy_tailed", "location": -1e200}},
+     "noise location must be a finite number of magnitude <= 1e100"),
+    ({"scenario": {"name": "counterexample", "forced_value": 1e200}, "source": None},
+     "scenario forced_value must be a finite number of magnitude <= 1e100"),
 ])
 def test_config_rejects_settings_that_used_to_fail_mid_run(overrides, message):
     # each of these used to pass validation and then raise a bare TypeError or
-    # ValueError from build_scenario
+    # ValueError from build_scenario, or overflow to a non-finite value mid-run
     raw = _tiny_config(**overrides)
     if raw["source"] is None:
         del raw["source"]
@@ -437,12 +447,10 @@ def test_matrix_file_honours_direction_gaussian_scale(tmp_path):
     scaled = build_scenario(StudyConfig.from_dict(_matrix_file_config(
         tmp_path, noise={"variant": "direction_gaussian", "scale": 100.0})))
     assert type(scaled.model).__name__ == "DirectionGaussian"
-    assert np.array_equal(scaled.model.direction.coefficients,
-                          100.0 * default.model.direction.coefficients)
+    assert np.array_equal(scaled.model.direction, 100.0 * default.model.direction)
     unit = build_scenario(StudyConfig.from_dict(_matrix_file_config(
         tmp_path, noise={"variant": "direction_gaussian", "scale": 1.0})))
-    assert np.array_equal(unit.model.direction.coefficients,
-                          default.model.direction.coefficients)
+    assert np.array_equal(unit.model.direction, default.model.direction)
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +468,12 @@ def test_run_study_is_deterministic():
 
 _THREE_RULES = [{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}, {"name": "apriori"}]
 
-# sha256 of every CSV of small studies that need no SVD, one per filter or
-# scenario family; a change of any bit of any record shows here
+# sha256 of every CSV of small studies, one per filter or scenario family and
+# one per noise path of a matrix_file study; a change of any bit of any record
+# shows here.  Each config is made from a scratch directory for its matrix.
 _GOLDEN_STUDIES = {
     "iterated_tikhonov": (
-        lambda: _tiny_config(filter={"kind": "iterated_tikhonov", "order": 3},
+        lambda _: _tiny_config(filter={"kind": "iterated_tikhonov", "order": 3},
                              rules=_THREE_RULES), {
             "apriori_n200.csv": "29434f0d8f49d81334fba08b91cd808f2365d10649b1c436ae4ac9a98e7ace38",
             "apriori_n50.csv": "39bf9bde0afb017e419cbe9f0273426d34fe9e2f8ec8ea78a79024415e72e688",
@@ -477,7 +486,7 @@ _GOLDEN_STUDIES = {
             "summary.csv": "94f4ea1cb65bf93b3b8bc283da60c9383c2c7eb7a0ac6eef2b71ac4abf797e36",
         }),
     "landweber": (
-        lambda: _tiny_config(filter={"kind": "landweber"}, rules=_THREE_RULES), {
+        lambda _: _tiny_config(filter={"kind": "landweber"}, rules=_THREE_RULES), {
             "apriori_n200.csv": "8988a0ba7579fb8f1c29e9b9e57b2ac1bc580ea3dda07f41338084c0397637e1",
             "apriori_n50.csv": "ec3382e41fb47319320cccf13a755838af5be42d741bd8a8cbaf449ff89730f4",
             "dp_n200.csv": "80fb110fa3a793a19da600b5685879c19224505c08322c7b9a9678936e1574a1",
@@ -489,7 +498,7 @@ _GOLDEN_STUDIES = {
             "summary.csv": "b271b44476cc3b06af9bce3f537fad6d7876ec116bdb79eb38e278d9e390c1fc",
         }),
     "heat_like": (
-        lambda: default_heat_config(replications=4), {
+        lambda _: default_heat_config(replications=4), {
             "apriori_n1000.csv":
                 "0839e3c32d96c3494efcb708dda41ea887039a66d14be657440fb70a63288712",
             "apriori_n10000.csv":
@@ -508,7 +517,7 @@ _GOLDEN_STUDIES = {
             "summary.csv": "17f5d4d05d5c992fe8c8f4cc62d45d2ccd39d51b98fd448a8069b866da4e0d51",
         }),
     "counterexample_forced": (
-        lambda: default_counterexample_config(forced=True), {
+        lambda _: default_counterexample_config(forced=True), {
             "dp_n2.csv": "5dd62947eafeae4b7e301837edc75f0386022092450a530b7b9de984a658f6ff",
             "dp_n3.csv": "6c00361668e58c5ea57355038162f6807320392276e5f8d4a379234b3eb41e92",
             "dp_n4.csv": "fe2a6803ab3b171259d879cef4e785029e338e72c8fff35f533532bfce0029de",
@@ -517,7 +526,7 @@ _GOLDEN_STUDIES = {
             "summary.csv": "5d144af05df3a7e4974fee5ddcc20dcfe610519eb52e3e0182857182ddcdc0c1",
         }),
     "counterexample_forced_emergency": (
-        lambda: default_counterexample_config(forced=True, emergency=True), {
+        lambda _: default_counterexample_config(forced=True, emergency=True), {
             "dp_plus_es_n2.csv":
                 "24de03d59c4d6cbc3eb6fc38b176169728bfe7e0f35d95c2df060f38e55fecbd",
             "dp_plus_es_n3.csv":
@@ -530,15 +539,50 @@ _GOLDEN_STUDIES = {
                 "d3bd3938953883ebd9c19121a50f30d70b1a8eb88623810342811286e119c420",
             "summary.csv": "3a513f5ef51459171c7c0a251135f1abe62091ac992ec62233c4741be5db51da",
         }),
+    "matrix_file_coefficient_gaussian_lil": (
+        lambda tmp_path: _matrix_file_config(
+            tmp_path, noise={"variant": "coefficient_gaussian", "scale": 1.0},
+            delta_rule={"name": "lil", "tau": 1.5}, rules=_THREE_RULES), {
+            "apriori_n200.csv": "86f8e2420d2ba533ae258f0f3aa1ae70bbf1c7dd2d4752f2b74415fac246401e",
+            "apriori_n50.csv": "9c300a5ae03e8b2d70345d1c044d6d3f63e0adbc1fb5d44cebb7477eed4ae316",
+            "dp_n200.csv": "fe050ad9df3359fe2d82266035e6ac77fd09bedfcf623e1d08535917dfd77743",
+            "dp_n50.csv": "b7450b8dad081f34d2f40d268d9f702745476669603623ced81a3427d5020073",
+            "dp_plus_es_n200.csv":
+                "fe050ad9df3359fe2d82266035e6ac77fd09bedfcf623e1d08535917dfd77743",
+            "dp_plus_es_n50.csv":
+                "b7450b8dad081f34d2f40d268d9f702745476669603623ced81a3427d5020073",
+            "summary.csv": "964f5f898d4607979675ac976f918eb720d5f8375202a7caffb26b1505aca2e8",
+        }),
+    "matrix_file_direction_gaussian": (
+        lambda tmp_path: _matrix_file_config(tmp_path, rules=_THREE_RULES), {
+            "apriori_n200.csv": "59c78c9edbe43a0a3ea07506ba0704b2dc2262a2f775ceb31b4863cd446355f1",
+            "apriori_n50.csv": "b0e9a582ee7e60089e7329f48be70349e48e6dd091392a4197811597007d22d0",
+            "dp_n200.csv": "1ccc169536ec8d7e0960a52587a76e2d118997bea4be060510628dbc7cf645c9",
+            "dp_n50.csv": "de1e4fa45b37d19c09bb0efd1f01646a798a20de9f3d9b7392a84440b92d196d",
+            "dp_plus_es_n200.csv":
+                "1ccc169536ec8d7e0960a52587a76e2d118997bea4be060510628dbc7cf645c9",
+            "dp_plus_es_n50.csv":
+                "de1e4fa45b37d19c09bb0efd1f01646a798a20de9f3d9b7392a84440b92d196d",
+            "summary.csv": "d03fb1cb89633c9dd95afb7e95e7807a38d5239c4e28426bb7d5aef8af6f5f75",
+        }),
+    "binary_option": (
+        lambda _: {**default_binopt_config(replications=4),
+                   "scenario": {"name": "binary_option", "grid": 16},
+                   "sample_sizes": [100, 1000]}, {
+            "dp_n100.csv": "969507132723de6772bfb241518bf6e9bfc4ad541b1c4ba3e132ad7c2677f99b",
+            "dp_n1000.csv": "c46034398e21ea1300ba31e3e739e44a1dbca9be5367f9c706278095dae6538e",
+            "summary.csv": "9e9c3c1d456e3df48f16f6a1dff737a88cada76493642ea5cdd2df28eeff7710",
+        }),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_STUDIES))
 def test_study_csvs_keep_their_golden_bytes(name, tmp_path):
     make_raw, expected = _GOLDEN_STUDIES[name]
-    write_study_csvs(run_study(StudyConfig.from_dict(make_raw())), str(tmp_path))
+    out = tmp_path / "out"
+    write_study_csvs(run_study(StudyConfig.from_dict(make_raw(tmp_path))), str(out))
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in tmp_path.iterdir()}
+               for path in out.iterdir()}
     assert digests == expected
 
 
@@ -566,11 +610,11 @@ def test_dp_stop_certificates_hold_post_hoc():
     sigma_sq = scenario.op.singular_values**2
 
     def residual(alpha, y):
+        # a diagonal operator's range holds all of y
         gaps = 1.0 - sigma_sq * np.array(
             [filter_value(config.filter_spec, alpha, lam) for lam in sigma_sq]
         )
-        return math.hypot(float(np.linalg.norm(gaps * y.coefficients)),
-                          y.orthogonal_norm)
+        return float(np.linalg.norm(gaps * y))
 
     for n_index, n in enumerate(config.sample_sizes):
         for rec in result.records[("dp", n)]:
@@ -609,6 +653,22 @@ def test_heat_scenario_uses_heavy_tailed_noise():
     assert np.linalg.norm(scenario.x_hat) <= 1.0 + 1e-9  # rho * sigma_1^nu < 1
 
 
+@pytest.mark.parametrize("name", ["diagonal_synthetic", "matrix_file"])
+def test_smooth_scenario_data_is_the_forward_image_of_its_source(tmp_path, name):
+    from avereg.spectral import project_solution
+
+    raw = _matrix_file_config(tmp_path) if name == "matrix_file" else _tiny_config()
+    raw["source"] = {"nu": 1.5, "rho": 2.0}
+    scenario = build_scenario(StudyConfig.from_dict(raw))
+    op = scenario.op
+    # x_hat = (K*K)^{nu/2} w with ||w|| = rho, and y_hat = K x_hat
+    w = project_solution(op, scenario.x_hat).coefficients / op.singular_values**1.5
+    assert np.linalg.norm(w) == pytest.approx(2.0, rel=1e-12)
+    matrix = (np.loadtxt(raw["scenario"]["path"], delimiter=",") if name == "matrix_file"
+              else np.diag(op.singular_values))
+    assert np.allclose(matrix @ scenario.x_hat, scenario.y_hat, rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.parametrize("scenario", [
     {"name": "counterexample", "m": 200},
     {"name": "heat_like", "m": 100, "decay": 5.0},
@@ -636,9 +696,9 @@ def test_search_that_cannot_stop_fails_only_its_replication():
     config = StudyConfig.from_dict(_tiny_config(delta_rule={"name": "inv_sqrt_n"}))
     # the data component outside the range (1.0) exceeds delta = 1/sqrt(4)
     y_bar = CoefficientVector(np.array([1.0]), 1.0)
-    zero = CoefficientVector(np.zeros(1), 0.0)
-    scenario = Scenario(SpectralDecomposition(np.array([1.0])), np.zeros(1), zero, model=None)
-    batch = MeasurementBatch(4, y_bar, 1.0)
+    scenario = Scenario(SpectralDecomposition(np.array([1.0])), np.zeros(1), np.zeros(1),
+                        model=None)
+    batch = MeasurementBatch(4, np.array([1.0]), 1.0)
     record = _run_rule(config, scenario, DiscrepancyRule(q=0.7), y_bar, batch, 0.25, 3)
     assert record.failed
     assert record.replication == 3
@@ -682,6 +742,7 @@ def test_landweber_study_runs_clean():
 
 def test_solve_rule_is_the_study_replication_solve():
     from avereg.measurements import draw_batch
+    from avereg.spectral import project_data
     from avereg.study import solve_rule
 
     config = StudyConfig.from_dict(_tiny_config(
@@ -689,16 +750,17 @@ def test_solve_rule_is_the_study_replication_solve():
     scenario = build_scenario(config)
     result = run_study(config)
     batch = draw_batch(scenario.model, scenario.y_hat, 50, config.base_seed, 0)
+    y_bar = project_data(scenario.op, batch.mean)
     for rule in config.rules:
         choice, solution = solve_rule(scenario.op, config.filter_spec, rule, batch,
-                                      batch.mean, config.delta_rule, config.delta_tau)
+                                      y_bar, config.delta_rule, config.delta_tau)
         record = result.records[(rule.name, 50)][0]
         assert (choice.alpha, choice.k, choice.emergency_triggered, choice.delta_est_used) == \
             (record.alpha, record.k, record.emergency, record.delta_est)
-        error = np.linalg.norm(solution.x.coefficients - scenario.x_hat)
+        error = np.linalg.norm(solution.x - scenario.x_hat)
         assert float(error) == record.error
     choice, solution = solve_rule(scenario.op, config.filter_spec, config.rules[2], batch,
-                                  batch.mean, config.delta_rule)
+                                  y_bar, config.delta_rule)
     assert choice.delta_est_used == 1.0 / math.sqrt(50)
     assert choice.iterations_evaluated == 0
     assert choice.residual_at_stop == solution.residual
