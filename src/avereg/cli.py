@@ -9,9 +9,9 @@ Subcommands::
     binopt           binary-option differentiation study (built-in defaults)
     verify-filters   grid certification of the filter constants
 
-Exit codes: 0 success, 1 I/O or parse errors, 2 degenerate statistics,
-3 verification failure.  Every command is deterministic given its flags,
-config and seed.
+Exit codes: 0 success, 1 I/O or parse errors and running out of memory,
+2 degenerate statistics, 3 verification failure.  Every command is
+deterministic given its flags, config and seed.
 """
 
 from __future__ import annotations
@@ -219,6 +219,9 @@ def main(argv=None) -> int:
         return 2
     except (AveregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

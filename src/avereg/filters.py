@@ -155,11 +155,14 @@ def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
     return np.exp(_exponent(*_power(spec, alpha, lam)))
 
 
+# F beyond DBL_MAX, at a lambda below about 1/DBL_MAX, is inf: unused at a
+# level TSVD discards, else it shows as a solution error that overflows
+@np.errstate(over="ignore")
 def filter_value(spec: FilterSpec, alpha, lam):
     """F_alpha(lambda), evaluated without cancellation.
 
     A 1-D array of alphas gives one row of values per alpha; a scalar alpha
-    and a scalar lambda give a float.
+    and a scalar lambda give a float.  A value beyond the float range is inf.
     """
     alpha, lam = _axes(alpha, lam)
     if spec.kind == "tikhonov":

@@ -9,7 +9,9 @@ iterated-logarithm envelope ``tau s_n sqrt(2 log log n / n)`` are computed.
 Noise with a common random direction (``direction_gaussian``, ``heavy_tailed``)
 is stored in factored form — per-sample scalar latents times a fixed vector —
 so batches with n = 1e5 samples cost O(n + m) rather than O(n m), and their
-sample matrices are never built.  Noise that is not
+sample matrices are never built.  Direction-Gaussian noise may be forced:
+every latent then equals one value, a deterministic noise that goes through
+the same factored batch as a drawn one.  Noise that is not
 rank-one (``coefficient_gaussian``) needs the full n x m sample matrix; it is
 built in place in the array of drawn normals, and it is the batch's only n x m
 array: ``s_n`` sums the squared deviations leaf by leaf in the tree of numpy's
@@ -93,9 +95,11 @@ class BinaryOptionParams:
 
 @dataclass(frozen=True)
 class DirectionGaussian:
-    """Y_i = y_hat + Z_i * direction with Z_i standard normal."""
+    """Y_i = y_hat + Z_i * direction with Z_i standard normal, or with every
+    Z_i equal to ``forced`` when it is set (a deterministic noise)."""
 
     direction: np.ndarray
+    forced: float | None = None
 
 
 @dataclass(frozen=True)
@@ -240,40 +244,24 @@ def _finalize_full(samples) -> MeasurementBatch:
 
 
 def draw_batch(
-    model: NoiseModel,
-    y_hat: np.ndarray,
-    n: int,
-    seed: int,
-    stream: int = 0,
-    forced_latents: np.ndarray | None = None,
+    model: NoiseModel, y_hat: np.ndarray, n: int, seed: int, stream: int = 0
 ) -> MeasurementBatch:
     """Draw n i.i.d. measurements; deterministic given (model, n, seed, stream).
-
-    ``forced_latents`` is a test hook replacing the scalar latent variables
-    (the normals Z_i for direction_gaussian / bernoulli_payoff) by given
-    values, so conditional claims can be checked deterministically.
-    """
+    A forced ``DirectionGaussian`` takes its latents from the model, not the stream."""
     if n < 2:
         raise InputError("need n >= 2 measurements")
     rng = RandomStream(seed, stream)
 
     if isinstance(model, DirectionGaussian):
-        z = rng.normals(n) if forced_latents is None else _coerce_latents(forced_latents, n)
+        z = rng.normals(n) if model.forced is None else np.full(n, model.forced)
         return _rank_one_batch(y_hat, model.direction, z, n)
 
     if isinstance(model, HeavyTailed):
-        if forced_latents is not None:
-            z = _coerce_latents(forced_latents, n)
-        else:
-            u = rng.symmetric_uniforms(n)
-            z = u * rng.generalized_pareto(n, model.shape, model.scale, model.location)
-        if model.weights.shape[0] != len(y_hat):
-            raise InputError("weight vector length must match y_hat")
+        u = rng.symmetric_uniforms(n)
+        z = u * rng.generalized_pareto(n, model.shape, model.scale, model.location)
         return _rank_one_batch(y_hat, model.weights, z, n)
 
     if isinstance(model, CoefficientGaussian):
-        if forced_latents is not None:
-            raise InputError("coefficient_gaussian has no scalar latent to force")
         m = len(y_hat)
         samples = rng.normals(n * m).reshape(n, m)
         samples *= model.scale
@@ -281,16 +269,9 @@ def draw_batch(
         return _finalize_full(samples)
 
     if isinstance(model, BernoulliPayoff):
-        return _bernoulli_batch(model, n, rng, forced_latents)
+        return _bernoulli_batch(model, n, rng)
 
     raise InputError(f"unknown noise model {type(model).__name__}")
-
-
-def _coerce_latents(latents, n) -> np.ndarray:
-    z = np.atleast_1d(np.asarray(latents, dtype=float))
-    if z.shape != (n,):
-        raise InputError(f"forced latents must have shape ({n},)")
-    return z
 
 
 def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
@@ -303,12 +284,9 @@ def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
     return MeasurementBatch(n, y_hat + z_bar * direction, std)
 
 
-def _bernoulli_batch(model, n, rng, forced_latents) -> MeasurementBatch:
+def _bernoulli_batch(model, n, rng) -> MeasurementBatch:
     p = model.params
-    if forced_latents is None:
-        z = p.latent_mean() + p.latent_std() * rng.normals(n)
-    else:
-        z = _coerce_latents(forced_latents, n)
+    z = p.latent_mean() + p.latent_std() * rng.normals(n)
     # indicator threshold per grid point: Z_i >= ln(strike/s0)/T
     thresholds = np.log(p.strike / p.s0_grid) / p.expiry
     z_sorted = np.sort(z)

@@ -124,7 +124,8 @@ def discrepancy_principle(
 
 @dataclass(frozen=True)
 class AprioriRule:
-    """alpha from the noise level alone: c (delta/rho)^{2/(nu+1)}, or 1/sqrt(n)."""
+    """alpha from the noise level alone: ``scaled_source`` c (delta/rho)^{2/(nu+1)},
+    or ``inv_sqrt_n_alpha`` 1/sqrt(n), which takes no c, nu or rho."""
 
     name = "apriori"  # the rule's name in a study; not a dataclass field
     variant: str
@@ -137,6 +138,9 @@ class AprioriRule:
             raise InputError(f"unknown a priori variant {self.variant!r}")
         if self.c <= 0 or self.nu <= 0 or self.rho <= 0:
             raise InputError("c, nu and rho must be positive")
+        # settings the variant ignores would change only equality
+        if self.variant == "inv_sqrt_n_alpha" and (self.c, self.nu, self.rho) != (1.0, 1.0, 1.0):
+            raise InputError("inv_sqrt_n_alpha takes no c, nu or rho")
 
 
 def apriori_alpha(rule: AprioriRule, delta_est: float, n: int) -> float:

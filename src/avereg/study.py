@@ -279,6 +279,17 @@ def resolve(label: str, table: dict, section, violations: list, choice: str | No
     return resolved
 
 
+def _resolve_rule(entry, violations: list) -> dict | None:
+    """A rules entry resolved like a section; the inv_sqrt_n_alpha variant
+    reads none of the keys of the scaled_source formula."""
+    rule = resolve("rule", RULES, entry, violations, "name")
+    if rule and rule.get("variant") == "inv_sqrt_n_alpha":
+        ignored = sorted(set(entry) & {"c", "nu", "rho"})
+        if ignored:
+            violations.append(f"rule apriori inv_sqrt_n_alpha does not take {ignored}")
+    return rule
+
+
 def _rule(entry: dict) -> DiscrepancyRule | AprioriRule:
     if entry["name"] == "apriori":
         return AprioriRule(entry["variant"], entry["c"], entry["nu"], entry["rho"])
@@ -290,7 +301,7 @@ def solve_settings(filter_section: dict, rule_entry: dict) -> tuple:
     and completed as in a study config; raises ConfigError."""
     violations = []
     spec = resolve("filter", FILTERS, filter_section, violations, "kind")
-    rule = resolve("rule", RULES, rule_entry, violations, "name")
+    rule = _resolve_rule(rule_entry, violations)
     if violations:
         raise ConfigError(violations)
     return FilterSpec(**spec), _rule(rule)
@@ -325,8 +336,7 @@ class StudyConfig:
                         violations)
         scenario = resolve("scenario", SCENARIOS, raw.get("scenario"), violations, "name")
         filter_section = resolve("filter", FILTERS, raw.get("filter"), violations, "kind")
-        rules = [resolve("rule", RULES, entry, violations, "name")
-                 for entry in study.get("rules", [])]
+        rules = [_resolve_rule(entry, violations) for entry in study.get("rules", [])]
         delta = resolve("delta_rule", DELTAS, raw.get("delta_rule"), violations, "name")
 
         name = scenario["name"] if scenario else None
@@ -426,17 +436,15 @@ def default_counterexample_config(n_max: int = 6, forced: bool = False,
 class Scenario:
     """Everything a study replication needs: the operator, the true solution
     ``x_hat`` and the exact data ``y_hat`` as arrays in the operator's
-    solution and data coordinates, the noise model, and the value of every
-    latent draw when the draws are forced.  An operator without bases is
-    diagonal and its coordinates are its coefficients; otherwise they are
-    ambient, and ``project_data`` and ``embed_solution`` map to and from
-    coefficients."""
+    solution and data coordinates, and the noise model.  An operator without
+    bases is diagonal and its coordinates are its coefficients; otherwise
+    they are ambient, and ``project_data`` and ``embed_solution`` map to and
+    from coefficients."""
 
     op: SpectralDecomposition
     x_hat: np.ndarray
     y_hat: np.ndarray
     model: object
-    forced_value: float | None = None
 
 
 def _noise_model(noise: dict, m: int, basis: np.ndarray | None):
@@ -479,17 +487,16 @@ def _smooth_scenario(op: SpectralDecomposition, config: StudyConfig,
 
 def build_scenario(config: StudyConfig) -> Scenario:
     """The scenario of a config: the counterexample's zero truth with its
-    adversarial noise direction, the binary option's analytic truth with
-    Bernoulli payoffs, or a smooth source on a diagonal, heat-like or
-    CSV-matrix operator."""
+    adversarial noise direction, forced to ``forced_value`` when that is set,
+    the binary option's analytic truth with Bernoulli payoffs, or a smooth
+    source on a diagonal, heat-like or CSV-matrix operator."""
     params = config.scenario
     name = params["name"]
 
     if name == "counterexample":
         op, direction = counterexample_operator(params["m"])
         zero = np.zeros(params["m"])
-        return Scenario(op, zero, zero, DirectionGaussian(direction),
-                        forced_value=params["forced_value"])
+        return Scenario(op, zero, zero, DirectionGaussian(direction, params["forced_value"]))
 
     if name == "binary_option":
         option = BinaryOptionParams.default(params["grid"])
@@ -569,9 +576,9 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Run every (rule, sample size, replication) cell; deterministic.
 
     All rules share the batch of a given (sample size, replication) pair.
-    Replications whose sample-based noise estimate degenerates, or whose
-    discrepancy search cannot stop, are recorded as failed with the reason and
-    excluded from summaries; more than 5% failures abort the study.  The
+    Replications whose sample-based noise estimate degenerates, whose search
+    cannot stop or whose solution error overflows are recorded as failed with
+    the reason and excluded from summaries; over 5% failures abort it.  The
     (sample size, replication) pairs run in ``_fan_out``, one run per core
     unless each pair draws a full n x m sample matrix.
     """
@@ -580,12 +587,8 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     def cell(item):
         n_index, rep = item
-        n = config.sample_sizes[n_index]
-        forced = None
-        if scenario.forced_value is not None:
-            forced = np.full(n, scenario.forced_value)
-        batch = draw_batch(scenario.model, scenario.y_hat, n,
-                           config.base_seed, (n_index << 32) | rep, forced)
+        batch = draw_batch(scenario.model, scenario.y_hat, config.sample_sizes[n_index],
+                           config.base_seed, (n_index << 32) | rep)
         y_bar = project_data(scenario.op, batch.mean)
         d_true = delta_true(batch, scenario.y_hat)
         # the batch is released on return, before the next is drawn: a
@@ -736,9 +739,12 @@ def _run_rule(config, scenario, rule, y_bar, batch, d_true, rep) -> ReplicationR
         return ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
                                  d_est, failed=True, reason=str(exc))
 
-    error = float(np.linalg.norm(embed_solution(scenario.op, solution.x) - scenario.x_hat))
+    # an inf coefficient times a zero basis entry is nan: both mean overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = float(np.linalg.norm(embed_solution(scenario.op, solution.x) - scenario.x_hat))
+    overflow = "" if math.isfinite(error) else "the solution error overflows double precision"
     return ReplicationRecord(rep, error, choice.alpha, choice.k, choice.emergency_triggered,
-                             d_true, choice.delta_est_used)
+                             d_true, choice.delta_est_used, failed=bool(overflow), reason=overflow)
 
 
 # ---------------------------------------------------------------------------

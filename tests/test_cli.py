@@ -354,6 +354,64 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, failed", [
+    # the solution is finite, its squared norm is not
+    ({"scenario": {"name": "counterexample", "m": 100, "forced_value": 1e100}}, "2 of 2"),
+    # TSVD keeps a subnormal lambda, whose 1/lambda is inf
+    ({"scenario": {"name": "counterexample", "m": 161, "forced_value": 1.0},
+      "sample_sizes": [100000]}, "1 of 1"),
+    # inf solution coefficients times zero basis entries are nan
+    ({"scenario": {"name": "matrix_file"},
+      "noise": {"variant": "direction_gaussian", "scale": 1e-160},
+      "filter": {"kind": "tikhonov"}, "delta_rule": {"name": "sample_std"},
+      "sample_sizes": [20, 200], "replications": 3}, "3 of 6"),
+])
+def test_simulate_overflowing_solution_error_is_one_error_line(
+        tmp_path, capsys, overrides, failed):
+    raw = {
+        "version": 1,
+        "filter": {"kind": "tsvd"},
+        "rules": [{"name": "dp", "q": 0.5}],
+        "delta_rule": {"name": "inv_sqrt_n"},
+        "sample_sizes": [100, 1000],
+        "replications": 1,
+        "base_seed": 1,
+        **overrides,
+    }
+    if raw["scenario"]["name"] == "matrix_file":
+        matrix = tmp_path / "matrix.csv"
+        np.savetxt(matrix, 1e-160 * np.eye(4), delimiter=",")
+        raw["scenario"] = {**raw["scenario"], "path": str(matrix)}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    k = failed.split()[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {failed} replications failed ({k} x the solution error overflows "
+        "double precision); summaries would be meaningless"]
+
+
+def test_simulate_out_of_memory_is_one_error_line(tmp_path, capsys):
+    # 10^15 samples of 100 coefficients are 8e17 bytes, beyond any address
+    # space, so the allocation fails at once and nothing is forked
+    raw = {
+        "version": 1,
+        "scenario": {"name": "diagonal_synthetic", "m": 100},
+        "noise": {"variant": "coefficient_gaussian"},
+        "filter": {"kind": "tikhonov"},
+        "rules": [{"name": "dp"}],
+        "delta_rule": {"name": "sample_std"},
+        "sample_sizes": [10**15],
+        "replications": 1,
+        "base_seed": 1,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+
+
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
     config = _tiny_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -19,9 +19,10 @@ from avereg.errors import (
 )
 from avereg.study import StudyConfig, StudyResult, run_study
 
-# README: 1 for I/O, parse and config errors, 2 for degenerate statistics
-# and too many failed replications
+# README: 1 for I/O, parse and config errors and running out of memory, 2 for
+# degenerate statistics and too many failed replications
 DOCUMENTED_EXIT = {
+    MemoryError: 1,
     ConfigError: 1,
     InputError: 1,
     ConfigurationError: 1,
@@ -80,9 +81,10 @@ _FILTER = st.one_of(
 _RULE = st.one_of(
     st.fixed_dictionaries({"name": st.sampled_from(["dp", "dp+es"]),
                            "q": st.floats(0.1, 0.95)}),
+    # c, nu and rho are settings of the scaled_source formula alone
+    st.fixed_dictionaries({"name": st.just("apriori"), "variant": st.just("inv_sqrt_n_alpha")}),
     st.fixed_dictionaries({
-        "name": st.just("apriori"),
-        "variant": st.sampled_from(["inv_sqrt_n_alpha", "scaled_source"]),
+        "name": st.just("apriori"), "variant": st.just("scaled_source"),
         "c": st.floats(0.1, 10.0), "nu": st.floats(0.5, 3.0), "rho": st.floats(0.5, 3.0),
     }),
 )

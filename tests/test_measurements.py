@@ -164,10 +164,9 @@ def test_determinism_bitwise():
     assert not np.array_equal(a.mean, c.mean)
 
 
-def test_forced_latents_hook():
+def test_forced_direction_gaussian_pins_every_latent():
     direction = counterexample_direction(6)
-    batch = draw_batch(DirectionGaussian(direction), _zero(6), n=4, seed=0,
-                       forced_latents=np.ones(4))
+    batch = draw_batch(DirectionGaussian(direction, forced=1.0), _zero(6), n=4, seed=0)
     assert delta_true(batch, _zero(6)) == pytest.approx(np.linalg.norm(direction))
     assert batch.sample_std == 0.0
 
@@ -202,8 +201,7 @@ def test_delta_est_lil_closed_form():
 
 def test_delta_est_degenerate_and_invalid():
     direction = counterexample_direction(4)
-    batch = draw_batch(DirectionGaussian(direction), _zero(4), n=4, seed=0,
-                       forced_latents=np.zeros(4))
+    batch = draw_batch(DirectionGaussian(direction, forced=0.0), _zero(4), n=4, seed=0)
     assert batch.sample_std == 0.0
     with pytest.raises(DegenerateBatchError):
         delta_est(batch, "sample_std")

@@ -378,6 +378,11 @@ def test_apriori_validation():
         AprioriRule("scaled_source", c=0.0)
     with pytest.raises(InputError):
         apriori_alpha(AprioriRule("scaled_source"), 0.0, n=10)
+    # a setting the variant ignores is an error, not a second rule of that variant
+    for setting in ({"c": 50.0}, {"nu": 3.0}, {"rho": 2.0}):
+        with pytest.raises(InputError, match="inv_sqrt_n_alpha takes no c, nu or rho"):
+            AprioriRule("inv_sqrt_n_alpha", **setting)
+    assert AprioriRule("inv_sqrt_n_alpha", c=1.0) == AprioriRule("inv_sqrt_n_alpha")
 
 
 # ---------------------------------------------------------------------------

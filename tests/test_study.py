@@ -235,9 +235,9 @@ def test_config_rejects_any_version_but_the_integer_1(version):
     {"source": {"nu": 1.0, "rho": True}},
     {"rules": [{"name": "dp", "q": True}]},
     {"delta_rule": {"name": "lil", "tau": True}},
-    {"rules": [{"name": "apriori", "c": True}]},
-    {"rules": [{"name": "apriori", "nu": True}]},
-    {"rules": [{"name": "apriori", "rho": False}]},
+    {"rules": [{"name": "apriori", "variant": "scaled_source", "c": True}]},
+    {"rules": [{"name": "apriori", "variant": "scaled_source", "nu": True}]},
+    {"rules": [{"name": "apriori", "variant": "scaled_source", "rho": False}]},
     {"filter": {"kind": "iterated_tikhonov", "order": True}},
     {"filter": {"kind": "landweber", "relaxation": True}},
 ])
@@ -273,10 +273,15 @@ def test_config_rejects_booleans_as_integers(overrides):
      "noise location must be a finite number of magnitude <= 1e100"),
     ({"scenario": {"name": "counterexample", "forced_value": 1e200}, "source": None},
      "scenario forced_value must be a finite number of magnitude <= 1e100"),
+    ({"rules": [{"name": "apriori", "c": 50.0, "nu": 3.0}]},
+     "rule apriori inv_sqrt_n_alpha does not take ['c', 'nu']"),
+    ({"rules": [{"name": "apriori", "variant": "inv_sqrt_n_alpha", "rho": 1.0}]},
+     "rule apriori inv_sqrt_n_alpha does not take ['rho']"),
 ])
 def test_config_rejects_settings_that_used_to_fail_mid_run(overrides, message):
     # each of these used to pass validation and then raise a bare TypeError or
-    # ValueError from build_scenario, or overflow to a non-finite value mid-run
+    # ValueError from build_scenario, overflow to a non-finite value mid-run,
+    # or (c, nu and rho of inv_sqrt_n_alpha) be ignored
     raw = _tiny_config(**overrides)
     if raw["source"] is None:
         del raw["source"]
@@ -290,7 +295,7 @@ def test_config_rejects_settings_that_used_to_fail_mid_run(overrides, message):
     {"noise": {"variant": "coefficient_gaussian", "scale": 10**400}},
     {"source": {"nu": 10**400, "rho": 1.0}},
     {"rules": [{"name": "dp", "q": -10**400}]},
-    {"rules": [{"name": "apriori", "c": 10**400}]},
+    {"rules": [{"name": "apriori", "variant": "scaled_source", "c": 10**400}]},
     {"delta_rule": {"name": "lil", "tau": 10**400}},
     {"filter": {"kind": "landweber", "relaxation": 10**400}},
 ])
@@ -411,8 +416,9 @@ def test_absent_keys_take_the_defaults_written_out(tmp_path, name):
             filter={"kind": "iterated_tikhonov", **({"order": 2} if full else {})},
             rules=[{"name": "dp", **({"q": 0.7} if full else {})},
                    {"name": "dp+es", **({"q": 0.7} if full else {})},
-                   {"name": "apriori", **({"variant": "inv_sqrt_n_alpha", "c": 1.0,
-                                           "nu": 1.0, "rho": 1.0} if full else {})}],
+                   # inv_sqrt_n_alpha takes no c, nu or rho
+                   {"name": "apriori", "variant": "scaled_source",
+                    **({"c": 1.0, "nu": 1.0, "rho": 1.0} if full else {})}],
         )
         del raw["source"]
         if full and noise is not None:
@@ -421,6 +427,9 @@ def test_absent_keys_take_the_defaults_written_out(tmp_path, name):
 
     sparse, full = config({}, False), config(written, True)
     assert sparse == full
+    assert StudyConfig.from_dict(_tiny_config(rules=[{"name": "apriori"}])) == \
+        StudyConfig.from_dict(_tiny_config(rules=[{"name": "apriori",
+                                                   "variant": "inv_sqrt_n_alpha"}]))
     assert (full.source, full.noise) == ((None, None) if noise is None
                                          else (_SOURCE_DEFAULTS, noise))
     assert pickle.dumps(build_scenario(sparse)) == pickle.dumps(build_scenario(full))
@@ -467,6 +476,16 @@ def test_run_study_is_deterministic():
 
 
 _THREE_RULES = [{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}, {"name": "apriori"}]
+
+
+def _forced_counterexample_config(sample_sizes=None, **scenario):
+    """The forced counterexample with its scenario keys overridden."""
+    raw = default_counterexample_config(forced=True)
+    raw["scenario"].update(scenario)
+    if sample_sizes is not None:
+        raw["sample_sizes"] = sample_sizes
+    return raw
+
 
 # sha256 of every CSV of small studies, one per filter or scenario family and
 # one per noise path of a matrix_file study; a change of any bit of any record
@@ -538,6 +557,22 @@ _GOLDEN_STUDIES = {
             "dp_plus_es_n6.csv":
                 "d3bd3938953883ebd9c19121a50f30d70b1a8eb88623810342811286e119c420",
             "summary.csv": "3a513f5ef51459171c7c0a251135f1abe62091ac992ec62233c4741be5db51da",
+        }),
+    "counterexample_forced_negative": (
+        lambda _: _forced_counterexample_config(forced_value=-0.3), {
+            "dp_n2.csv": "14428e3d7282e13e190a79e1024dddf9358849a0a5919638c0ac4330e6990f96",
+            "dp_n3.csv": "aa1129e95b86aa1bd69a9df23da7cea560b86e5ec00bdfd8b1010179f74b08f1",
+            "dp_n4.csv": "1bc4858d64f74452c50b18efde2dc808abda905648f28830f6608d6105793f35",
+            "dp_n5.csv": "ee87d86d6f28c00862fdcd20dd7923ad6d8b6cd4a706073867b41ee07fda5d4b",
+            "dp_n6.csv": "8447a043d01986731e704e80963ddb53a0a3503f459a3c6a3eea02b830054f4e",
+            "summary.csv": "0021d031af18e8ef8e13fcf5ada4250b64776a73bb748ac73586187fc4659a20",
+        }),
+    # m = 161 puts squared singular values below 1/DBL_MAX, which TSVD discards
+    "counterexample_forced_m161": (
+        lambda _: _forced_counterexample_config([100, 1000], m=161), {
+            "dp_n100.csv": "bceab6aa5f0031c78895fefe8932475352e82df80c8427b6c6afceee7e5d8a45",
+            "dp_n1000.csv": "61d706c1e45b9195d4de2af035872fcaf801b7cae23accb549479f6942b3b3d9",
+            "summary.csv": "b91e7445585b995638394ba7e6933bf6b60ce56f1bab03eba4e2333cac630aca",
         }),
     "matrix_file_coefficient_gaussian_lil": (
         lambda tmp_path: _matrix_file_config(
