@@ -22,7 +22,9 @@ import json
 import os
 import sys
 
-from .errors import AveregError, DegenerateBatchError, InputError, StudyError
+import numpy as np
+
+from .errors import AveregError, DegenerateBatchError, InputError, NumericalError, StudyError
 # perfbench's tracer requires cli to bind apply_regularizer and discrepancy_principle
 from .filters import KINDS, FilterSpec, apply_regularizer, verify_filter_constants  # noqa: F401
 from .measurements import DELTA_RULES, load_batch_csv
@@ -70,7 +72,11 @@ def _cmd_solve(args) -> int:
     op = svd(matrix)
     y_bar = project_data(op, batch.mean)
     choice, solution = solve_rule(op, spec, rule, batch, y_bar, args.delta, tau)
-    x = embed_solution(op, solution.x)
+    # an inf coefficient times a zero basis entry is nan: both mean overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = embed_solution(op, solution.x)
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("the solution overflows double precision")
     report = {**dataclasses.asdict(choice), "residual": solution.residual}
 
     os.makedirs(args.out, exist_ok=True)
@@ -113,6 +119,8 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if args.forced and args.seed is not None:
+        raise InputError("--seed is ignored with --forced: the forced noise draws nothing")
     raw = default_counterexample_config(args.n_max, forced=args.forced,
                                         emergency=args.emergency)
     config = _load_config(None, raw, args.seed)

@@ -14,7 +14,8 @@ class ConfigurationError(AveregError, ValueError):
 
 
 class NumericalError(AveregError, RuntimeError):
-    """An iterative numerical procedure failed to converge within its bounds."""
+    """A numerical procedure failed to converge within its bounds, or its
+    result overflows double precision."""
 
 
 class DegenerateBatchError(AveregError, RuntimeError):

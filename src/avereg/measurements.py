@@ -16,7 +16,8 @@ rank-one (``coefficient_gaussian``) needs the full n x m sample matrix; it is
 built in place in the array of drawn normals, and it is the batch's only n x m
 array: ``s_n`` sums the squared deviations leaf by leaf in the tree of numpy's
 pairwise summation, so it equals the sum over a full deviation matrix bit for
-bit.  The leaves are spread over the available cores like the draws.
+bit.  ``batch_bytes`` states what one batch of each model holds, which bounds
+how many batches a study draws at once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBatchError, InputError
-from .rng import RandomStream, _spread
+from .rng import RandomStream
 from .spectral import _load_csv
 
 DELTA_RULES = ("inv_sqrt_n", "sample_std", "lil")
@@ -192,46 +193,32 @@ def _left_size(size: int) -> int:
     return size // 2 - size // 2 % 8
 
 
-def _pairwise_leaves(lo: int, size: int) -> list:
-    """(start, length) of each leaf, in order, when numpy's pairwise summation
-    tree over [lo, lo + size) is cut at ``_LEAF`` elements."""
+def _pairwise_sum(leaf_sum, lo: int, size: int) -> float:
+    """``leaf_sum(start, length)`` of each leaf of numpy's pairwise summation
+    tree over [lo, lo + size), cut at ``_LEAF`` elements, added up that tree."""
     if size <= _LEAF:
-        return [(lo, size)]
+        return leaf_sum(lo, size)
     left = _left_size(size)
-    return _pairwise_leaves(lo, left) + _pairwise_leaves(lo + left, size - left)
-
-
-def _pairwise_combine(sums, size: int) -> float:
-    """Add leaf sums, an iterator in leaf order, up the same tree."""
-    if size <= _LEAF:
-        return next(sums)
-    left = _left_size(size)
-    total = _pairwise_combine(sums, left)
-    return total + _pairwise_combine(sums, size - left)
+    return _pairwise_sum(leaf_sum, lo, left) + _pairwise_sum(leaf_sum, lo + left, size - left)
 
 
 def _squared_deviation_sum(samples: np.ndarray, mean: np.ndarray) -> float:
     """``np.sum(np.square(samples - mean))`` bit for bit, with no n x m
     temporary: each leaf of the pairwise tree is formed, squared and summed in
-    a buffer of its own, and the leaf sums are added in tree order."""
+    one reused buffer, and the leaf sums are added in tree order."""
     flat = samples.reshape(-1)
     m = mean.size
-    leaves = _pairwise_leaves(0, flat.size)
-    longest = max(k for _, k in leaves)
+    longest = min(flat.size, _LEAF)
     # row-major element lo + j has mean[(lo + j) % m]
     tiled = np.tile(mean, -(-(longest + m - 1) // m))
-    sums = [0.0] * len(leaves)
+    buffer = np.empty(longest)
 
-    def work(first, last):
-        buffer = np.empty(longest)
-        for i in range(first, last):
-            lo, k = leaves[i]
-            dev = buffer[:k]
-            np.subtract(flat[lo:lo + k], tiled[lo % m:lo % m + k], out=dev)
-            sums[i] = float(np.sum(np.square(dev, out=dev)))
+    def leaf_sum(lo: int, size: int) -> float:
+        dev = buffer[:size]
+        np.subtract(flat[lo:lo + size], tiled[lo % m:lo % m + size], out=dev)
+        return float(np.sum(np.square(dev, out=dev)))
 
-    _spread(work, len(leaves))
-    return _pairwise_combine(iter(sums), flat.size)
+    return _pairwise_sum(leaf_sum, 0, flat.size)
 
 
 def _finalize_full(samples) -> MeasurementBatch:
@@ -241,6 +228,14 @@ def _finalize_full(samples) -> MeasurementBatch:
     sq = _squared_deviation_sum(samples, mean)
     std = math.sqrt(sq / (n - 1)) if n > 1 else 0.0
     return MeasurementBatch(n, mean, std, samples=samples)
+
+
+def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
+    """Bytes a ``draw_batch`` of n measurements of dimension m holds at its
+    peak, to within a factor of 2: the n x m sample matrix of
+    coefficient-Gaussian noise, and at most three n-long float arrays of
+    latents for every other model."""
+    return 8 * n * (m if isinstance(model, CoefficientGaussian) else 3)
 
 
 def draw_batch(

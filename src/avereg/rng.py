@@ -17,18 +17,9 @@ into the caller's output array, so a draw of n variates allocates its output
 and two blocks rather than several n-long temporaries.  Every output value is
 the same floating-point expression of its own word, so the output does not
 depend on the block size or on how a draw is split across calls.
-
-A draw of at least ``_MIN_SPLIT`` blocks is split at block boundaries into one
-contiguous run of blocks per available core, and each run is filled on its own
-thread with its own buffers (numpy releases the interpreter lock inside its
-loops).  For the same reason as above, the output does not depend on the
-number of cores.
 """
 
 from __future__ import annotations
-
-import os
-import threading
 
 import numpy as np
 
@@ -43,48 +34,6 @@ _INV_2_53 = 2.0 ** -53
 
 _BLOCK = 1 << 14
 _STEPS = np.arange(_BLOCK, dtype=np.uint64) * np.uint64(_PHI)
-
-#: work of fewer units (blocks of a draw, leaves of a sum) runs in the
-#: caller, so draws of up to 7 blocks, such as 1e5 uniforms, pay no thread start
-_MIN_SPLIT = 8
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has affinity masks
-        return os.cpu_count() or 1
-
-
-def _spread(work, count: int, unit: int = 1) -> None:
-    """Call ``work(lo, hi)`` over [0, count) in runs of whole ``unit``s.
-
-    With at least ``_MIN_SPLIT`` units there is one run per core, each but the
-    first on a thread of its own; otherwise one run in the caller.  An
-    exception raised by any run is re-raised here once every run has ended.
-    ``work`` must not call a public method of this package: a tracer wrapped
-    around those keeps a span stack that only the calling thread may touch.
-    """
-    units = -(-count // unit)
-    runs = min(_cores(), units) if units >= _MIN_SPLIT else 1
-    bounds = [min(units * i // runs * unit, count) for i in range(runs + 1)]
-    errors = []
-
-    def run(lo, hi):
-        try:
-            work(lo, hi)
-        except BaseException as exc:  # handed to the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=bounds[i:i + 2]) for i in range(1, runs)]
-    for thread in threads:
-        thread.start()
-    run(bounds[0], bounds[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _mix(z: np.ndarray, scratch: np.ndarray) -> None:
@@ -137,8 +86,7 @@ class RandomStream:
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms on the open interval (0, 1)."""
         out = np.empty(n)
-        start = self._take(n)
-        _spread(lambda lo, hi: self._fill_uniforms(start + lo, out[lo:hi]), n, _BLOCK)
+        self._fill_uniforms(self._take(n), out)
         return out
 
     def symmetric_uniforms(self, n: int) -> np.ndarray:
@@ -157,16 +105,9 @@ class RandomStream:
         half = (n + 1) // 2
         start = self._take(2 * half)
         out = np.empty(2 * half)
-        _spread(lambda lo, hi: self._fill_normals(start, out, lo, hi), half, _BLOCK)
-        return out[:n]
-
-    def _fill_normals(self, start: int, out: np.ndarray, lo: int, hi: int) -> None:
-        """Write pairs lo, ..., hi - 1 of a normals draw whose words begin at
-        counter ``start`` into ``out``, which holds all its pairs."""
-        half = out.size // 2
-        radius = np.empty(min(hi - lo, _BLOCK))
-        for a in range(lo, hi, _BLOCK):
-            b = min(a + _BLOCK, hi)
+        radius = np.empty(min(half, _BLOCK))
+        for a in range(0, half, _BLOCK):
+            b = min(a + _BLOCK, half)
             r = radius[:b - a]
             self._fill_uniforms(start + a, r)
             np.log(r, out=r)
@@ -179,6 +120,7 @@ class RandomStream:
             np.sin(sin_part, out=sin_part)
             cos_part *= r
             sin_part *= r
+        return out[:n]
 
     def generalized_pareto(self, n: int, shape: float, scale: float, location: float) -> np.ndarray:
         """n generalized-Pareto variates via inverse transform.

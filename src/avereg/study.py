@@ -12,10 +12,9 @@ CSV matrices.
 All randomness flows from ``base_seed`` through one substream per
 (sample-size index, replication) pair, so studies are bit-reproducible and
 each rule sees the same batches.  No such pair depends on another, so a
-study spreads them over one forked process per core, unless each pair draws a
-full sample matrix, whose draw is spread over the cores instead; the records
-come back in their serial order, and the outputs do not depend on the number
-of cores.
+study spreads them over forked processes: one per core, as long as the
+available memory holds one batch per process.  The records come back in their
+serial order, and the outputs do not depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import (
     ConfigError,
     DegenerateBatchError,
@@ -51,6 +49,7 @@ from .measurements import (
     DirectionGaussian,
     HeavyTailed,
     MeasurementBatch,
+    batch_bytes,
     delta_est,
     delta_true,
     draw_batch,
@@ -527,10 +526,12 @@ def solve_rule(
     """Estimate the noise level of ``batch``, choose alpha by ``rule`` and
     regularize ``y_bar``, the batch mean in the left singular basis of ``op``.
 
-    An a priori choice has k = -1 and no evaluations; alpha = 1/sqrt(n) is
-    paired with the estimate 1/sqrt(n) whatever ``delta_rule`` says.  Raises
-    DegenerateBatchError when a sample-based estimate is undefined and
-    NonTerminationError when the discrepancy search cannot stop.
+    An a priori choice has k = -1 and no evaluations.  Only the
+    ``inv_sqrt_n_alpha`` rule, alpha = 1/sqrt(n), pins the estimate to
+    1/sqrt(n) whatever ``delta_rule`` says; every other rule estimates the
+    noise by ``delta_rule``.  Raises DegenerateBatchError when a sample-based
+    estimate is undefined and NonTerminationError when the discrepancy search
+    cannot stop.
     """
     if isinstance(rule, AprioriRule) and rule.variant == "inv_sqrt_n_alpha":
         delta = delta_est(batch, "inv_sqrt_n")
@@ -579,8 +580,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     Replications whose sample-based noise estimate degenerates, whose search
     cannot stop or whose solution error overflows are recorded as failed with
     the reason and excluded from summaries; over 5% failures abort it.  The
-    (sample size, replication) pairs run in ``_fan_out``, one run per core
-    unless each pair draws a full n x m sample matrix.
+    (sample size, replication) pairs run in ``_fan_out``, one run per core as
+    long as the memory budget holds the largest batch once per run.
     """
     scenario = build_scenario(config)
     rule_names = tuple(rule.name for rule in config.rules)
@@ -598,9 +599,8 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     items = [(n_index, rep) for n_index in range(len(config.sample_sizes))
              for rep in range(config.replications)]
-    # a full-sample cell holds an n x m matrix whose draw already spreads over
-    # the cores: one run keeps one such matrix alive at a time
-    runs = 1 if isinstance(scenario.model, CoefficientGaussian) else rng._cores()
+    cell_bytes = batch_bytes(scenario.model, max(config.sample_sizes), len(scenario.y_hat))
+    runs = min(_cores(), max(1, _budget() // cell_bytes))
     records = {(name, n): [] for name in rule_names for n in config.sample_sizes}
     for (n_index, _), cell_records in zip(items, _fan_out(cell, items, runs)):
         for name, record in zip(rule_names, cell_records):
@@ -622,18 +622,50 @@ def run_study(config: StudyConfig) -> StudyResult:
     return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries, failed)
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _budget() -> int:
+    """Bytes of memory a study may fill: ``MemAvailable``, or else the
+    physical memory, capped by what the process's cgroup (v2) has left."""
+    try:
+        with open("/proc/meminfo") as file:
+            budget = next(int(line.split()[1]) * 1024 for line in file
+                          if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open("/proc/self/cgroup") as file:
+            group = next(line[3:].rstrip("\n/") for line in file
+                         if line.startswith("0::"))
+        with open(f"/sys/fs/cgroup{group}/memory.max") as file:
+            limit = file.read().strip()
+        with open(f"/sys/fs/cgroup{group}/memory.current") as file:
+            used = int(file.read())
+        if limit != "max":
+            budget = min(budget, int(limit) - used)
+    except (OSError, StopIteration, ValueError):
+        pass  # no cgroup v2 memory controller to read
+    return budget
+
+
 def _fan_out(func, items: list, runs: int) -> list:
     """``[func(item) for item in items]``, computed in up to ``runs`` strided runs.
 
     Run r computes ``items[r::runs]``.  Each run but the first is a forked
-    child that keeps its draws on one thread and pickles its results into a
-    pipe; the caller computes the first run, then reads and reaps every child.
-    A run stops at its first exception, and once all children are reaped the
-    exception of the lowest item is raised, a child's with its traceback text
-    as the cause.  A child that ends without a result raises StudyError, a
-    child whose caller has gone exits before its next item, and an interrupt
-    of the caller kills the children.  ``func`` must depend only on its item,
-    so neither the results nor the error depend on the number of runs.
+    child that pickles its results into a pipe; the caller computes the first
+    run, then reads and reaps every child.  A run stops at its first
+    exception, and once all children are reaped the exception of the lowest
+    item is raised, a child's with its traceback text as the cause.  A child
+    that ends without a result raises StudyError, a child whose caller has
+    gone exits before its next item, and an interrupt of the caller kills the
+    children.  ``func`` must depend only on its item, so neither the results
+    nor the error depend on the number of runs.
     """
     runs = min(runs, len(items)) if hasattr(os, "fork") else 1
     caller = os.getpid()
@@ -704,12 +736,10 @@ def _run(func, items: list, r: int, runs: int, caller: int = 0) -> tuple:
 
 
 def _serve(func, items: list, r: int, runs: int, caller: int, write_end: int) -> None:
-    """The body of a forked run: with draws on one thread, pickle the results
-    of ``_run`` into ``write_end``, a failure with its traceback text, and
-    exit with status 0, or 2 if they cannot be sent.  It never returns into
-    the caller's stack."""
+    """The body of a forked run: pickle the results of ``_run`` into
+    ``write_end``, a failure with its traceback text, and exit with status 0,
+    or 2 if they cannot be sent.  It never returns into the caller's stack."""
     code = 2
-    rng._cores = lambda: 1
     try:
         results, failure = _run(func, items, r, runs, caller)
         if failure:

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from avereg import study
 from avereg.cli import main
 
 
@@ -214,6 +215,21 @@ def test_solve_typed_failure_is_an_error_line(tmp_path, capsys):
                  "--filter", "landweber", "--relaxation", "5", "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error: Landweber relaxation exceeds" in capsys.readouterr().err
+
+
+def test_solve_overflowing_solution_is_an_error_line_and_writes_nothing(tmp_path, capsys):
+    # on 1e-160 * I the search reaches alpha = 1.3e-322, where the filtered
+    # coefficients 1/(alpha + lambda) overflow
+    matrix, measurements = tmp_path / "matrix.csv", tmp_path / "measurements.csv"
+    np.savetxt(matrix, 1e-160 * np.eye(4), delimiter=",", fmt="%.17g")
+    rows = 1e-160 * (1.0 + 0.1 * np.random.default_rng(0).standard_normal((20, 4)))
+    np.savetxt(measurements, rows, delimiter=",", fmt="%.17g")
+    out = tmp_path / "out"
+    code = main(["solve", "--matrix", str(matrix), "--measurements", str(measurements),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the solution overflows double precision\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [
@@ -470,6 +486,15 @@ def test_counterexample_emergency_flag(tmp_path, capsys):
     assert all("emergency=1" in line for line in lines)
 
 
+@pytest.mark.parametrize("flags", [["--forced"], ["--forced", "--emergency"]])
+def test_counterexample_rejects_a_seed_the_forced_noise_ignores(tmp_path, capsys, flags):
+    code = main(["counterexample", *flags, "--seed", "7", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed is ignored with --forced")
+    assert not (tmp_path / "out").exists()
+
+
 def test_heat_accepts_small_custom_config(tmp_path, capsys):
     raw = {
         "version": 1,
@@ -576,9 +601,12 @@ def test_perfbench_tracer_finds_every_boundary(tmp_path, command):
     assert traced["calls"]["cli"] == 1
     if command == "simulate":
         # perfbench reads the batch's private sample matrix; a rename would
-        # silently read no bytes
-        study = _FULL_SAMPLE_STUDY
-        expected = study["replications"] * sum(study["sample_sizes"]) * 7 * 8
+        # silently read no bytes.  The tracer sees only the caller's run of
+        # the forked study, which draws items 0, runs, 2 runs, ...
+        config = _FULL_SAMPLE_STUDY
+        items = [n for n in config["sample_sizes"] for _ in range(config["replications"])]
+        runs = min(study._cores(), len(items))
+        expected = sum(items[::runs]) * 7 * 8
         assert traced["counts"]["measurements.bytes_materialized"] == expected
 
 

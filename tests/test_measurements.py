@@ -1,12 +1,12 @@
+import gc
 import math
-import sys
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from avereg import measurements, rng
+from avereg import measurements
 from avereg.errors import DegenerateBatchError, InputError
 from avereg.measurements import (
     BernoulliPayoff,
@@ -102,6 +102,21 @@ def test_coefficient_gaussian_batch_of_many_leaves_is_the_out_of_place_formula()
     assert batch.sample_std == math.sqrt(np.sum((samples - mean) ** 2) / 4999)
 
 
+def test_a_dropped_full_sample_batch_is_freed_without_the_cycle_collector():
+    # a study draws one n x m batch per cell: a reference cycle through the
+    # sample matrix would keep every batch alive until a collection runs
+    gc.disable()
+    tracemalloc.start()
+    try:
+        batch = draw_batch(CoefficientGaussian(1.0), _zero(30), n=5000, seed=3)
+        del batch
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 8 * 5000 * 30 // 10
+
+
 # (n, m) shapes whose n * m lies around 8, 128 and the leaf size: at the
 # leaf size 128 of numpy's unrolled block, and at the real one.  With m > 1
 # most leaves start mid-row; n = 2 and m = 1 are the edge shapes.
@@ -117,30 +132,28 @@ _LEAF_SHAPES = {
                                          _LEAF_SHAPES.items() for shape in shapes])
 def test_squared_deviation_leaf_sum_is_bitwise_np_sum(monkeypatch, leaf, shape):
     monkeypatch.setattr(measurements, "_LEAF", leaf)
-    monkeypatch.setattr(rng, "_cores", lambda: 3)
     samples = 3.0 * np.random.default_rng(sum(shape)).standard_normal(shape) - 1.0
     mean = samples.mean(axis=0)
     expected = np.sum(np.square(samples - mean))
     assert measurements._squared_deviation_sum(samples, mean) == expected
-    if samples.size > leaf:
-        assert len(measurements._pairwise_leaves(0, samples.size)) > 1
 
 
-def test_leaf_sum_holds_with_more_threads_than_cores_and_fast_switching(monkeypatch):
-    # every leaf sum lands in its own slot; a lost one would change the total
-    monkeypatch.setattr(rng, "_cores", lambda: 8)
-    samples = np.random.default_rng(1).standard_normal((4000, 300))
-    mean = samples.mean(axis=0)
-    expected = np.sum(np.square(samples - mean))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+@pytest.mark.parametrize("model, m", [
+    (DirectionGaussian(counterexample_direction(50)), 50),
+    (DirectionGaussian(counterexample_direction(50), forced=1.0), 50),
+    (_heavy_tailed(100), 100),
+    (CoefficientGaussian(1.0), 20),
+    (BernoulliPayoff(BinaryOptionParams.default(64)), 64),
+])
+def test_batch_bytes_is_within_a_factor_of_two_of_the_traced_peak(model, m):
+    n = 100_000
+    tracemalloc.start()
     try:
-        start = time.perf_counter()
-        for _ in range(5):
-            assert measurements._squared_deviation_sum(samples, mean) == expected
-        assert time.perf_counter() - start < 10.0
+        draw_batch(model, _zero(m), n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        sys.setswitchinterval(interval)
+        tracemalloc.stop()
+    assert peak / 2 <= measurements.batch_bytes(model, n, m) <= 2 * peak
 
 
 def test_rank_one_batches_match_materialised_samples():

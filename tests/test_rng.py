@@ -1,12 +1,8 @@
 import hashlib
-import math
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from avereg import rng
 from avereg.errors import InputError
 from avereg.rng import RandomStream
 
@@ -121,70 +117,3 @@ def test_draws_split_across_a_block_boundary_match_golden_bits():
     stream = _golden_stream()
     parts = [stream.uniforms(2**14 - 5), stream.normals(11), stream.uniforms(40000)]
     assert _digest(np.concatenate(parts)) == "143234ebcc1fac27"
-
-
-# A draw of at least _MIN_SPLIT blocks (of values, or of pairs for normals) is
-# filled on one thread per core.  Sizes straddle that threshold and the block
-# edges; three runs on any host split the blocks unevenly.
-_B, _T = rng._BLOCK, rng._MIN_SPLIT
-_THREADED_SIZES = [
-    ("uniforms", (_T - 1) * _B, 1), ("uniforms", (_T - 1) * _B + 1, 3),
-    ("uniforms", _T * _B, 3), ("uniforms", _T * _B + 1, 3), ("uniforms", 3 * _T * _B + 7, 3),
-    ("symmetric_uniforms", _T * _B + 1, 3),
-    ("normals", 2 * (_T - 1) * _B, 1), ("normals", 2 * (_T - 1) * _B + 1, 3),
-    ("normals", 2 * _T * _B - 1, 3), ("normals", 2 * (_T + 1) * _B + 6, 3),
-]
-
-
-@pytest.mark.parametrize("method, n, runs", _THREADED_SIZES)
-def test_threaded_draws_equal_single_thread_draws_bit_for_bit(monkeypatch, method, n, runs):
-    threads = set()
-    fill = RandomStream._fill_uniforms
-
-    def recording(self, start, out):
-        threads.add(threading.current_thread())
-        fill(self, start, out)
-
-    monkeypatch.setattr(RandomStream, "_fill_uniforms", recording)
-    monkeypatch.setattr(rng, "_cores", lambda: 3)
-    threaded = getattr(_golden_stream(), method)(n)
-    assert len(threads) == runs
-    monkeypatch.setattr(rng, "_cores", lambda: 1)
-    single = getattr(_golden_stream(), method)(n)
-    assert threaded.shape == single.shape == (n,)
-    assert threaded.tobytes() == single.tobytes()
-
-
-class _WorkerFailure(Exception):
-    pass
-
-
-def test_an_error_in_a_worker_thread_reaches_the_caller(monkeypatch):
-    fill = RandomStream._fill_uniforms
-
-    def failing(self, start, out):
-        if threading.current_thread() is not threading.main_thread():
-            raise _WorkerFailure("worker")
-        fill(self, start, out)
-
-    monkeypatch.setattr(RandomStream, "_fill_uniforms", failing)
-    monkeypatch.setattr(rng, "_cores", lambda: 2)
-    before = threading.active_count()
-    with pytest.raises(_WorkerFailure, match="worker"):
-        RandomStream(1).uniforms(_T * _B)
-    assert threading.active_count() == before
-
-
-def test_an_error_in_the_callers_run_is_raised_after_the_workers_end(monkeypatch):
-    monkeypatch.setattr(rng, "_cores", lambda: 2)
-    finished = []
-
-    def work(lo, hi):
-        if lo == 0:
-            raise _WorkerFailure("caller")
-        time.sleep(0.05)
-        finished.append((lo, hi))
-
-    with pytest.raises(_WorkerFailure, match="caller"):
-        rng._spread(work, _T)
-    assert finished == [(_T // 2, _T)]

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,16 +10,17 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from avereg import rng, study
+from avereg import study
 from avereg.errors import ConfigError, InputError, NonTerminationError, StudyError
 from avereg.filters import FilterSpec, filter_value
-from avereg.measurements import BinaryOptionParams
+from avereg.measurements import BinaryOptionParams, CoefficientGaussian, batch_bytes
 from avereg.study import (
     StudyConfig,
     binary_option_truth,
@@ -871,14 +873,12 @@ def _coefficient_gaussian_raw(monkeypatch):
 def test_study_outputs_do_not_depend_on_the_number_of_runs(make_raw, tmp_path, monkeypatch,
                                                            forks):
     config = StudyConfig.from_dict(make_raw(monkeypatch))
-    # a full-sample study spreads its draws over the cores instead
-    full_sample = make_raw is _coefficient_gaussian_raw
     results = {}
     for cores in (1, 2, 3):
-        monkeypatch.setattr(rng, "_cores", lambda: cores)
+        monkeypatch.setattr(study, "_cores", lambda: cores)
         before = len(forks)
         results[cores] = run_study(config)
-        assert len(forks) - before == (0 if full_sample else cores - 1)
+        assert len(forks) - before == cores - 1
         write_study_csvs(results[cores], str(tmp_path / f"cores{cores}"))
     for cores in (2, 3):
         _assert_same_records(results[1].records, results[cores].records)
@@ -890,7 +890,7 @@ def test_study_outputs_do_not_depend_on_the_number_of_runs(make_raw, tmp_path, m
 
 
 def test_small_study_forks_too(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    monkeypatch.setattr(study, "_cores", lambda: 2)
     run_study(StudyConfig.from_dict(default_counterexample_config()))
     assert len(forks) == 1
 
@@ -901,10 +901,64 @@ def test_fan_out_keeps_item_order(forks):
     assert results == [(item, pids[item % 3]) for item in range(7)]
 
 
-def test_forked_runs_keep_their_draws_on_one_thread(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 3)
-    assert study._fan_out(lambda item: rng._cores(), list(range(6)), 3) == [3, 1, 1] * 2
-    assert rng._cores() == 3
+def test_the_run_rule_forks_as_many_batches_as_the_memory_budget_holds(tmp_path, monkeypatch,
+                                                                       forks):
+    config = StudyConfig.from_dict(_coefficient_gaussian_raw(monkeypatch))
+    cell = batch_bytes(CoefficientGaussian(1.0), max(config.sample_sizes), config.scenario["m"])
+    monkeypatch.setattr(study, "_cores", lambda: 1)
+    write_study_csvs(run_study(config), str(tmp_path / "one"))
+    assert not forks
+    monkeypatch.setattr(study, "_cores", lambda: 3)
+    for budget, forked in ((2 * cell - 1, 0), (5 * cell // 2, 1)):
+        monkeypatch.setattr(study, "_budget", lambda: budget)
+        before = len(forks)
+        out = tmp_path / f"budget{budget}"
+        write_study_csvs(run_study(config), str(out))
+        assert len(forks) - before == forked
+        for path in (tmp_path / "one").iterdir():
+            assert path.read_bytes() == (out / path.name).read_bytes()
+
+
+_MEMINFO = "MemTotal:       16000 kB\nMemAvailable:    8000 kB\n"
+
+
+@pytest.mark.parametrize("files, budget", [
+    ({"/proc/meminfo": _MEMINFO}, 8000 * 1024),
+    ({"/proc/meminfo": _MEMINFO, "/proc/self/cgroup": "0::/\n",
+      "/sys/fs/cgroup/memory.max": "max\n", "/sys/fs/cgroup/memory.current": "5\n"},
+     8000 * 1024),
+    ({"/proc/meminfo": _MEMINFO, "/proc/self/cgroup": "4:memory:/a\n0::/jobs/a\n",
+      "/sys/fs/cgroup/jobs/a/memory.max": "1000000\n",
+      "/sys/fs/cgroup/jobs/a/memory.current": "250000\n"}, 750000),
+    ({"/proc/meminfo": "MemTotal:       16000 kB\n"}, None),
+])
+def test_budget_is_available_memory_capped_by_the_cgroup(files, budget, monkeypatch):
+    def fake_open(path, *args):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(study, "open", fake_open, raising=False)
+    if budget is None:  # no MemAvailable line: the physical memory
+        budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert study._budget() == budget
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_no_study_draw_starts_a_thread(cores, monkeypatch, forks):
+    # 3000 x 100 normals are 150,000 Box-Muller pairs in 10 blocks; a forked
+    # run inherits the patched start
+    def start(thread):
+        raise AssertionError(f"{thread.name} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(study, "_cores", lambda: cores)
+    raw = _tiny_config(scenario={"name": "diagonal_synthetic", "m": 100, "decay": 1.0},
+                       noise={"variant": "coefficient_gaussian", "scale": 1.0},
+                       sample_sizes=[3000], replications=2)
+    result = run_study(StudyConfig.from_dict(raw))
+    assert len(forks) == cores - 1
+    assert len(result.records[("dp", 3000)]) == 2
 
 
 def test_exception_in_a_child_cell_reaches_the_caller_typed(forks):
@@ -939,7 +993,7 @@ def test_the_lowest_failing_item_wins_whatever_the_number_of_runs(failing, first
 
 
 def test_study_cell_exception_in_a_child_reaches_the_caller(monkeypatch, forks):
-    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    monkeypatch.setattr(study, "_cores", lambda: 2)
     caller = os.getpid()
     real_delta_true = study.delta_true
 
