@@ -11,7 +11,6 @@ regularizer in the singular basis of the operator.
 from .errors import (
     AveregError,
     ConfigError,
-    ConfigurationError,
     DegenerateBatchError,
     InputError,
     NonTerminationError,

@@ -41,6 +41,7 @@ from .study import (
     default_heat_config,
     failure_reasons,
     format_summary_table,
+    matrix_rank_check,
     read_config,
     run_study,
     solve_rule,
@@ -69,7 +70,7 @@ def _cmd_solve(args) -> int:
             f"measurement rows have {batch.dimension} columns, "
             f"matrix has {matrix.shape[0]} rows"
         )
-    op = svd(matrix)
+    op = matrix_rank_check(svd(matrix), args.matrix)
     y_bar = project_data(op, batch.mean)
     choice, solution = solve_rule(op, spec, rule, batch, y_bar, args.delta, tau)
     # an inf coefficient times a zero basis entry is nan: both mean overflow
@@ -77,7 +78,8 @@ def _cmd_solve(args) -> int:
         x = embed_solution(op, solution.x)
     if not np.all(np.isfinite(x)):
         raise NumericalError("the solution overflows double precision")
-    report = {**dataclasses.asdict(choice), "residual": solution.residual}
+    report = {**dataclasses.asdict(choice), "iterations_evaluated": choice.iterations_evaluated,
+              "residual": solution.residual}
 
     os.makedirs(args.out, exist_ok=True)
     solution_path = os.path.join(args.out, "solution.csv")
@@ -145,9 +147,9 @@ def _cmd_verify_filters(args) -> int:
     for spec, nu in cases:
         report = verify_filter_constants(spec, sigma_max=1.0, nu=nu)
         status = "pass" if report.passed else "FAIL"
-        print(f"{report.kind}: C_R {report.c_r_observed:.6g}/{report.c_r_declared:.6g} "
-              f"C_F {report.c_f_observed:.6g}/{report.c_f_declared:.6g} "
-              f"C_nu(nu={nu:g}) {report.c_nu_observed:.6g}/{report.c_nu_declared:.6g} "
+        print(f"{spec.name}: C_R {report.c_r:.6g}/{spec.c_r:.6g} "
+              f"C_F {report.c_f:.6g}/{spec.c_f:.6g} "
+              f"C_nu(nu={nu:g}) {report.c_nu:.6g}/{spec.c_nu(nu):.6g} "
               f"monotone={report.monotone} -> {status}")
         for violation in report.violations:
             print(f"  violation: {violation}")

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is an :class:`AveregError`.  The command line exits 1 on bad
+input (:class:`InputError`, :class:`ConfigError`) and on a numerical failure
+(:class:`NumericalError`, :class:`NonTerminationError`), and 2 on degenerate
+statistics (:class:`DegenerateBatchError`, :class:`StudyError`).
+"""
 
 
 class AveregError(Exception):
@@ -6,11 +12,9 @@ class AveregError(Exception):
 
 
 class InputError(AveregError, ValueError):
-    """Invalid argument values (non-finite data, dimension mismatch, bad parameters)."""
-
-
-class ConfigurationError(AveregError, ValueError):
-    """A configuration that can never produce a valid computation (e.g. divergent Landweber)."""
+    """Invalid argument values: non-finite or overflowing data, a dimension
+    mismatch, a rank-0 operator, bad parameters such as a divergent Landweber
+    relaxation."""
 
 
 class NumericalError(AveregError, RuntimeError):

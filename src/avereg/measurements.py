@@ -224,8 +224,13 @@ def _squared_deviation_sum(samples: np.ndarray, mean: np.ndarray) -> float:
 def _finalize_full(samples) -> MeasurementBatch:
     """Batch of a C-ordered (n, dim) sample matrix, which it keeps."""
     n = samples.shape[0]
-    mean = samples.mean(axis=0)
-    sq = _squared_deviation_sum(samples, mean)
+    # finite samples can still sum, or square their deviations, beyond the
+    # float range; opposite overflows in a sum make nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=0)
+        sq = _squared_deviation_sum(samples, mean)
+    if not (np.all(np.isfinite(mean)) and math.isfinite(sq)):
+        raise InputError("the measurements' mean or spread overflows double precision")
     std = math.sqrt(sq / (n - 1)) if n > 1 else 0.0
     return MeasurementBatch(n, mean, std, samples=samples)
 

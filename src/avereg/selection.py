@@ -28,6 +28,8 @@ from .spectral import CoefficientVector, SpectralDecomposition
 
 #: grid points per residual_norm call in the discrepancy search
 _BLOCK = 32
+#: the last k a discrepancy search evaluates
+_K_MAX = 10**6
 
 APRIORI_VARIANTS = ("inv_sqrt_n_alpha", "scaled_source")
 
@@ -39,10 +41,7 @@ class ChoiceResult:
     ``alpha`` equals q^k computed by repeated multiplication (bitwise the
     value the loop actually used).  When ``emergency_triggered`` is set the
     loop exited through the guard ``alpha > 1/n`` with the residual still
-    above ``delta_est_used``.  ``iterations_evaluated`` is k + 1, the grid
-    points up to and including the stop; residuals a block computed beyond
-    the stop do not count.  An a priori choice is reported with k = -1 and
-    no evaluations.
+    above ``delta_est_used``.  An a priori choice is reported with k = -1.
     """
 
     alpha: float
@@ -50,7 +49,13 @@ class ChoiceResult:
     residual_at_stop: float
     emergency_triggered: bool
     delta_est_used: float
-    iterations_evaluated: int
+
+    @property
+    def iterations_evaluated(self) -> int:
+        """k + 1, the grid points up to and including the stop, and 0 for an
+        a priori choice; residuals a block computed beyond the stop do not
+        count."""
+        return self.k + 1
 
 
 def discrepancy_principle(
@@ -60,7 +65,6 @@ def discrepancy_principle(
     delta_est: float,
     q: float = 0.7,
     emergency_n: int | None = None,
-    k_max: int = 10**6,
 ) -> ChoiceResult:
     """Largest alpha = q^k with residual <= delta_est, optionally floored.
 
@@ -68,7 +72,7 @@ def discrepancy_principle(
     ``delta_est`` and (when ``emergency_n`` is set) ``alpha > 1/emergency_n``;
     each pass multiplies alpha by q.  The emergency variant therefore returns
     the first alpha <= 1/n when the residual never drops below the estimate.
-    Exhausting ``k_max`` raises: termination is a theorem only when the
+    Exhausting ``_K_MAX`` steps raises: termination is a theorem only when the
     residual can actually fall below ``delta_est``.  The residual is never
     below the data's component outside the range, so without the emergency
     stop a search whose ``y_bar.orthogonal_norm`` exceeds ``delta_est`` raises
@@ -96,8 +100,8 @@ def discrepancy_principle(
         block = [alpha]
         while True:
             k = k0 + len(block) - 1
-            if k >= k_max:
-                end = f"discrepancy search did not stop within k_max={k_max} steps"
+            if k >= _K_MAX:
+                end = f"discrepancy search did not stop within k_max={_K_MAX} steps"
             # in the subnormal range alpha * q can round back to alpha itself
             elif alpha * q in (0.0, alpha):
                 end = "alpha underflowed before the residual reached delta_est"
@@ -114,8 +118,7 @@ def discrepancy_principle(
         stops = met if guard is None else met | ~(alphas > guard)
         if stops.any():
             i = int(np.argmax(stops))
-            return ChoiceResult(block[i], k0 + i, float(residuals[i]), not met[i],
-                                delta_est, k0 + i + 1)
+            return ChoiceResult(block[i], k0 + i, float(residuals[i]), not met[i], delta_est)
         if end is not None:
             raise NonTerminationError(end, delta_est)
         k0 += _BLOCK
@@ -143,16 +146,14 @@ class AprioriRule:
             raise InputError("inv_sqrt_n_alpha takes no c, nu or rho")
 
 
-def apriori_alpha(rule: AprioriRule, delta_est: float, n: int) -> float:
-    """Evaluate an a priori rule; the result is clamped into (0, 1].
+def apriori_alpha(rule: AprioriRule, delta_est: float) -> float:
+    """``c (delta_est/rho)^{2/(nu+1)}`` clamped into (0, 1].
 
-    Where ``c (delta/rho)^{2/(nu+1)}`` overflows or underflows to 0 in
-    floats, it is evaluated in logs and clamped into [2^-1074, 1].
+    Where the formula overflows or underflows to 0 in floats, it is evaluated
+    in logs and clamped into [2^-1074, 1].  ``inv_sqrt_n_alpha`` is the formula
+    at c = nu = rho = 1, which is ``delta_est`` bit for bit; ``solve_rule``
+    pins that variant's estimate to 1/sqrt(n), which makes alpha 1/sqrt(n).
     """
-    if rule.variant == "inv_sqrt_n_alpha":
-        if n < 1:
-            raise InputError("n must be positive")
-        return min(1.0, 1.0 / math.sqrt(n))
     if not (delta_est > 0):
         raise InputError("delta_est must be positive")
     power = 2.0 / (rule.nu + 1.0)

@@ -71,11 +71,15 @@ class SpectralDecomposition:
             raise InputError("singular values must be finite and strictly positive")
         if sigma.size and np.any(np.diff(sigma) > 0):
             raise InputError("singular values must be non-increasing")
-        # the filters act on sigma^2, which must stay positive; subnormal is fine
-        if sigma.size and sigma[-1] ** 2 == 0:
-            level = int(np.argmax(sigma**2 == 0)) + 1
+        # the filters act on sigma^2, which must stay positive and finite;
+        # subnormal is fine
+        with np.errstate(over="ignore"):
+            squares = sigma**2
+        bad = (squares == 0) | (squares == math.inf)
+        if np.any(bad):
+            level = int(np.argmax(bad)) + 1
             raise InputError(f"singular value {level} of {sigma.size} ({sigma[level - 1]:.3g}) "
-                             "squares to 0 in double precision")
+                             f"squares to {squares[level - 1]:g} in double precision")
         object.__setattr__(self, "singular_values", sigma)
         for name in ("left_basis", "right_basis"):
             basis = getattr(self, name)

@@ -132,7 +132,6 @@ class Summary:
     q3: float
     outliers: int
     max: float
-    count: int
 
 
 def summarize(errors) -> Summary:
@@ -152,7 +151,6 @@ def summarize(errors) -> Summary:
         q3=float(q3),
         outliers=int(np.sum(values > fence)),
         max=float(values.max()),
-        count=int(values.size),
     )
 
 
@@ -511,8 +509,17 @@ def build_scenario(config: StudyConfig) -> Scenario:
     elif name == "heat_like":
         op = heat_like_operator(params["m"], params["decay"])
     else:
-        op = svd(load_matrix_csv(params["path"]))
+        op = matrix_rank_check(svd(load_matrix_csv(params["path"])), params["path"])
     return _smooth_scenario(op, config, alternating=name != "diagonal_synthetic")
+
+
+def matrix_rank_check(op: SpectralDecomposition, path: str) -> SpectralDecomposition:
+    """``op``, the SVD of the matrix CSV ``path``, unless it keeps no singular
+    value: a rank-0 operator maps every solution to 0."""
+    if op.rank == 0:
+        raise InputError(f"matrix CSV {path} has rank 0: no singular value is above "
+                         "1e-14 times the largest")
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +534,11 @@ def solve_rule(
     regularize ``y_bar``, the batch mean in the left singular basis of ``op``.
 
     An a priori choice has k = -1 and no evaluations.  Only the
-    ``inv_sqrt_n_alpha`` rule, alpha = 1/sqrt(n), pins the estimate to
-    1/sqrt(n) whatever ``delta_rule`` says; every other rule estimates the
-    noise by ``delta_rule``.  Raises DegenerateBatchError when a sample-based
-    estimate is undefined and NonTerminationError when the discrepancy search
-    cannot stop.
+    ``inv_sqrt_n_alpha`` rule pins the estimate to 1/sqrt(n) whatever
+    ``delta_rule`` says, so its alpha, the estimate itself, is 1/sqrt(n);
+    every other rule estimates the noise by ``delta_rule``.  Raises
+    DegenerateBatchError when a sample-based estimate is undefined and
+    NonTerminationError when the discrepancy search cannot stop.
     """
     if isinstance(rule, AprioriRule) and rule.variant == "inv_sqrt_n_alpha":
         delta = delta_est(batch, "inv_sqrt_n")
@@ -541,13 +548,15 @@ def solve_rule(
         choice = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
                                        emergency_n=batch.n if rule.emergency else None)
         return choice, apply_regularizer(op, spec, choice.alpha, y_bar)
-    alpha = apriori_alpha(rule, delta, batch.n)
+    alpha = apriori_alpha(rule, delta)
     solution = apply_regularizer(op, spec, alpha, y_bar)
-    return ChoiceResult(alpha, -1, solution.residual, False, delta, 0), solution
+    return ChoiceResult(alpha, -1, solution.residual, False, delta), solution
 
 
 @dataclass(frozen=True)
 class ReplicationRecord:
+    """One rule's outcome on one batch; a failed replication has a ``reason``."""
+
     replication: int
     error: float
     alpha: float
@@ -555,8 +564,11 @@ class ReplicationRecord:
     emergency: bool
     delta_true: float
     delta_est: float
-    failed: bool = False
     reason: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.reason)
 
 
 @dataclass(frozen=True)
@@ -630,9 +642,16 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+#: the directory prefix and the limit and usage files of a memory controller
+#: by its controller field in ``/proc/self/cgroup``: v2 (empty) and v1
+_MEMORY_FILES = {"": ("", "memory.max", "memory.current"),
+                 "memory": ("/memory", "memory.limit_in_bytes", "memory.usage_in_bytes")}
+
+
 def _budget() -> int:
     """Bytes of memory a study may fill: ``MemAvailable``, or else the
-    physical memory, capped by what the process's cgroup (v2) has left."""
+    physical memory, capped by what the process's cgroup has left under each
+    memory controller it can read, v2 (``0::/path``) or v1 (``N:memory:/path``)."""
     try:
         with open("/proc/meminfo") as file:
             budget = next(int(line.split()[1]) * 1024 for line in file
@@ -641,16 +660,22 @@ def _budget() -> int:
         budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     try:
         with open("/proc/self/cgroup") as file:
-            group = next(line[3:].rstrip("\n/") for line in file
-                         if line.startswith("0::"))
-        with open(f"/sys/fs/cgroup{group}/memory.max") as file:
-            limit = file.read().strip()
-        with open(f"/sys/fs/cgroup{group}/memory.current") as file:
-            used = int(file.read())
-        if limit != "max":
-            budget = min(budget, int(limit) - used)
-    except (OSError, StopIteration, ValueError):
-        pass  # no cgroup v2 memory controller to read
+            lines = file.read().splitlines()
+    except OSError:
+        lines = []
+    for line in lines:
+        try:
+            _, controller, group = line.split(":", 2)
+            prefix, limit_file, used_file = _MEMORY_FILES[controller]
+            directory = f"/sys/fs/cgroup{prefix}{group.rstrip('/')}"
+            with open(f"{directory}/{limit_file}") as file:
+                limit = file.read().strip()
+            with open(f"{directory}/{used_file}") as file:
+                used = int(file.read())
+            if limit != "max":
+                budget = min(budget, int(limit) - used)
+        except (KeyError, OSError, ValueError):
+            pass  # not a memory controller, or not one this process can read
     return budget
 
 
@@ -767,14 +792,14 @@ def _run_rule(config, scenario, rule, y_bar, batch, d_true, rep) -> ReplicationR
         # a degenerate batch has no estimate; a search that cannot stop carries it
         d_est = getattr(exc, "delta_est", math.nan)
         return ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
-                                 d_est, failed=True, reason=str(exc))
+                                 d_est, reason=str(exc))
 
     # an inf coefficient times a zero basis entry is nan: both mean overflow
     with np.errstate(over="ignore", invalid="ignore"):
         error = float(np.linalg.norm(embed_solution(scenario.op, solution.x) - scenario.x_hat))
     overflow = "" if math.isfinite(error) else "the solution error overflows double precision"
     return ReplicationRecord(rep, error, choice.alpha, choice.k, choice.emergency_triggered,
-                             d_true, choice.delta_est_used, failed=bool(overflow), reason=overflow)
+                             d_true, choice.delta_est_used, reason=overflow)
 
 
 # ---------------------------------------------------------------------------

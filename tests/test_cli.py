@@ -232,6 +232,33 @@ def test_solve_overflowing_solution_is_an_error_line_and_writes_nothing(tmp_path
     assert not out.exists()
 
 
+_OVERFLOW_ROWS = "1e200,2e200\n3e200,1e200\n2e200,2e200\n"
+
+
+@pytest.mark.parametrize("matrix_text, rows, message", [
+    # sigma = 1e308 squares to inf, which no filter takes
+    ("1e308,0\n0,1e308\n", "1,2\n3,1\n2,2\n",
+     "singular value 1 of 2 (1e+308) squares to inf in double precision"),
+    # finite measurements whose squared deviations sum beyond the float range
+    ("1e200,0\n0,1e200\n", _OVERFLOW_ROWS,
+     "the measurements' mean or spread overflows double precision"),
+    ("0,0\n0,0\n", "1,2\n3,1\n2,2\n",
+     "matrix CSV {matrix} has rank 0: no singular value is above 1e-14 times the largest"),
+], ids=["overflowing-squares", "overflowing-spread", "rank-0"])
+def test_solve_extreme_input_is_one_error_line_and_writes_nothing(tmp_path, capsys,
+                                                                  matrix_text, rows, message):
+    # pytest turns any numpy RuntimeWarning on the way into a failure
+    matrix, measurements = tmp_path / "matrix.csv", tmp_path / "measurements.csv"
+    matrix.write_text(matrix_text)
+    measurements.write_text(rows)
+    out = tmp_path / "out"
+    code = main(["solve", "--matrix", str(matrix), "--measurements", str(measurements),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message.format(matrix=matrix)}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--filter", "tikhonov", "--order", "3"],
     ["--filter", "tsvd", "--relaxation", "0.5"],
@@ -405,6 +432,31 @@ def test_simulate_overflowing_solution_error_is_one_error_line(
     assert capsys.readouterr().err.splitlines() == [
         f"error: {failed} replications failed ({k} x the solution error overflows "
         "double precision); summaries would be meaningless"]
+
+
+def test_simulate_rank_zero_matrix_file_is_an_input_error_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # the smooth source of a rank-0 operator used to divide by its zero norm
+    matrix = tmp_path / "zero.csv"
+    matrix.write_text("0,0\n0,0\n")
+    raw = {
+        "version": 1,
+        "scenario": {"name": "matrix_file", "path": str(matrix)},
+        "filter": {"kind": "tikhonov"},
+        "rules": [{"name": "dp"}],
+        "delta_rule": {"name": "sample_std"},
+        "sample_sizes": [2, 3],
+        "replications": 3,
+        "base_seed": 1,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    monkeypatch.setattr(study, "_fan_out", lambda *args: pytest.fail("a batch was drawn"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: matrix CSV {matrix} has rank 0: no singular "
+                                       "value is above 1e-14 times the largest\n")
+    assert not out.exists()
 
 
 def test_simulate_out_of_memory_is_one_error_line(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avereg.errors import ConfigError, ConfigurationError, InputError
+from avereg.errors import ConfigError, InputError
 from avereg.filters import (
     FilterSpec,
     apply_regularizer,
@@ -140,7 +140,7 @@ def test_filter_value_input_errors():
 
 
 def test_landweber_divergent_configuration():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError, match="divergent"):
         filter_value(FilterSpec.landweber(2.0), 0.5, 1.0)
 
 
@@ -389,8 +389,7 @@ def test_verify_filter_constants_default_kinds_pass():
     ]:
         report = verify_filter_constants(spec, sigma_max=1.0, nu=nu)
         assert report.passed, report.violations
-        assert report.monotone and report.range_ok
-        assert not report.qualification_exceeded
+        assert report.monotone
 
 
 class _TamperedTikhonov(FilterSpec):
@@ -403,10 +402,17 @@ def test_verify_filter_constants_flags_tampered_c_r():
     assert any("C_R" in violation for violation in report.violations)
 
 
+class _OverqualifiedTikhonov(FilterSpec):
+    qualification = math.inf  # Tikhonov's is 2
+
+
 def test_verify_filter_constants_flags_beyond_qualification():
-    report = verify_filter_constants(FilterSpec.tikhonov(), sigma_max=1.0, nu=4.0)
-    assert report.qualification_exceeded
-    assert math.isinf(report.c_nu_declared)
+    # beyond the qualification no C_nu is declared, so the bias is not checked
+    assert verify_filter_constants(FilterSpec.tikhonov(), sigma_max=1.0, nu=4.0).passed
+    assert math.isinf(FilterSpec.tikhonov().c_nu(4.0))
+    # a qualification declared too high declares C_nu = 1, which the grid breaks
+    report = verify_filter_constants(_OverqualifiedTikhonov("tikhonov"), sigma_max=1.0, nu=4.0)
+    assert report.violations == ("C_nu observed 1e+08 exceeds declared 1",)
 
 
 def test_declared_constants_by_kind():

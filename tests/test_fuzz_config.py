@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from avereg import cli
 from avereg.errors import (
     ConfigError,
-    ConfigurationError,
     DegenerateBatchError,
     InputError,
     NonTerminationError,
@@ -25,7 +24,6 @@ DOCUMENTED_EXIT = {
     MemoryError: 1,
     ConfigError: 1,
     InputError: 1,
-    ConfigurationError: 1,
     NumericalError: 1,
     NonTerminationError: 1,
     DegenerateBatchError: 2,
@@ -34,7 +32,7 @@ DOCUMENTED_EXIT = {
 
 #: what ``run_study`` may raise for a valid config; a replication whose noise
 #: estimate degenerates or whose search cannot stop is a failed record instead
-RUN_ERRORS = (StudyError, InputError, ConfigurationError, NumericalError)
+RUN_ERRORS = (StudyError, InputError, NumericalError)
 
 #: seconds one generated config may take, parsing and running
 TIME_BOUND_S = 10.0

@@ -329,6 +329,19 @@ def test_batch_csv_rejects_garbage(tmp_path):
         load_batch_csv(str(bad))
 
 
+@pytest.mark.parametrize("rows", [
+    # squared deviations beyond the float range
+    [[1e200, 2e200], [3e200, 1e200], [2e200, 2e200]],
+    # a column whose pairwise sum meets +inf and -inf, which is nan
+    [[1e308]] * 1024 + [[-1e308]] * 1024,
+], ids=["spread", "opposite-sums"])
+def test_batch_csv_mean_or_spread_beyond_the_float_range_is_an_input_error(tmp_path, rows):
+    path = tmp_path / "big.csv"
+    np.savetxt(path, np.array(rows), delimiter=",", fmt="%.17g")
+    with pytest.raises(InputError, match="mean or spread overflows double precision"):
+        load_batch_csv(str(path))
+
+
 def test_binary_option_params_validation():
     with pytest.raises(InputError):
         BinaryOptionParams(r=0.0, expiry=30.0, strike=0.5, payoff=1.0,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avereg import selection
 from avereg.errors import AveregError, InputError, NonTerminationError
 from avereg.filters import FilterSpec, filter_value, residual_norm
 from avereg.selection import (
@@ -99,12 +100,12 @@ def test_alpha_is_repeated_multiplication():
     assert result.alpha == alpha  # bitwise
 
 
-def test_non_termination_is_an_error():
+def test_non_termination_is_an_error(monkeypatch):
+    monkeypatch.setattr(selection, "_K_MAX", 50)
     op = SpectralDecomposition([1.0])
     y = CoefficientVector([0.0], orthogonal_norm=1.0)
     with pytest.raises(NonTerminationError):
-        discrepancy_principle(op, FilterSpec.tikhonov(), y, delta_est=0.5,
-                              q=0.5, k_max=50)
+        discrepancy_principle(op, FilterSpec.tikhonov(), y, delta_est=0.5, q=0.5)
 
 
 def test_subnormal_alpha_stall_raises_promptly():
@@ -203,8 +204,9 @@ def test_larger_delta_never_increases_k(seed, kind):
 # the blocked search against a search that steps one alpha at a time
 
 
-def _reference_search(op, spec, y, delta_est, q, emergency_n=None, k_max=10**6):
+def _reference_search(op, spec, y, delta_est, q, emergency_n=None):
     """The discrepancy search as a plain loop, one residual_norm call per alpha."""
+    k_max = selection._K_MAX
     if emergency_n is None and y.orthogonal_norm > delta_est:
         raise NonTerminationError(
             "the data component outside the operator's range exceeds delta_est", delta_est)
@@ -213,9 +215,9 @@ def _reference_search(op, spec, y, delta_est, q, emergency_n=None, k_max=10**6):
     while True:
         residual = residual_norm(op, spec, alpha, y)
         if residual <= delta_est:
-            return ChoiceResult(alpha, k, residual, False, delta_est, k + 1)
+            return ChoiceResult(alpha, k, residual, False, delta_est)
         if guard is not None and not alpha > guard:
-            return ChoiceResult(alpha, k, residual, True, delta_est, k + 1)
+            return ChoiceResult(alpha, k, residual, True, delta_est)
         if k >= k_max:
             raise NonTerminationError(
                 f"discrepancy search did not stop within k_max={k_max} steps", delta_est)
@@ -284,8 +286,9 @@ def test_blocked_search_emergency_guard_inside_a_block(n):
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 20, 31, 32, 33, 40, 64])
-def test_blocked_search_k_max_inside_a_block(k_max):
+def test_blocked_search_k_max_inside_a_block(k_max, monkeypatch):
     # delta met never, one step too late, or exactly at k_max
+    monkeypatch.setattr(selection, "_K_MAX", k_max)
     op = SpectralDecomposition([1.0])
     y = CoefficientVector([1.0])
     spec = FilterSpec.tikhonov()
@@ -294,10 +297,10 @@ def test_blocked_search_k_max_inside_a_block(k_max):
         alphas.append(alphas[-1] * 0.7)
     late = residual_norm(op, spec, alphas[k_max + 1], y)
     for delta in (1e-300, late):
-        outcome = _assert_same_search(op, spec, y, delta, 0.7, k_max=k_max)
+        outcome = _assert_same_search(op, spec, y, delta, 0.7)
         assert outcome[0] == "NonTerminationError" and f"k_max={k_max}" in outcome[1]
     in_time = residual_norm(op, spec, alphas[k_max], y)
-    assert _assert_same_search(op, spec, y, in_time, 0.7, k_max=k_max)[1] == k_max
+    assert _assert_same_search(op, spec, y, in_time, 0.7)[1] == k_max
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda spec: spec.name)
@@ -344,31 +347,33 @@ def test_emergency_guard_bounds_alpha():
 
 def test_apriori_scaled_source_examples():
     rule = AprioriRule("scaled_source", c=1.0, nu=1.0, rho=1.0)
-    assert apriori_alpha(rule, 1e-4, n=10) == pytest.approx(1e-4)
+    assert apriori_alpha(rule, 1e-4) == pytest.approx(1e-4)
     rule = AprioriRule("scaled_source", c=1.0, nu=3.0, rho=2.0)
-    assert apriori_alpha(rule, 1e-2, n=10) == pytest.approx(0.005**0.5)
-    assert apriori_alpha(rule, 1e-2, n=10) == pytest.approx(0.07071, abs=1e-5)
+    assert apriori_alpha(rule, 1e-2) == pytest.approx(0.005**0.5)
+    assert apriori_alpha(rule, 1e-2) == pytest.approx(0.07071, abs=1e-5)
 
 
 def test_apriori_inv_sqrt_n():
+    # the scaled_source formula at c = nu = rho = 1 on the estimate 1/sqrt(n)
     rule = AprioriRule("inv_sqrt_n_alpha")
-    assert apriori_alpha(rule, 1.0, n=10**4) == pytest.approx(0.01)
+    for n in (1, 2, 10**4, 10**9):
+        assert apriori_alpha(rule, 1.0 / math.sqrt(n)) == min(1.0, 1.0 / math.sqrt(n))
 
 
 def test_apriori_clamped_to_unit_interval():
     rule = AprioriRule("scaled_source", c=100.0, nu=1.0, rho=1.0)
-    assert apriori_alpha(rule, 0.5, n=10) == 1.0
+    assert apriori_alpha(rule, 0.5) == 1.0
     # (delta/rho)^(2/(nu+1)) overflows a float: it used to raise OverflowError
     rule = AprioriRule("scaled_source", nu=1e-3, rho=1e-300)
-    assert apriori_alpha(rule, 0.5, n=10) == 1.0
+    assert apriori_alpha(rule, 0.5) == 1.0
     # ... and underflows to 0, which no filter takes
     rule = AprioriRule("scaled_source", nu=1e-3, rho=1e308)
-    assert apriori_alpha(rule, 0.5, n=10) == math.ulp(0.0)
+    assert apriori_alpha(rule, 0.5) == math.ulp(0.0)
     # an overflowing power times a tiny c is evaluated in logs, not clamped
     rule = AprioriRule("scaled_source", c=5e-324, nu=1e-3, rho=1e-160)
     expected = math.exp(math.log(5e-324) + 2.0 / 1.001 * math.log(1e160))
     assert 1e-5 < expected < 1e-3
-    assert apriori_alpha(rule, 1.0, n=10) == pytest.approx(expected, rel=1e-12)
+    assert apriori_alpha(rule, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_apriori_validation():
@@ -377,7 +382,7 @@ def test_apriori_validation():
     with pytest.raises(InputError):
         AprioriRule("scaled_source", c=0.0)
     with pytest.raises(InputError):
-        apriori_alpha(AprioriRule("scaled_source"), 0.0, n=10)
+        apriori_alpha(AprioriRule("scaled_source"), 0.0)
     # a setting the variant ignores is an error, not a second rule of that variant
     for setting in ({"c": 50.0}, {"nu": 3.0}, {"rho": 2.0}):
         with pytest.raises(InputError, match="inv_sqrt_n_alpha takes no c, nu or rho"):

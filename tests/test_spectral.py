@@ -170,6 +170,14 @@ def test_svd_zero_matrix_has_rank_zero():
     assert op.left_basis.shape == (3, 0) and op.right_basis.shape == (2, 0)
 
 
+def test_decomposition_rejects_squares_beyond_the_float_range():
+    with pytest.raises(InputError, match="singular value 1 of 2 .* squares to inf"):
+        SpectralDecomposition([1e155, 1.0])
+    with pytest.raises(InputError, match="singular value 2 of 2 .* squares to 0"):
+        SpectralDecomposition([1.0, 1e-170])
+    assert SpectralDecomposition([1e154, 1e-160]).rank == 2
+
+
 def test_svd_rejects_non_finite():
     with pytest.raises(InputError):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
