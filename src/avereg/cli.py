@@ -43,6 +43,7 @@ from .study import (
     format_summary_table,
     matrix_rank_check,
     read_config,
+    rule_delta,
     run_study,
     solve_rule,
     solve_settings,
@@ -72,7 +73,8 @@ def _cmd_solve(args) -> int:
         )
     op = matrix_rank_check(svd(matrix), args.matrix)
     y_bar = project_data(op, batch.mean)
-    choice, solution = solve_rule(op, spec, rule, batch, y_bar, args.delta, tau)
+    delta = rule_delta(rule, batch, args.delta, tau)
+    choice, solution = solve_rule(op, spec, rule, y_bar, delta, batch.n)
     # an inf coefficient times a zero basis entry is nan: both mean overflow
     with np.errstate(over="ignore", invalid="ignore"):
         x = embed_solution(op, solution.x)

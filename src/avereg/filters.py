@@ -109,15 +109,16 @@ class FilterSpec:
         return self.kind
 
 
-def _axes(alpha, lam):
-    """Validated alpha and lambda arrays; a 1-D alpha becomes a column, so
-    results have one row per alpha against the lambda axis."""
+def _axes(alpha, lam=None):
+    """Validated alpha and lambda (if given) arrays; a 1-D alpha becomes a
+    column, so results have one row per alpha against the lambda axis."""
     alpha = np.asarray(alpha, dtype=float)
-    lam = np.asarray(lam, dtype=float)
     if not np.all(alpha > 0):
         raise InputError("alpha must be positive")
-    if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
-        raise InputError("lambda must be positive and finite")
+    if lam is not None:
+        lam = np.asarray(lam, dtype=float)
+        if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
+            raise InputError("lambda must be positive and finite")
     return (alpha[:, None] if alpha.ndim == 1 else alpha), lam
 
 
@@ -142,12 +143,8 @@ def _exponent(t, p):
         return p * np.log1p(-t)
 
 
-def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
-    """1 - lambda F_alpha(lambda), evaluated without cancellation.
-
-    A 1-D array of alphas gives one row of factors per alpha.
-    """
-    alpha, lam = _axes(alpha, lam)
+def _factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
+    """1 - lambda F_alpha(lambda) of checked axes, such as a spectrum's squares."""
     if spec.kind == "tikhonov":
         return alpha / (alpha + lam)
     if spec.kind == "tsvd":
@@ -155,31 +152,42 @@ def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
     return np.exp(_exponent(*_power(spec, alpha, lam)))
 
 
+def residual_factor(spec: FilterSpec, alpha, lam) -> np.ndarray:
+    """1 - lambda F_alpha(lambda), evaluated without cancellation.
+
+    A 1-D array of alphas gives one row of factors per alpha.
+    """
+    return _factor(spec, *_axes(alpha, lam))
+
+
 # F beyond DBL_MAX, at a lambda below about 1/DBL_MAX, is inf: unused at a
 # level TSVD discards, else it shows as a solution error that overflows
 @np.errstate(over="ignore")
+def _filter(spec: FilterSpec, alpha, lam) -> np.ndarray:
+    """F_alpha(lambda) of checked axes."""
+    if spec.kind == "tikhonov":
+        return 1.0 / (alpha + lam)
+    if spec.kind == "tsvd":
+        return np.where(lam >= alpha, 1.0 / lam, 0.0)
+    t, p = _power(spec, alpha, lam)
+    value = -np.expm1(_exponent(t, p)) / lam
+    # below the normal range t has lost bits or is 0; there e = -pt and
+    # F = h(pt) p t/lambda with h(x) = -expm1(-x)/x, which needs few bits
+    # of pt, and t/lambda, 1/(alpha + lambda) or a, formed without t
+    x = p * t
+    h = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+    rate = 1.0 / (alpha + lam) if spec.kind == "iterated_tikhonov" else spec.relaxation
+    with np.errstate(invalid="ignore"):  # h p is 0 inf where p is inf, and unused
+        return np.where((t < _TINY) & (p < math.inf), h * p * rate, value)
+
+
 def filter_value(spec: FilterSpec, alpha, lam):
     """F_alpha(lambda), evaluated without cancellation.
 
     A 1-D array of alphas gives one row of values per alpha; a scalar alpha
     and a scalar lambda give a float.  A value beyond the float range is inf.
     """
-    alpha, lam = _axes(alpha, lam)
-    if spec.kind == "tikhonov":
-        value = 1.0 / (alpha + lam)
-    elif spec.kind == "tsvd":
-        value = np.where(lam >= alpha, 1.0 / lam, 0.0)
-    else:
-        t, p = _power(spec, alpha, lam)
-        value = -np.expm1(_exponent(t, p)) / lam
-        # below the normal range t has lost bits or is 0; there e = -pt and
-        # F = h(pt) p t/lambda with h(x) = -expm1(-x)/x, which needs few bits
-        # of pt, and t/lambda, 1/(alpha + lambda) or a, formed without t
-        x = p * t
-        h = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
-        rate = 1.0 / (alpha + lam) if spec.kind == "iterated_tikhonov" else spec.relaxation
-        with np.errstate(invalid="ignore"):  # h p is 0 inf where p is inf, and unused
-            value = np.where((t < _TINY) & (p < math.inf), h * p * rate, value)
+    value = _filter(spec, *_axes(alpha, lam))
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -192,35 +200,55 @@ class RegularizedSolution:
     residual: float
 
 
-def apply_regularizer(
-    op: SpectralDecomposition, spec: FilterSpec, alpha: float, y: CoefficientVector
-) -> RegularizedSolution:
+def _stack(op: SpectralDecomposition, y) -> tuple:
+    """Rows of coefficients and squared orthogonal norms of one or more vectors."""
+    rows = [y] if isinstance(y, CoefficientVector) else y
+    for row in rows:
+        _check_length(op, row, "data vector")
+    return (np.array([row.coefficients for row in rows]).reshape(len(rows), op.rank),
+            np.array([row.orthogonal_norm**2 for row in rows]))
+
+
+def _norms(product: np.ndarray, orthogonal_squares) -> np.ndarray:
+    """sqrt(sum(product^2) + orthogonal_squares) along rows; squares in place."""
+    np.square(product, out=product)
+    return np.sqrt(np.sum(product, axis=-1) + orthogonal_squares)
+
+
+def apply_regularizer(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
     """Apply R_alpha = F_alpha(K*K) K* to data-side coefficients.
 
-    The residual is :func:`residual_norm` at ``alpha``: ||(K R_alpha - Id) y||
-    including any component of y orthogonal to the range basis.
+    A CoefficientVector ``y`` with a float alpha gives a RegularizedSolution,
+    and a sequence of them with one alpha each one per row, bitwise the same.
+    The residual is :func:`residual_norm` at alpha, which counts any
+    component of y orthogonal to the range basis.
     """
-    _check_length(op, y, "data vector")
-    lam = op.singular_values**2
-    f = filter_value(spec, alpha, lam)
-    x = f * op.singular_values * y.coefficients
-    return RegularizedSolution(x, residual_norm(op, spec, alpha, y))
+    if isinstance(y, CoefficientVector):
+        return apply_regularizer(op, spec, [alpha], [y])[0]
+    coefficients, orthogonal_squares = _stack(op, y)
+    alphas = _axes(np.ravel(alpha))[0]
+    x = _filter(spec, alphas, op.squares) * op.singular_values * coefficients
+    residuals = _norms(_factor(spec, alphas, op.squares) * coefficients, orthogonal_squares)
+    return [RegularizedSolution(row, residual) for row, residual in zip(x, residuals.tolist())]
 
 
-def residual_norm(
-    op: SpectralDecomposition, spec: FilterSpec, alpha, y: CoefficientVector
-):
+def residual_norm(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
     """||(K R_alpha - Id) y||; the quantity driven to delta by the discrepancy loop.
 
-    A float alpha gives a float; a 1-D array of alphas gives an array with
-    one residual per alpha, each bitwise the one its float would give (each
-    row is summed in the same pairwise order as a single vector).
+    A float alpha gives a float, and a 1-D array of alphas one residual per
+    alpha; a sequence of CoefficientVectors gives that per row.  Each residual
+    is bitwise the one its float alpha and its vector alone give.
     """
-    _check_length(op, y, "data vector")
-    factor = residual_factor(spec, alpha, op.singular_values**2)
-    squares = np.sum((factor * y.coefficients) ** 2, axis=-1)
-    residual = np.sqrt(squares + y.orthogonal_norm**2)
-    return residual if np.ndim(alpha) == 1 else float(residual)
+    coefficients, orthogonal_squares = _stack(op, y)
+    factor = _factor(spec, _axes(np.ravel(alpha))[0], op.squares)
+    residuals = np.empty((len(coefficients), len(factor)))
+    step = max(1, (1 << 15) // factor.size)  # rows whose product fills about 256 KB
+    for lo in range(0, len(coefficients), step):
+        residuals[lo:lo + step] = _norms(factor * coefficients[lo:lo + step, None],
+                                         orthogonal_squares[lo:lo + step, None])
+    residuals = residuals.reshape(len(coefficients), *np.shape(alpha))
+    residuals = residuals[0] if isinstance(y, CoefficientVector) else residuals
+    return float(residuals) if residuals.ndim == 0 else residuals
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ iterated-logarithm envelope ``tau s_n sqrt(2 log log n / n)`` are computed.
 Noise with a common random direction (``direction_gaussian``, ``heavy_tailed``)
 is stored in factored form — per-sample scalar latents times a fixed vector —
 so batches with n = 1e5 samples cost O(n + m) rather than O(n m), and their
-sample matrices are never built.  Direction-Gaussian noise may be forced:
+sample matrices are never built; a draw holds one array of latents and
+squares their deviations in it.  Direction-Gaussian noise may be forced:
 every latent then equals one value, a deterministic noise that goes through
-the same factored batch as a drawn one.  Noise that is not
-rank-one (``coefficient_gaussian``) needs the full n x m sample matrix; it is
-built in place in the array of drawn normals, and it is the batch's only n x m
-array: ``s_n`` sums the squared deviations leaf by leaf in the tree of numpy's
+the same factored batch as a drawn one.  Noise that is not rank-one
+(``coefficient_gaussian``) needs the full n x m sample matrix; it is built in
+place in the array of drawn normals, and it is the batch's only n x m array:
+``s_n`` sums the squared deviations leaf by leaf in the tree of numpy's
 pairwise summation, so it equals the sum over a full deviation matrix bit for
 bit.  ``batch_bytes`` states what one batch of each model holds, which bounds
 how many batches a study draws at once.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBatchError, InputError
-from .rng import RandomStream
+from .rng import RandomStream, pareto_from_uniforms
 from .spectral import _load_csv
 
 DELTA_RULES = ("inv_sqrt_n", "sample_std", "lil")
@@ -187,18 +188,12 @@ class MeasurementBatch:
         return self._samples
 
 
-def _left_size(size: int) -> int:
-    """Length of the left half in numpy's pairwise summation of ``size``
-    elements: half, rounded down to a multiple of 8."""
-    return size // 2 - size // 2 % 8
-
-
 def _pairwise_sum(leaf_sum, lo: int, size: int) -> float:
     """``leaf_sum(start, length)`` of each leaf of numpy's pairwise summation
     tree over [lo, lo + size), cut at ``_LEAF`` elements, added up that tree."""
     if size <= _LEAF:
         return leaf_sum(lo, size)
-    left = _left_size(size)
+    left = size // 2 - size // 2 % 8  # numpy's left half: rounded down to a multiple of 8
     return _pairwise_sum(leaf_sum, lo, left) + _pairwise_sum(leaf_sum, lo + left, size - left)
 
 
@@ -221,7 +216,7 @@ def _squared_deviation_sum(samples: np.ndarray, mean: np.ndarray) -> float:
     return _pairwise_sum(leaf_sum, 0, flat.size)
 
 
-def _finalize_full(samples) -> MeasurementBatch:
+def _finalize_full(samples, source: str = "") -> MeasurementBatch:
     """Batch of a C-ordered (n, dim) sample matrix, which it keeps."""
     n = samples.shape[0]
     # finite samples can still sum, or square their deviations, beyond the
@@ -230,7 +225,7 @@ def _finalize_full(samples) -> MeasurementBatch:
         mean = samples.mean(axis=0)
         sq = _squared_deviation_sum(samples, mean)
     if not (np.all(np.isfinite(mean)) and math.isfinite(sq)):
-        raise InputError("the measurements' mean or spread overflows double precision")
+        raise InputError(f"{source}the measurements' mean or spread overflows double precision")
     std = math.sqrt(sq / (n - 1)) if n > 1 else 0.0
     return MeasurementBatch(n, mean, std, samples=samples)
 
@@ -238,9 +233,10 @@ def _finalize_full(samples) -> MeasurementBatch:
 def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
     """Bytes a ``draw_batch`` of n measurements of dimension m holds at its
     peak, to within a factor of 2: the n x m sample matrix of
-    coefficient-Gaussian noise, and at most three n-long float arrays of
-    latents for every other model."""
-    return 8 * n * (m if isinstance(model, CoefficientGaussian) else 3)
+    coefficient-Gaussian noise, the 2n uniforms of heavy-tailed noise, the n
+    latents of Bernoulli payoffs with their sorted copy, and the n latents of
+    direction-Gaussian noise."""
+    return 8 * n * {CoefficientGaussian: m, HeavyTailed: 2, BernoulliPayoff: 2}.get(type(model), 1)
 
 
 def draw_batch(
@@ -257,9 +253,11 @@ def draw_batch(
         return _rank_one_batch(y_hat, model.direction, z, n)
 
     if isinstance(model, HeavyTailed):
-        u = rng.symmetric_uniforms(n)
-        z = u * rng.generalized_pareto(n, model.shape, model.scale, model.location)
-        return _rank_one_batch(y_hat, model.weights, z, n)
+        # the words of symmetric_uniforms(n), then generalized_pareto(n)
+        u, z = np.split(rng.uniforms(2 * n), 2)
+        u -= 0.5
+        u *= pareto_from_uniforms(z, model.shape, model.scale, model.location)
+        return _rank_one_batch(y_hat, model.weights, u, n)
 
     if isinstance(model, CoefficientGaussian):
         m = len(y_hat)
@@ -275,12 +273,14 @@ def draw_batch(
 
 
 def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
+    """Batch of the latents ``z`` times ``direction``; ``z`` ends as its squared deviations."""
     direction = np.asarray(direction, dtype=float)
     if direction.shape[0] != len(y_hat):
         raise InputError("direction length must match y_hat")
     z_bar = float(z.mean())
     dir_norm = float(np.linalg.norm(direction))
-    std = float(np.sqrt(np.sum((z - z_bar) ** 2) / (n - 1))) * dir_norm
+    z -= z_bar
+    std = float(np.sqrt(np.sum(np.square(z, out=z)) / (n - 1))) * dir_norm
     return MeasurementBatch(n, y_hat + z_bar * direction, std)
 
 
@@ -334,5 +334,6 @@ def delta_true(batch: MeasurementBatch, y_hat: np.ndarray) -> float:
 
 
 def load_batch_csv(path: str) -> MeasurementBatch:
-    """Read a batch from headerless CSV, one measurement per row."""
-    return _finalize_full(_load_csv(path, "measurements"))
+    """Read a batch from headerless CSV, one measurement per row; every
+    failure is an InputError naming the file."""
+    return _finalize_full(_load_csv(path, "measurements"), f"measurements CSV {path}: ")

@@ -123,25 +123,8 @@ class RandomStream:
         return out[:n]
 
     def generalized_pareto(self, n: int, shape: float, scale: float, location: float) -> np.ndarray:
-        """n generalized-Pareto variates via inverse transform.
-
-        X = location + scale * ((1 - U)^{-shape} - 1) / shape; the shape -> 0
-        limit is exponential.
-        """
-        if scale <= 0:
-            raise InputError(f"generalized Pareto scale must be positive, got {scale}")
-        x = self.uniforms(n)
-        np.negative(x, out=x)
-        np.log1p(x, out=x)
-        if abs(shape) < 1e-12:
-            x *= scale
-            return np.subtract(location, x, out=x)
-        x *= -shape
-        np.expm1(x, out=x)
-        x *= scale
-        x /= shape
-        x += location
-        return x
+        """n generalized-Pareto variates; see :func:`pareto_from_uniforms`."""
+        return pareto_from_uniforms(self.uniforms(n), shape, scale, location)
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n) (Fisher-Yates)."""
@@ -151,3 +134,22 @@ class RandomStream:
             j = int(u[n - 1 - i] * (i + 1))
             perm[i], perm[j] = perm[j], perm[i]
         return perm
+
+
+def pareto_from_uniforms(x: np.ndarray, shape: float, scale: float, location: float) -> np.ndarray:
+    """Generalized-Pareto variates X = location + scale ((1 - U)^{-shape} - 1)
+    / shape of the uniforms U in ``x``, in place; the shape -> 0 limit is
+    exponential."""
+    if scale <= 0:
+        raise InputError(f"generalized Pareto scale must be positive, got {scale}")
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    if abs(shape) < 1e-12:
+        x *= scale
+        return np.subtract(location, x, out=x)
+    x *= -shape
+    np.expm1(x, out=x)
+    x *= scale
+    x /= shape
+    x += location
+    return x

@@ -7,12 +7,14 @@ level.  The optional emergency stop additionally exits as soon as
 the noise level is underestimated.  A priori rules pick alpha from the
 estimated noise level and the source condition alone.
 
-The search evaluates the grid in blocks of consecutive alphas, one
-``residual_norm`` call per block, and stops at the first alpha of a block
-that meets a stop condition.  The alphas are built by the same repeated
-multiplication and each residual is bitwise the one-at-a-time value, so the
-choice is exactly that of a search stepping one alpha at a time; residuals
-computed past the stop within a block are discarded.
+The search runs over rows: data vectors, each with its own noise estimate,
+walk one grid together in blocks of consecutive alphas, one
+``residual_norm`` call per block for the rows still searching, and a row
+stops at the first alpha of a block that meets a stop condition.  The
+alphas are built by the same repeated multiplication and each residual is
+bitwise the one-at-a-time value, so each row's choice is exactly that of a
+search of it alone stepping one alpha at a time; residuals computed past
+the stop within a block are discarded.
 """
 
 from __future__ import annotations
@@ -58,14 +60,8 @@ class ChoiceResult:
         return self.k + 1
 
 
-def discrepancy_principle(
-    op: SpectralDecomposition,
-    spec: FilterSpec,
-    y_bar: CoefficientVector,
-    delta_est: float,
-    q: float = 0.7,
-    emergency_n: int | None = None,
-) -> ChoiceResult:
+def discrepancy_principle(op: SpectralDecomposition, spec: FilterSpec, y_bar, delta_est,
+                          q: float = 0.7, emergency_n: int | None = None):
     """Largest alpha = q^k with residual <= delta_est, optionally floored.
 
     Starting at k = 0, alpha = 1, the loop runs while the residual exceeds
@@ -77,24 +73,31 @@ def discrepancy_principle(
     below the data's component outside the range, so without the emergency
     stop a search whose ``y_bar.orthogonal_norm`` exceeds ``delta_est`` raises
     before its first evaluation.
+
+    A sequence of CoefficientVectors with one estimate each gives one
+    ChoiceResult per row, or the NonTerminationError its vector alone raises.
     """
-    if not (delta_est > 0):
+    if isinstance(y_bar, CoefficientVector):
+        [choice] = discrepancy_principle(op, spec, [y_bar], [delta_est], q, emergency_n)
+        if isinstance(choice, NonTerminationError):
+            raise choice
+        return choice
+    if not all(delta > 0 for delta in delta_est):
         raise InputError("delta_est must be positive")
     if not (0.0 < q < 1.0):
         raise InputError("q must lie in (0, 1)")
     if emergency_n is not None and emergency_n < 1:
         raise InputError("emergency_n must be a positive integer")
 
-    if emergency_n is None and y_bar.orthogonal_norm > delta_est:
-        raise NonTerminationError(
-            "the data component outside the operator's range exceeds delta_est",
-            delta_est,
-        )
-
+    outside = "the data component outside the operator's range exceeds delta_est"
+    results = [NonTerminationError(outside, delta)
+               if emergency_n is None and row.orthogonal_norm > delta else None
+               for row, delta in zip(y_bar, delta_est)]
+    searching = [i for i, result in enumerate(results) if result is None]
     guard = 1.0 / emergency_n if emergency_n is not None else None
     k0 = 0
     alpha = 1.0
-    while True:
+    while searching:
         # grid points k0, k0 + 1, ... up to the block size or the point after
         # which a search that never meets delta_est would raise
         block = [alpha]
@@ -113,16 +116,20 @@ def discrepancy_principle(
             block.append(alpha)
 
         alphas = np.array(block)
-        residuals = residual_norm(op, spec, alphas, y_bar)
-        met = residuals <= delta_est
+        residuals = residual_norm(op, spec, alphas, [y_bar[i] for i in searching])
+        met = residuals <= np.array([delta_est[i] for i in searching])[:, None]
         stops = met if guard is None else met | ~(alphas > guard)
-        if stops.any():
-            i = int(np.argmax(stops))
-            return ChoiceResult(block[i], k0 + i, float(residuals[i]), not met[i], delta_est)
-        if end is not None:
-            raise NonTerminationError(end, delta_est)
+        rows = zip(searching, stops.any(axis=1).tolist(), np.argmax(stops, axis=1).tolist())
+        for j, (i, stopped, first) in enumerate(rows):
+            if stopped:
+                results[i] = ChoiceResult(block[first], k0 + first, float(residuals[j, first]),
+                                          not met[j, first], delta_est[i])
+            elif end is not None:
+                results[i] = NonTerminationError(end, delta_est[i])
+        searching = [i for i in searching if results[i] is None]
         k0 += _BLOCK
         alpha *= q
+    return results
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,12 +58,14 @@ class SpectralDecomposition:
 
     ``left_basis`` / ``right_basis`` hold the vectors u_l / v_l as matrix
     columns; ``None`` means the standard basis (diagonal operators), which
-    keeps large synthetic operators cheap.
+    keeps large synthetic operators cheap.  ``squares`` holds the sigma_l^2,
+    checked once here for the filters.
     """
 
     singular_values: np.ndarray
     left_basis: np.ndarray | None = None
     right_basis: np.ndarray | None = None
+    squares: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = np.atleast_1d(np.asarray(self.singular_values, dtype=float))
@@ -81,6 +83,7 @@ class SpectralDecomposition:
             raise InputError(f"singular value {level} of {sigma.size} ({sigma[level - 1]:.3g}) "
                              f"squares to {squares[level - 1]:g} in double precision")
         object.__setattr__(self, "singular_values", sigma)
+        object.__setattr__(self, "squares", squares)
         for name in ("left_basis", "right_basis"):
             basis = getattr(self, name)
             if basis is not None:

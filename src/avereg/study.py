@@ -12,9 +12,11 @@ CSV matrices.
 All randomness flows from ``base_seed`` through one substream per
 (sample-size index, replication) pair, so studies are bit-reproducible and
 each rule sees the same batches.  No such pair depends on another, so a
-study spreads them over forked processes: one per core, as long as the
-available memory holds one batch per process.  The records come back in their
-serial order, and the outputs do not depend on the number of processes.
+study draws, projects and estimates them in forked processes: one per core,
+as long as the available memory holds one batch per process.  Each pair
+comes back as its projected mean, about 8 m bytes that the caller holds
+until it solves each (rule, sample size) as one stack of replications.  The
+outputs do not depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 import tempfile
 import traceback
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .errors import (
     NonTerminationError,
     StudyError,
 )
-from .filters import KINDS, FilterSpec, RegularizedSolution, apply_regularizer
+from .filters import KINDS, FilterSpec, apply_regularizer
 from .measurements import (
     DELTA_RULES,
     LIL_MIN_N,
@@ -526,31 +528,41 @@ def matrix_rank_check(op: SpectralDecomposition, path: str) -> SpectralDecomposi
 # execution
 
 
-def solve_rule(
-    op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriRule,
-    batch: MeasurementBatch, y_bar: CoefficientVector, delta_rule: str, tau: float | None = None,
-) -> tuple[ChoiceResult, RegularizedSolution]:
-    """Estimate the noise level of ``batch``, choose alpha by ``rule`` and
-    regularize ``y_bar``, the batch mean in the left singular basis of ``op``.
-
-    An a priori choice has k = -1 and no evaluations.  Only the
-    ``inv_sqrt_n_alpha`` rule pins the estimate to 1/sqrt(n) whatever
-    ``delta_rule`` says, so its alpha, the estimate itself, is 1/sqrt(n);
-    every other rule estimates the noise by ``delta_rule``.  Raises
-    DegenerateBatchError when a sample-based estimate is undefined and
-    NonTerminationError when the discrepancy search cannot stop.
-    """
+def rule_delta(rule: DiscrepancyRule | AprioriRule, batch: MeasurementBatch,
+               delta_rule: str, tau: float | None = None) -> float:
+    """The noise estimate ``rule`` takes from ``batch``: by ``delta_rule``, but
+    1/sqrt(n), its alpha, for ``inv_sqrt_n_alpha``.  Raises
+    DegenerateBatchError when a sample-based estimate is undefined."""
     if isinstance(rule, AprioriRule) and rule.variant == "inv_sqrt_n_alpha":
-        delta = delta_est(batch, "inv_sqrt_n")
-    else:
-        delta = delta_est(batch, delta_rule, tau)
+        return delta_est(batch, "inv_sqrt_n")
+    return delta_est(batch, delta_rule, tau)
+
+
+def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriRule,
+               y_bar, delta, n: int):
+    """Choose alpha by ``rule`` and regularize ``y_bar``, the mean of n
+    measurements in the left singular basis of ``op`` with the noise estimate
+    ``delta``: a (ChoiceResult, RegularizedSolution) pair, and for a sequence
+    of vectors with one estimate each, a pair or the NonTerminationError its
+    vector alone raises per row.  An a priori choice has k = -1."""
+    if isinstance(y_bar, CoefficientVector):
+        [solved] = solve_rule(op, spec, rule, [y_bar], [delta], n)
+        if isinstance(solved, NonTerminationError):
+            raise solved
+        return solved
     if isinstance(rule, DiscrepancyRule):
-        choice = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
-                                       emergency_n=batch.n if rule.emergency else None)
-        return choice, apply_regularizer(op, spec, choice.alpha, y_bar)
-    alpha = apriori_alpha(rule, delta)
-    solution = apply_regularizer(op, spec, alpha, y_bar)
-    return ChoiceResult(alpha, -1, solution.residual, False, delta), solution
+        choices = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
+                                        emergency_n=n if rule.emergency else None)
+    else:
+        # the residual is its solution's, filled in below as for a search
+        choices = [ChoiceResult(apriori_alpha(rule, d), -1, math.nan, False, d) for d in delta]
+    chosen = [i for i, choice in enumerate(choices) if isinstance(choice, ChoiceResult)]
+    # with no row to solve, a divergent Landweber relaxation stays unreported
+    solutions = apply_regularizer(op, spec, [choices[i].alpha for i in chosen],
+                                  [y_bar[i] for i in chosen]) if chosen else []
+    for i, solution in zip(chosen, solutions):
+        choices[i] = replace(choices[i], residual_at_stop=solution.residual), solution
+    return choices
 
 
 @dataclass(frozen=True)
@@ -592,8 +604,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     Replications whose sample-based noise estimate degenerates, whose search
     cannot stop or whose solution error overflows are recorded as failed with
     the reason and excluded from summaries; over 5% failures abort it.  The
-    (sample size, replication) pairs run in ``_fan_out``, one run per core as
-    long as the memory budget holds the largest batch once per run.
+    (sample size, replication) pairs are drawn, projected and estimated in
+    ``_fan_out``, one run per core as long as the memory budget holds the
+    largest batch once per run; the caller then solves each (rule, sample
+    size) as one stack of its replications.
     """
     scenario = build_scenario(config)
     rule_names = tuple(rule.name for rule in config.rules)
@@ -602,21 +616,26 @@ def run_study(config: StudyConfig) -> StudyResult:
         n_index, rep = item
         batch = draw_batch(scenario.model, scenario.y_hat, config.sample_sizes[n_index],
                            config.base_seed, (n_index << 32) | rep)
-        y_bar = project_data(scenario.op, batch.mean)
-        d_true = delta_true(batch, scenario.y_hat)
+        deltas = []
+        for rule in config.rules:
+            try:
+                deltas.append(rule_delta(rule, batch, config.delta_rule, config.delta_tau))
+            except DegenerateBatchError as exc:
+                deltas.append(str(exc))  # the reason there is no estimate
         # the batch is released on return, before the next is drawn: a
         # full-sample batch holds an n x m matrix
-        return [_run_rule(config, scenario, rule, y_bar, batch, d_true, rep)
-                for rule in config.rules]
+        return project_data(scenario.op, batch.mean), delta_true(batch, scenario.y_hat), deltas
 
     items = [(n_index, rep) for n_index in range(len(config.sample_sizes))
              for rep in range(config.replications)]
     cell_bytes = batch_bytes(scenario.model, max(config.sample_sizes), len(scenario.y_hat))
     runs = min(_cores(), max(1, _budget() // cell_bytes))
-    records = {(name, n): [] for name in rule_names for n in config.sample_sizes}
-    for (n_index, _), cell_records in zip(items, _fan_out(cell, items, runs)):
-        for name, record in zip(rule_names, cell_records):
-            records[(name, config.sample_sizes[n_index])].append(record)
+    cells = _fan_out(cell, items, runs)
+    records = {}
+    for r, rule in enumerate(config.rules):
+        for n_index, n in enumerate(config.sample_sizes):
+            stack = cells[n_index * config.replications:(n_index + 1) * config.replications]
+            records[(rule.name, n)] = _solve_stack(config, scenario, rule, n, r, stack)
 
     total = len(items) * len(rule_names)
     failed = sum(rec.failed for recs in records.values() for rec in recs)
@@ -784,22 +803,32 @@ def failure_reasons(records) -> str:
     return "; ".join(f"{count} x {reason}" for reason, count in reasons.most_common())
 
 
-def _run_rule(config, scenario, rule, y_bar, batch, d_true, rep) -> ReplicationRecord:
-    try:
-        choice, solution = solve_rule(scenario.op, config.filter_spec, rule, batch, y_bar,
-                                      config.delta_rule, config.delta_tau)
-    except (DegenerateBatchError, NonTerminationError) as exc:
-        # a degenerate batch has no estimate; a search that cannot stop carries it
-        d_est = getattr(exc, "delta_est", math.nan)
-        return ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
-                                 d_est, reason=str(exc))
-
-    # an inf coefficient times a zero basis entry is nan: both mean overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        error = float(np.linalg.norm(embed_solution(scenario.op, solution.x) - scenario.x_hat))
-    overflow = "" if math.isfinite(error) else "the solution error overflows double precision"
-    return ReplicationRecord(rep, error, choice.alpha, choice.k, choice.emergency_triggered,
-                             d_true, choice.delta_est_used, reason=overflow)
+def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
+    """The records of the config's r-th rule on the cells of sample size n,
+    (y_bar, delta_true, estimates) triples whose r-th estimate is a float or
+    the reason there is none; the cells with an estimate are one stack."""
+    outcomes = [deltas[r] for _, _, deltas in stack]
+    rows = [i for i, delta in enumerate(outcomes) if not isinstance(delta, str)]
+    solved = solve_rule(scenario.op, config.filter_spec, rule, [stack[i][0] for i in rows],
+                        [outcomes[i] for i in rows], n)
+    for i, outcome in zip(rows, solved):
+        outcomes[i] = outcome
+    records = []
+    for rep, ((_, d_true, _), outcome) in enumerate(zip(stack, outcomes)):
+        if isinstance(outcome, tuple):
+            choice, solution = outcome
+            # an inf coefficient times a zero basis entry is nan: both mean overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                error = float(np.linalg.norm(embed_solution(scenario.op, solution.x)
+                                             - scenario.x_hat))
+            reason = "" if math.isfinite(error) else "the solution error overflows double precision"
+            records.append(ReplicationRecord(rep, error, choice.alpha, choice.k,
+                                             choice.emergency_triggered, d_true,
+                                             choice.delta_est_used, reason))
+        else:  # a degenerate batch has no estimate; a search that cannot stop carries it
+            records.append(ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
+                                             getattr(outcome, "delta_est", math.nan), str(outcome)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -828,10 +857,6 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _rule_slug(name: str) -> str:
-    return name.replace("+", "_plus_")
-
-
 def write_study_csvs(result: StudyResult, out_dir: str) -> list:
     """One CSV per (rule, n) plus summary.csv; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -847,7 +872,7 @@ def write_study_csvs(result: StudyResult, out_dir: str) -> list:
                     str(rec.k), str(int(rec.emergency)),
                     _fmt(rec.delta_true), _fmt(rec.delta_est),
                 ]))
-            path = os.path.join(out_dir, f"{_rule_slug(rule)}_n{n}.csv")
+            path = os.path.join(out_dir, f"{rule.replace('+', '_plus_')}_n{n}.csv")
             atomic_write(path, "\n".join(rows) + "\n")
             paths.append(path)
 

@@ -241,10 +241,15 @@ _OVERFLOW_ROWS = "1e200,2e200\n3e200,1e200\n2e200,2e200\n"
      "singular value 1 of 2 (1e+308) squares to inf in double precision"),
     # finite measurements whose squared deviations sum beyond the float range
     ("1e200,0\n0,1e200\n", _OVERFLOW_ROWS,
-     "the measurements' mean or spread overflows double precision"),
+     "measurements CSV {measurements}: the measurements' mean or spread overflows "
+     "double precision"),
+    # a sum meeting +inf and -inf is nan
+    ("1e200,0\n0,1\n", "1e300,1\n-1e300,2\n1e300,1\n",
+     "measurements CSV {measurements}: the measurements' mean or spread overflows "
+     "double precision"),
     ("0,0\n0,0\n", "1,2\n3,1\n2,2\n",
      "matrix CSV {matrix} has rank 0: no singular value is above 1e-14 times the largest"),
-], ids=["overflowing-squares", "overflowing-spread", "rank-0"])
+], ids=["overflowing-squares", "overflowing-spread", "opposite-overflows", "rank-0"])
 def test_solve_extreme_input_is_one_error_line_and_writes_nothing(tmp_path, capsys,
                                                                   matrix_text, rows, message):
     # pytest turns any numpy RuntimeWarning on the way into a failure
@@ -255,7 +260,8 @@ def test_solve_extreme_input_is_one_error_line_and_writes_nothing(tmp_path, caps
     code = main(["solve", "--matrix", str(matrix), "--measurements", str(measurements),
                  "--out", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {message.format(matrix=matrix)}\n"
+    assert capsys.readouterr().err == \
+        f"error: {message.format(matrix=matrix, measurements=measurements)}\n"
     assert not out.exists()
 
 

@@ -156,6 +156,19 @@ def test_batch_bytes_is_within_a_factor_of_two_of_the_traced_peak(model, m):
     assert peak / 2 <= measurements.batch_bytes(model, n, m) <= 2 * peak
 
 
+def test_heavy_tailed_batch_holds_one_array_of_latents():
+    # the 2n uniforms turn into the latents and their squared deviations in
+    # place, so the blocks of the draw are all it holds beside them
+    n = 100_000
+    tracemalloc.start()
+    try:
+        draw_batch(_heavy_tailed(100), _zero(100), n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n
+
+
 def test_rank_one_batches_match_materialised_samples():
     direction = counterexample_direction(5)
     batch = draw_batch(DirectionGaussian(direction), _zero(5), n=12, seed=9)

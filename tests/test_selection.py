@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from avereg import selection
 from avereg.errors import AveregError, InputError, NonTerminationError
-from avereg.filters import FilterSpec, filter_value, residual_norm
+from avereg.filters import FilterSpec, apply_regularizer, filter_value, residual_norm
 from avereg.selection import (
     AprioriRule,
     ChoiceResult,
@@ -339,6 +339,53 @@ def test_emergency_guard_bounds_alpha():
         assert result.alpha > 0.7 / n
         if result.emergency_triggered:
             assert result.alpha <= 1.0 / n
+
+
+def _row(result):
+    """A stacked search's row as the tuple ``_outcome`` makes of a single search."""
+    if isinstance(result, NonTerminationError):
+        return (type(result).__name__, str(result), result.delta_est)
+    return _outcome(lambda: result)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.integers(0, len(KINDS) - 1),
+    rows=st.integers(1, 40),
+    q=st.floats(0.1, 0.95),
+    emergency=st.booleans(),
+    k_max=st.sampled_from([2, 40, 10**6]),
+)
+def test_stacked_search_and_solution_equal_one_row_at_a_time_bitwise(seed, kind, rows, q,
+                                                                     emergency, k_max):
+    rng = np.random.default_rng(seed)
+    spec = KINDS[kind]
+    m = int(rng.integers(1, 120))
+    op = SpectralDecomposition(np.sort(10.0 ** rng.uniform(-rng.uniform(0, 6), 0, size=m))[::-1])
+    # some rows hold a component outside the range above their delta, and at
+    # the smallest k_max many searches run out of steps
+    ys = [CoefficientVector(rng.standard_normal(m) * 10.0 ** rng.uniform(-2, 1),
+                            float(rng.choice([0.0, 10.0 ** rng.uniform(-4, 0)])))
+          for _ in range(rows)]
+    deltas = [float(np.linalg.norm(y.coefficients) * 10.0 ** rng.uniform(-6, 0.3)) or 1.0
+              for y in ys]
+    n = int(rng.integers(1, 10**6)) if emergency else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "_K_MAX", k_max)
+        stacked = discrepancy_principle(op, spec, ys, deltas, q=q, emergency_n=n)
+        singles = [_outcome(discrepancy_principle, op, spec, y, delta, q=q, emergency_n=n)
+                   for y, delta in zip(ys, deltas)]
+    assert [_row(result) for result in stacked] == singles
+
+    chosen = [i for i, result in enumerate(stacked) if isinstance(result, ChoiceResult)]
+    solutions = apply_regularizer(op, spec, [stacked[i].alpha for i in chosen],
+                                  [ys[i] for i in chosen])
+    for i, solution in zip(chosen, solutions):
+        single = apply_regularizer(op, spec, stacked[i].alpha, ys[i])
+        assert solution.x.tobytes() == single.x.tobytes()
+        assert solution.residual.hex() == single.residual.hex()
+        assert solution.residual.hex() == stacked[i].residual_at_stop.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -725,18 +725,19 @@ def test_a_spectrum_whose_squares_underflow_fails_before_any_draw(scenario, monk
 
 
 def test_search_that_cannot_stop_fails_only_its_replication():
-    from avereg.measurements import MeasurementBatch
     from avereg.spectral import CoefficientVector, SpectralDecomposition
-    from avereg.study import DiscrepancyRule, Scenario, _run_rule
+    from avereg.study import DiscrepancyRule, Scenario, _solve_stack
 
     config = StudyConfig.from_dict(_tiny_config(delta_rule={"name": "inv_sqrt_n"}))
-    # the data component outside the range (1.0) exceeds delta = 1/sqrt(4)
-    y_bar = CoefficientVector(np.array([1.0]), 1.0)
+    # in replication 3 the data component outside the range (1.0) exceeds
+    # delta = 1/sqrt(4); the others have none
+    stack = [(CoefficientVector(np.array([1.0]), 1.0 if rep == 3 else 0.0), 0.25, [0.5])
+             for rep in range(5)]
     scenario = Scenario(SpectralDecomposition(np.array([1.0])), np.zeros(1), np.zeros(1),
                         model=None)
-    batch = MeasurementBatch(4, np.array([1.0]), 1.0)
-    record = _run_rule(config, scenario, DiscrepancyRule(q=0.7), y_bar, batch, 0.25, 3)
-    assert record.failed
+    records = _solve_stack(config, scenario, DiscrepancyRule(q=0.7), 4, 0, stack)
+    assert [record.failed for record in records] == [False, False, False, True, False]
+    record = records[3]
     assert record.replication == 3
     assert record.delta_est == 0.5
     assert math.isnan(record.error) and math.isnan(record.alpha)
@@ -779,7 +780,7 @@ def test_landweber_study_runs_clean():
 def test_solve_rule_is_the_study_replication_solve():
     from avereg.measurements import draw_batch
     from avereg.spectral import project_data
-    from avereg.study import solve_rule
+    from avereg.study import rule_delta, solve_rule
 
     config = StudyConfig.from_dict(_tiny_config(
         rules=[{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}, {"name": "apriori"}]))
@@ -788,15 +789,17 @@ def test_solve_rule_is_the_study_replication_solve():
     batch = draw_batch(scenario.model, scenario.y_hat, 50, config.base_seed, 0)
     y_bar = project_data(scenario.op, batch.mean)
     for rule in config.rules:
-        choice, solution = solve_rule(scenario.op, config.filter_spec, rule, batch,
-                                      y_bar, config.delta_rule, config.delta_tau)
+        delta = rule_delta(rule, batch, config.delta_rule, config.delta_tau)
+        choice, solution = solve_rule(scenario.op, config.filter_spec, rule, y_bar, delta,
+                                      batch.n)
         record = result.records[(rule.name, 50)][0]
         assert (choice.alpha, choice.k, choice.emergency_triggered, choice.delta_est_used) == \
             (record.alpha, record.k, record.emergency, record.delta_est)
         error = np.linalg.norm(solution.x - scenario.x_hat)
         assert float(error) == record.error
-    choice, solution = solve_rule(scenario.op, config.filter_spec, config.rules[2], batch,
-                                  y_bar, config.delta_rule)
+    delta = rule_delta(config.rules[2], batch, config.delta_rule)
+    choice, solution = solve_rule(scenario.op, config.filter_spec, config.rules[2], y_bar,
+                                  delta, batch.n)
     assert choice.delta_est_used == 1.0 / math.sqrt(50)
     assert choice.iterations_evaluated == 0
     assert choice.residual_at_stop == solution.residual
@@ -849,16 +852,17 @@ def _heat_raw(monkeypatch):
 
 
 def _failing_heat_raw(monkeypatch):
-    # some dp searches, chosen by the bits of their batch, cannot stop: the
-    # failed records carry NaN fields
-    real_solve_rule = study.solve_rule
+    # some rows of the stacked dp searches, chosen by the bits of their noise
+    # estimate, cannot stop: the failed records carry NaN fields
+    real_discrepancy_principle = study.discrepancy_principle
 
-    def solve_rule(op, spec, rule, batch, *args):
-        if rule.name == "dp" and int(batch.sample_std * 2.0 ** 52) % 9 == 0:
-            raise NonTerminationError("cannot stop", delta_est=0.5)
-        return real_solve_rule(op, spec, rule, batch, *args)
+    def discrepancy_principle(op, spec, y_bar, delta_est, q, emergency_n):
+        choices = real_discrepancy_principle(op, spec, y_bar, delta_est, q, emergency_n)
+        return [NonTerminationError("cannot stop", delta_est=0.5)
+                if emergency_n is None and int(delta * 2.0 ** 52) % 9 == 0 else choice
+                for choice, delta in zip(choices, delta_est)]
 
-    monkeypatch.setattr(study, "solve_rule", solve_rule)
+    monkeypatch.setattr(study, "discrepancy_principle", discrepancy_principle)
     return default_heat_config(replications=20)
 
 
