@@ -27,7 +27,6 @@ from .filters import (
     verify_filter_constants,
 )
 from .measurements import (
-    BernoulliPayoff,
     BinaryOptionParams,
     CoefficientGaussian,
     DirectionGaussian,

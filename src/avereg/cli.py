@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from .errors import AveregError, DegenerateBatchError, InputError, NumericalError, StudyError
+from .errors import (AveregError, DegenerateBatchError, InputError, NonTerminationError,
+                     NumericalError, StudyError)
 # perfbench's tracer requires cli to bind apply_regularizer and discrepancy_principle
 from .filters import KINDS, FilterSpec, apply_regularizer, verify_filter_constants  # noqa: F401
 from .measurements import DELTA_RULES, load_batch_csv
@@ -74,7 +75,10 @@ def _cmd_solve(args) -> int:
     op = matrix_rank_check(svd(matrix), args.matrix)
     y_bar = project_data(op, batch.mean)
     delta = rule_delta(rule, batch, args.delta, tau)
-    choice, solution = solve_rule(op, spec, rule, y_bar, delta, batch.n)
+    [solved] = solve_rule(op, spec, rule, [y_bar], [delta], batch.n)
+    if isinstance(solved, NonTerminationError):
+        raise solved
+    choice, solution = solved
     # an inf coefficient times a zero basis entry is nan: both mean overflow
     with np.errstate(over="ignore", invalid="ignore"):
         x = embed_solution(op, solution.x)
@@ -139,14 +143,11 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_verify_filters(args) -> int:
-    cases = [
-        (FilterSpec.tikhonov(), 2.0),
-        (FilterSpec.iterated_tikhonov(2), 4.0),
-        (FilterSpec.tsvd(), 20.0),
-        (FilterSpec.landweber(), 20.0),
-    ]
     all_passed = True
-    for spec, nu in cases:
+    for kind in KINDS:
+        # each kind at its config defaults, certified up to its qualification or 20
+        spec = FilterSpec(kind, **{key: default for key, (_, default) in FILTERS[kind].items()})
+        nu = min(spec.qualification, 20.0)
         report = verify_filter_constants(spec, sigma_max=1.0, nu=nu)
         status = "pass" if report.passed else "FAIL"
         print(f"{spec.name}: C_R {report.c_r:.6g}/{spec.c_r:.6g} "

@@ -73,18 +73,6 @@ class FilterSpec:
     def tikhonov(cls) -> "FilterSpec":
         return cls("tikhonov")
 
-    @classmethod
-    def iterated_tikhonov(cls, order: int) -> "FilterSpec":
-        return cls("iterated_tikhonov", order=order)
-
-    @classmethod
-    def tsvd(cls) -> "FilterSpec":
-        return cls("tsvd")
-
-    @classmethod
-    def landweber(cls, relaxation: float = 0.9) -> "FilterSpec":
-        return cls("landweber", relaxation=relaxation)
-
     def c_nu(self, nu: float) -> float:
         """Declared qualification constant C_nu for the bias bound C_nu alpha^{nu/2}.
 
@@ -209,12 +197,6 @@ def _stack(op: SpectralDecomposition, y) -> tuple:
             np.array([row.orthogonal_norm**2 for row in rows]))
 
 
-def _norms(product: np.ndarray, orthogonal_squares) -> np.ndarray:
-    """sqrt(sum(product^2) + orthogonal_squares) along rows; squares in place."""
-    np.square(product, out=product)
-    return np.sqrt(np.sum(product, axis=-1) + orthogonal_squares)
-
-
 def apply_regularizer(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
     """Apply R_alpha = F_alpha(K*K) K* to data-side coefficients.
 
@@ -225,10 +207,10 @@ def apply_regularizer(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
     """
     if isinstance(y, CoefficientVector):
         return apply_regularizer(op, spec, [alpha], [y])[0]
-    coefficients, orthogonal_squares = _stack(op, y)
+    coefficients, _ = _stack(op, y)
     alphas = _axes(np.ravel(alpha))[0]
     x = _filter(spec, alphas, op.squares) * op.singular_values * coefficients
-    residuals = _norms(_factor(spec, alphas, op.squares) * coefficients, orthogonal_squares)
+    residuals = residual_norm(op, spec, alphas, y)[:, 0]
     return [RegularizedSolution(row, residual) for row, residual in zip(x, residuals.tolist())]
 
 
@@ -236,17 +218,23 @@ def residual_norm(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
     """||(K R_alpha - Id) y||; the quantity driven to delta by the discrepancy loop.
 
     A float alpha gives a float, and a 1-D array of alphas one residual per
-    alpha; a sequence of CoefficientVectors gives that per row.  Each residual
-    is bitwise the one its float alpha and its vector alone give.
+    alpha.  A sequence of CoefficientVectors gives one row per vector, with
+    alpha broadcast against (rows, alphas): a float or a 1-D block is shared
+    by every row, and a column gives each row its own.  Each residual is
+    bitwise the one its float alpha and its vector alone give.
     """
     coefficients, orthogonal_squares = _stack(op, y)
-    factor = _factor(spec, _axes(np.ravel(alpha))[0], op.squares)
-    residuals = np.empty((len(coefficients), len(factor)))
-    step = max(1, (1 << 15) // factor.size)  # rows whose product fills about 256 KB
+    # (rows, alphas per row, rank): one row of factors per alpha
+    factor = _factor(spec, _axes(np.atleast_2d(alpha)[..., None])[0], op.squares)
+    factor = np.broadcast_to(factor, (len(coefficients), *factor.shape[1:]))
+    residuals = np.empty(factor.shape[:2])
+    step = max(1, (1 << 15) // (factor.shape[1] * op.rank))  # rows whose product fills about 256 KB
     for lo in range(0, len(coefficients), step):
-        residuals[lo:lo + step] = _norms(factor * coefficients[lo:lo + step, None],
-                                         orthogonal_squares[lo:lo + step, None])
-    residuals = residuals.reshape(len(coefficients), *np.shape(alpha))
+        product = factor[lo:lo + step] * coefficients[lo:lo + step, None]
+        np.square(product, out=product)
+        residuals[lo:lo + step] = np.sqrt(np.sum(product, axis=-1)
+                                          + orthogonal_squares[lo:lo + step, None])
+    residuals = residuals.reshape(len(coefficients), *np.shape(alpha)[-1:])
     residuals = residuals[0] if isinstance(y, CoefficientVector) else residuals
     return float(residuals) if residuals.ndim == 0 else residuals
 

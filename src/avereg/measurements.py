@@ -44,10 +44,13 @@ _LEAF = 1 << 16
 
 @dataclass(frozen=True)
 class BinaryOptionParams:
-    """Parameters of the cash-or-nothing option scenario.
+    """The cash-or-nothing option scenario, and its Bernoulli payoffs as a
+    noise model: Y_i(s0) = e^{-rT} Q 1{s0 exp(T Z_i) >= strike}, curves in
+    sqrt(h)-scaled grid coordinates, with Z_i normal with mean drift -
+    volatility^2/2 and standard deviation volatility/sqrt(expiry).
 
     ``r`` is the risk-free rate per day, ``expiry`` the maturity in days,
-    ``strike`` the barrier, ``payoff`` the cash amount, ``drift`` and
+    ``strike`` the barrier, ``payoff`` the cash amount Q, ``drift`` and
     ``volatility`` the parameters of the underlying, and ``s0_grid`` the
     initial prices at which the value curve is sampled.
     """
@@ -142,16 +145,7 @@ class HeavyTailed:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
-class BernoulliPayoff:
-    """Y_i(s0) = e^{-rT} Q 1{s0 exp(T Z_i) >= strike}, curves in sqrt(h)-scaled
-    grid coordinates; Z_i normal with mean drift - volatility^2/2 and standard
-    deviation volatility/sqrt(expiry)."""
-
-    params: BinaryOptionParams
-
-
-NoiseModel = DirectionGaussian | CoefficientGaussian | HeavyTailed | BernoulliPayoff
+NoiseModel = DirectionGaussian | CoefficientGaussian | HeavyTailed | BinaryOptionParams
 
 
 class MeasurementBatch:
@@ -160,7 +154,8 @@ class MeasurementBatch:
     ``mean`` is the array Y_bar in the data coordinates of the measurements.
     ``samples`` is the full (n, dimension) array of a batch drawn or read
     sample by sample, and None for a factored batch.  A single measurement
-    has no sample spread; its ``sample_std`` is 0.
+    has no sample spread; its ``sample_std`` is 0.  A mean or spread beyond
+    the float range, as every noise model can draw, is an InputError.
     """
 
     def __init__(
@@ -172,8 +167,10 @@ class MeasurementBatch:
     ):
         if n < 1:
             raise InputError("a batch needs n >= 1 samples")
-        if sample_std < 0 or not math.isfinite(sample_std):
-            raise InputError("sample_std must be finite and nonnegative")
+        if not (np.all(np.isfinite(mean)) and math.isfinite(sample_std)):
+            raise InputError("the measurements' mean or spread overflows double precision")
+        if sample_std < 0:
+            raise InputError("sample_std must be nonnegative")
         self.n = int(n)
         self.mean = mean
         self.sample_std = float(sample_std)
@@ -217,17 +214,18 @@ def _squared_deviation_sum(samples: np.ndarray, mean: np.ndarray) -> float:
 
 
 def _finalize_full(samples, source: str = "") -> MeasurementBatch:
-    """Batch of a C-ordered (n, dim) sample matrix, which it keeps."""
+    """Batch of a C-ordered (n, dim) sample matrix, which it keeps; ``source``
+    begins the message of an overflow."""
     n = samples.shape[0]
     # finite samples can still sum, or square their deviations, beyond the
     # float range; opposite overflows in a sum make nan
     with np.errstate(over="ignore", invalid="ignore"):
         mean = samples.mean(axis=0)
         sq = _squared_deviation_sum(samples, mean)
-    if not (np.all(np.isfinite(mean)) and math.isfinite(sq)):
-        raise InputError(f"{source}the measurements' mean or spread overflows double precision")
-    std = math.sqrt(sq / (n - 1)) if n > 1 else 0.0
-    return MeasurementBatch(n, mean, std, samples=samples)
+    try:
+        return MeasurementBatch(n, mean, math.sqrt(sq / (n - 1)) if n > 1 else 0.0, samples)
+    except InputError as exc:
+        raise InputError(f"{source}{exc}") from None
 
 
 def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
@@ -236,9 +234,13 @@ def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
     coefficient-Gaussian noise, the 2n uniforms of heavy-tailed noise, the n
     latents of Bernoulli payoffs with their sorted copy, and the n latents of
     direction-Gaussian noise."""
-    return 8 * n * {CoefficientGaussian: m, HeavyTailed: 2, BernoulliPayoff: 2}.get(type(model), 1)
+    words = {CoefficientGaussian: m, HeavyTailed: 2, BinaryOptionParams: 2}.get(type(model), 1)
+    return 8 * n * words
 
 
+# a large latent can sum, or square its deviation, beyond the float range:
+# it shows as the mean or spread that MeasurementBatch rejects
+@np.errstate(over="ignore", invalid="ignore")
 def draw_batch(
     model: NoiseModel, y_hat: np.ndarray, n: int, seed: int, stream: int = 0
 ) -> MeasurementBatch:
@@ -266,7 +268,7 @@ def draw_batch(
         samples += y_hat
         return _finalize_full(samples)
 
-    if isinstance(model, BernoulliPayoff):
+    if isinstance(model, BinaryOptionParams):
         return _bernoulli_batch(model, n, rng)
 
     raise InputError(f"unknown noise model {type(model).__name__}")
@@ -284,8 +286,7 @@ def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
     return MeasurementBatch(n, y_hat + z_bar * direction, std)
 
 
-def _bernoulli_batch(model, n, rng) -> MeasurementBatch:
-    p = model.params
+def _bernoulli_batch(p: BinaryOptionParams, n, rng) -> MeasurementBatch:
     z = p.latent_mean() + p.latent_std() * rng.normals(n)
     # indicator threshold per grid point: Z_i >= ln(strike/s0)/T
     thresholds = np.log(p.strike / p.s0_grid) / p.expiry

@@ -38,14 +38,12 @@ from .errors import (
     ConfigError,
     DegenerateBatchError,
     InputError,
-    NonTerminationError,
     StudyError,
 )
-from .filters import KINDS, FilterSpec, apply_regularizer
+from .filters import KINDS, FilterSpec, apply_regularizer, residual_factor
 from .measurements import (
     DELTA_RULES,
     LIL_MIN_N,
-    BernoulliPayoff,
     BinaryOptionParams,
     CoefficientGaussian,
     DirectionGaussian,
@@ -65,7 +63,6 @@ from .selection import (
     discrepancy_principle,
 )
 from .spectral import (
-    CoefficientVector,
     SpectralDecomposition,
     counterexample_operator,
     embed_solution,
@@ -503,8 +500,7 @@ def build_scenario(config: StudyConfig) -> Scenario:
         root_h = math.sqrt(option.grid_weight)
         return Scenario(integration_operator(params["grid"]),
                         root_h * truth["derivative_curve"],
-                        root_h * truth["value_curve"],
-                        BernoulliPayoff(option))
+                        root_h * truth["value_curve"], option)
 
     if name == "diagonal_synthetic":
         op = SpectralDecomposition(np.arange(1, params["m"] + 1, dtype=float) ** -params["decay"])
@@ -540,16 +536,11 @@ def rule_delta(rule: DiscrepancyRule | AprioriRule, batch: MeasurementBatch,
 
 def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriRule,
                y_bar, delta, n: int):
-    """Choose alpha by ``rule`` and regularize ``y_bar``, the mean of n
-    measurements in the left singular basis of ``op`` with the noise estimate
-    ``delta``: a (ChoiceResult, RegularizedSolution) pair, and for a sequence
-    of vectors with one estimate each, a pair or the NonTerminationError its
-    vector alone raises per row.  An a priori choice has k = -1."""
-    if isinstance(y_bar, CoefficientVector):
-        [solved] = solve_rule(op, spec, rule, [y_bar], [delta], n)
-        if isinstance(solved, NonTerminationError):
-            raise solved
-        return solved
+    """Choose alpha by ``rule`` and regularize each row of ``y_bar``, means
+    of n measurements in the left singular basis of ``op`` with one noise
+    estimate each in ``delta``: per row a (ChoiceResult,
+    RegularizedSolution) pair, or the NonTerminationError its search raises.
+    An a priori choice has k = -1."""
     if isinstance(rule, DiscrepancyRule):
         choices = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
                                         emergency_n=n if rule.emergency else None)
@@ -557,9 +548,8 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
         # the residual is its solution's, filled in below as for a search
         choices = [ChoiceResult(apriori_alpha(rule, d), -1, math.nan, False, d) for d in delta]
     chosen = [i for i, choice in enumerate(choices) if isinstance(choice, ChoiceResult)]
-    # with no row to solve, a divergent Landweber relaxation stays unreported
     solutions = apply_regularizer(op, spec, [choices[i].alpha for i in chosen],
-                                  [y_bar[i] for i in chosen]) if chosen else []
+                                  [y_bar[i] for i in chosen])
     for i, solution in zip(chosen, solutions):
         choices[i] = replace(choices[i], residual_at_stop=solution.residual), solution
     return choices
@@ -610,6 +600,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     size) as one stack of its replications.
     """
     scenario = build_scenario(config)
+    # a filter the spectrum makes divergent fails before any batch is drawn
+    residual_factor(config.filter_spec, 1.0, scenario.op.squares)
     rule_names = tuple(rule.name for rule in config.rules)
 
     def cell(item):

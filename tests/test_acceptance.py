@@ -19,7 +19,7 @@ from avereg.filters import (
     filter_value,
     verify_filter_constants,
 )
-from avereg.measurements import BernoulliPayoff, BinaryOptionParams, draw_batch
+from avereg.measurements import BinaryOptionParams, draw_batch
 from avereg.selection import discrepancy_principle
 from avereg.spectral import CoefficientVector, SpectralDecomposition
 from avereg.study import (
@@ -33,9 +33,9 @@ from avereg.study import (
 
 ALL_SPECS = [
     FilterSpec.tikhonov(),
-    FilterSpec.iterated_tikhonov(2),
-    FilterSpec.tsvd(),
-    FilterSpec.landweber(),
+    FilterSpec("iterated_tikhonov", order=2),
+    FilterSpec("tsvd"),
+    FilterSpec("landweber", relaxation=0.9),
 ]
 
 #: one line per criterion, echoed by conftest in the terminal summary
@@ -75,9 +75,9 @@ def test_acceptance_1_filter_constants():
     start = time.perf_counter()
     cases = [
         (FilterSpec.tikhonov(), 2.0),
-        (FilterSpec.iterated_tikhonov(2), 4.0),
-        (FilterSpec.tsvd(), 20.0),
-        (FilterSpec.landweber(), 20.0),
+        (FilterSpec("iterated_tikhonov", order=2), 4.0),
+        (FilterSpec("tsvd"), 20.0),
+        (FilterSpec("landweber", relaxation=0.9), 20.0),
     ]
     reports = [verify_filter_constants(spec, sigma_max=1.0, nu=nu)
                for spec, nu in cases]
@@ -264,7 +264,7 @@ def test_acceptance_8_binary_option():
     factor = med_small / med_large
 
     params = BinaryOptionParams.default(512)
-    batch = draw_batch(BernoulliPayoff(params), np.zeros(512), 10000, seed=424242)
+    batch = draw_batch(params, np.zeros(512), 10000, seed=424242)
     scale = params.discounted_payoff * math.sqrt(params.grid_weight)
     p_hat = batch.mean / scale
     vol_sqrt_t = params.volatility * math.sqrt(params.expiry)

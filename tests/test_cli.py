@@ -465,6 +465,52 @@ def test_simulate_rank_zero_matrix_file_is_an_input_error_before_any_draw(
     assert not out.exists()
 
 
+def test_simulate_overflowing_heavy_tailed_spread_is_one_error_line(tmp_path, capsys):
+    # at shape 50 the Pareto latents square beyond the float range; the
+    # rank-one batch reports it as a full-sample batch does, without a warning
+    raw = {
+        "version": 1,
+        "scenario": {"name": "heat_like", "m": 20},
+        "noise": {"variant": "heavy_tailed", "shape": 50.0},
+        "filter": {"kind": "tikhonov"},
+        "rules": [{"name": "dp"}],
+        "delta_rule": {"name": "sample_std"},
+        "sample_sizes": [1000],
+        "replications": 3,
+        "base_seed": 1,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the measurements' mean or spread overflows double precision\n")
+
+
+def test_simulate_divergent_landweber_is_an_error_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # relaxation 2 exceeds 1/sigma_1^2 = 1: the iteration diverges on the
+    # spectrum itself, whatever the data
+    raw = {
+        "version": 1,
+        "scenario": {"name": "diagonal_synthetic", "m": 100, "decay": 1e-4},
+        "noise": {"variant": "coefficient_gaussian"},
+        "filter": {"kind": "landweber", "relaxation": 2.0},
+        "rules": [{"name": "dp"}],
+        "delta_rule": {"name": "sample_std"},
+        "sample_sizes": [1000, 10000, 100000],
+        "replications": 5,
+        "base_seed": 1,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    monkeypatch.setattr(study, "_fan_out", lambda *args: pytest.fail("a batch was drawn"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Landweber relaxation exceeds 1/sigma_1^2: divergent iteration\n")
+    assert not out.exists()
+
+
 def test_simulate_out_of_memory_is_one_error_line(tmp_path, capsys):
     # 10^15 samples of 100 coefficients are 8e17 bytes, beyond any address
     # space, so the allocation fails at once and nothing is forked
@@ -600,9 +646,15 @@ def test_binopt_accepts_small_custom_config(tmp_path, capsys):
 
 
 def test_verify_filters_passes(capsys):
+    # each kind at its config defaults, up to its qualification or nu = 20
     assert main(["verify-filters"]) == 0
-    stdout = capsys.readouterr().out
-    assert stdout.count("-> pass") == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "tikhonov: C_R 1/1 C_F 1/1 C_nu(nu=2) 1/1 monotone=True -> pass",
+        "iterated_tikhonov(2): C_R 1/1 C_F 2/2 C_nu(nu=4) 1/1 monotone=True -> pass",
+        "tsvd: C_R 1/1 C_F 1/1 C_nu(nu=20) 0.972061/1 monotone=True -> pass",
+        "landweber(a=0.9): C_R 1/1 C_F 1.27301/2 C_nu(nu=20) 1.30181e+06/1.30206e+06 "
+        "monotone=True -> pass",
+    ]
 
 
 def test_unknown_command_exits_via_argparse(tmp_path, capsys):

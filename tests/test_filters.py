@@ -20,10 +20,10 @@ from avereg.study import solve_settings
 
 ALL_SPECS = [
     FilterSpec.tikhonov(),
-    FilterSpec.iterated_tikhonov(2),
-    FilterSpec.iterated_tikhonov(3),
-    FilterSpec.tsvd(),
-    FilterSpec.landweber(),
+    FilterSpec("iterated_tikhonov", order=2),
+    FilterSpec("iterated_tikhonov", order=3),
+    FilterSpec("tsvd"),
+    FilterSpec("landweber", relaxation=0.9),
 ]
 
 
@@ -36,7 +36,7 @@ def test_tikhonov_value():
 
 
 def test_tsvd_branches():
-    spec = FilterSpec.tsvd()
+    spec = FilterSpec("tsvd")
     assert filter_value(spec, 0.5, 0.25) == 0.0
     assert filter_value(spec, 0.25, 0.25) == pytest.approx(4.0)
 
@@ -53,13 +53,13 @@ def test_iterated_tikhonov_matches_recursion_oracle():
     oracle = _iterated_tikhonov_oracle(2, alpha=1.0, sigma=1.0, y=1.0)
     assert oracle == pytest.approx(0.75)
     # F relates to the recursion via x = F(sigma^2) sigma y
-    assert filter_value(FilterSpec.iterated_tikhonov(2), 1.0, 1.0) == pytest.approx(0.75)
+    assert filter_value(FilterSpec("iterated_tikhonov", order=2), 1.0, 1.0) == pytest.approx(0.75)
     for order in (1, 2, 5):
         for alpha in (1.0, 0.3, 0.01):
             for lam in (2.0, 0.5, 1e-4):
                 sigma = math.sqrt(lam)
                 oracle = _iterated_tikhonov_oracle(order, alpha, sigma, 1.0)
-                value = filter_value(FilterSpec.iterated_tikhonov(order), alpha, lam)
+                value = filter_value(FilterSpec("iterated_tikhonov", order=order), alpha, lam)
                 assert value * sigma == pytest.approx(oracle, rel=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_iterated_tikhonov_closed_form_matches_exact_rationals(order):
     # floats stand for; the closed form stays within 1e-15 relative of it
     lam = np.logspace(-12, 0, 60)
     alphas = np.logspace(-8, 0, 40)
-    values = filter_value(FilterSpec.iterated_tikhonov(order), alphas, lam)
+    values = filter_value(FilterSpec("iterated_tikhonov", order=order), alphas, lam)
     worst = Fraction(0)
     for alpha, row in zip(alphas.tolist(), values.tolist(), strict=True):
         for lam_j, value in zip(lam.tolist(), row, strict=True):
@@ -87,9 +87,9 @@ def test_power_form_at_underflowing_t_matches_exact_rationals(lam):
     cases = []
     for alpha in (0.5, 2.0):
         a = Fraction(alpha)
-        cases += [(FilterSpec.iterated_tikhonov(order), alpha,
+        cases += [(FilterSpec("iterated_tikhonov", order=order), alpha,
                    (1 - (a / (a + x)) ** order) / x) for order in range(1, 11)]
-    cases += [(FilterSpec.landweber(0.9), 1.0 / k,
+    cases += [(FilterSpec("landweber", relaxation=0.9), 1.0 / k,
                (1 - (1 - Fraction(0.9) * x) ** k) / x) for k in range(1, 11)]
     for spec, alpha, exact in cases:
         value = filter_value(spec, alpha, lam)
@@ -98,13 +98,13 @@ def test_power_form_at_underflowing_t_matches_exact_rationals(lam):
 
 def test_power_form_where_t_rounds_to_zero():
     # t = 5e-324 / 2 rounds to 0, and 1 - (1 - t)^2 with it
-    assert filter_value(FilterSpec.iterated_tikhonov(2), 2.0, 5e-324) == 1.0
+    assert filter_value(FilterSpec("iterated_tikhonov", order=2), 2.0, 5e-324) == 1.0
 
 
 def test_power_form_keeps_its_bits_where_t_is_normal():
     lam = np.logspace(-320, 0, 65)
     alphas = np.logspace(-8, 2, 11)[:, None]
-    for spec in (FilterSpec.iterated_tikhonov(3), FilterSpec.landweber(0.9)):
+    for spec in (FilterSpec("iterated_tikhonov", order=3), FilterSpec("landweber", relaxation=0.9)):
         t = lam / (alphas + lam) if spec.kind == "iterated_tikhonov" else 0.9 * lam
         p = 3.0 if spec.kind == "iterated_tikhonov" else np.ceil(1.0 / alphas)
         power_form = -np.expm1(p * np.log1p(-t)) / lam
@@ -117,7 +117,7 @@ def test_power_form_keeps_its_bits_where_t_is_normal():
 def test_iterated_tikhonov_tiny_alpha_runs_clean():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        factor = residual_factor(FilterSpec.iterated_tikhonov(2), 1e-300, [1.0, 0.5])
+        factor = residual_factor(FilterSpec("iterated_tikhonov", order=2), 1e-300, [1.0, 0.5])
     assert np.array_equal(factor, [0.0, 0.0])
 
 
@@ -128,7 +128,7 @@ def test_landweber_matches_explicit_iteration():
     x = 0.0
     for _ in range(steps):
         x = x + a * sigma * (y - sigma * x)
-    value = filter_value(FilterSpec.landweber(a), alpha, sigma**2)
+    value = filter_value(FilterSpec("landweber", relaxation=a), alpha, sigma**2)
     assert value * sigma == pytest.approx(x, rel=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_filter_value_input_errors():
 
 def test_landweber_divergent_configuration():
     with pytest.raises(InputError, match="divergent"):
-        filter_value(FilterSpec.landweber(2.0), 0.5, 1.0)
+        filter_value(FilterSpec("landweber", relaxation=2.0), 0.5, 1.0)
 
 
 def _from_config(section):
@@ -153,12 +153,12 @@ def test_filter_spec_validation_and_config_round_trip():
     with pytest.raises(InputError):
         FilterSpec("unknown")
     with pytest.raises(InputError):
-        FilterSpec.iterated_tikhonov(0)
+        FilterSpec("iterated_tikhonov", order=0)
     for order in (2.5, True):  # 2.5 used to build and fail on first use
         with pytest.raises(InputError, match="order must be an integer"):
-            FilterSpec.iterated_tikhonov(order)
+            FilterSpec("iterated_tikhonov", order=order)
     with pytest.raises(InputError):
-        FilterSpec.landweber(0.0)
+        FilterSpec("landweber", relaxation=0.0)
     # a setting the kind ignores is an error, not a second spec of that kind
     for kind in ("tikhonov", "tsvd", "landweber"):
         with pytest.raises(InputError, match=f"{kind} takes no order"):
@@ -196,14 +196,14 @@ def test_filter_config_rejects_what_it_would_ignore_or_misread(cfg):
 
 
 def test_filter_config_defaults_and_integral_order():
-    assert _from_config({"kind": "iterated_tikhonov"}) == FilterSpec.iterated_tikhonov(2)
+    assert _from_config({"kind": "iterated_tikhonov"}) == FilterSpec("iterated_tikhonov", order=2)
     assert _from_config({"kind": "iterated_tikhonov", "order": 3.0}).order == 3
-    assert _from_config({"kind": "landweber"}) == FilterSpec.landweber(0.9)
+    assert _from_config({"kind": "landweber"}) == FilterSpec("landweber", relaxation=0.9)
     assert _from_config({"kind": "landweber", "relaxation": 1}).relaxation == 1.0
 
 
 @pytest.mark.parametrize("spec", [
-    FilterSpec.iterated_tikhonov(10**12),
+    FilterSpec("iterated_tikhonov", order=10**12),
     _from_config({"kind": "iterated_tikhonov", "order": 1e300}),
 ], ids=["order 1e12", "config order 1e300"])
 def test_iterated_tikhonov_huge_order_is_finite_and_in_range(spec):
@@ -220,7 +220,7 @@ def test_landweber_filter_at_unit_relaxation_runs_clean():
     # a * lambda = 1 makes log1p(-1) = -inf; the filter value is exactly 1/lambda
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = filter_value(FilterSpec.landweber(1.0), 0.5, np.array([1.0, 0.25]))
+        value = filter_value(FilterSpec("landweber", relaxation=1.0), 0.5, np.array([1.0, 0.25]))
     assert value[0] == 1.0
 
 
@@ -230,7 +230,7 @@ def test_landweber_filter_at_unit_relaxation_runs_clean():
 
 def test_apply_regularizer_tsvd_keeps_large_levels():
     op = SpectralDecomposition([1.0, 0.1])
-    sol = apply_regularizer(op, FilterSpec.tsvd(), 0.5, CoefficientVector([1.0, 1.0]))
+    sol = apply_regularizer(op, FilterSpec("tsvd"), 0.5, CoefficientVector([1.0, 1.0]))
     assert np.allclose(sol.x, [1.0, 0.0])
     assert sol.residual == pytest.approx(1.0)
 
@@ -243,7 +243,7 @@ def test_tikhonov_small_alpha_recovers_inverse():
 
 def test_counterexample_tsvd_residual_by_direct_summation():
     op, direction = counterexample_operator(6)
-    sol = apply_regularizer(op, FilterSpec.tsvd(), 1e-4, CoefficientVector(direction))
+    sol = apply_regularizer(op, FilterSpec("tsvd"), 1e-4, CoefficientVector(direction))
     # discarded levels are those with sigma_l^2 < alpha, i.e. l >= 3
     expected_sq = float(np.sum(direction[2:] ** 2))
     assert expected_sq == pytest.approx(0.5 - 1.0 / 6.0)
@@ -265,13 +265,13 @@ def test_residual_norm_zero_data():
 def test_residual_vanishes_for_small_alpha_tsvd():
     op = SpectralDecomposition([1.0, 0.5, 0.25])
     y = CoefficientVector([1.0, 1.0, 1.0])
-    assert residual_norm(op, FilterSpec.tsvd(), 1e-3, y) == pytest.approx(0.0)
+    assert residual_norm(op, FilterSpec("tsvd"), 1e-3, y) == pytest.approx(0.0)
 
 
 def test_residual_includes_orthogonal_component():
     op = SpectralDecomposition([1.0])
     y = CoefficientVector([1.0], orthogonal_norm=2.0)
-    res = residual_norm(op, FilterSpec.tsvd(), 0.5, y)
+    res = residual_norm(op, FilterSpec("tsvd"), 0.5, y)
     assert res == pytest.approx(2.0)
 
 
@@ -299,7 +299,7 @@ def test_residual_norm_of_alpha_array_validates_every_alpha():
 def test_landweber_below_the_smallest_normal_alpha_runs_clean():
     # 1/alpha overflows to inf: infinitely many steps leave no residual; the
     # step count used to be int(ceil(inf)), an OverflowError
-    spec = FilterSpec.landweber()
+    spec = FilterSpec("landweber", relaxation=0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         factor = residual_factor(spec, 1e-310, [1.0, 1e-3])
@@ -383,9 +383,9 @@ def test_pointwise_convergence_to_inverse():
 def test_verify_filter_constants_default_kinds_pass():
     for spec, nu in [
         (FilterSpec.tikhonov(), 2.0),
-        (FilterSpec.iterated_tikhonov(2), 4.0),
-        (FilterSpec.tsvd(), 20.0),
-        (FilterSpec.landweber(), 20.0),
+        (FilterSpec("iterated_tikhonov", order=2), 4.0),
+        (FilterSpec("tsvd"), 20.0),
+        (FilterSpec("landweber", relaxation=0.9), 20.0),
     ]:
         report = verify_filter_constants(spec, sigma_max=1.0, nu=nu)
         assert report.passed, report.violations
@@ -417,10 +417,10 @@ def test_verify_filter_constants_flags_beyond_qualification():
 
 def test_declared_constants_by_kind():
     assert FilterSpec.tikhonov().qualification == 2.0
-    assert FilterSpec.iterated_tikhonov(3).qualification == 6.0
-    assert FilterSpec.iterated_tikhonov(3).c_f == 3.0
-    assert math.isinf(FilterSpec.tsvd().qualification)
-    assert FilterSpec.landweber().c_f == 2.0
+    assert FilterSpec("iterated_tikhonov", order=3).qualification == 6.0
+    assert FilterSpec("iterated_tikhonov", order=3).c_f == 3.0
+    assert math.isinf(FilterSpec("tsvd").qualification)
+    assert FilterSpec("landweber", relaxation=0.9).c_f == 2.0
     with pytest.raises(InputError):
         FilterSpec.tikhonov().c_nu(0.0)
     assert math.isinf(FilterSpec.tikhonov().c_nu(3.0))

@@ -9,7 +9,6 @@ from scipy.stats import ks_2samp
 from avereg import measurements
 from avereg.errors import DegenerateBatchError, InputError
 from avereg.measurements import (
-    BernoulliPayoff,
     BinaryOptionParams,
     CoefficientGaussian,
     DirectionGaussian,
@@ -48,7 +47,7 @@ def test_bernoulli_with_tiny_strike_pays_everywhere():
     params = BinaryOptionParams(r=1e-4, expiry=30.0, strike=1e-12, payoff=1.0,
                                 drift=0.01, volatility=0.1,
                                 s0_grid=np.linspace(0.1, 1.0, 16))
-    batch = draw_batch(BernoulliPayoff(params), _zero(16), n=5, seed=1)
+    batch = draw_batch(params, _zero(16), n=5, seed=1)
     scale = params.discounted_payoff * math.sqrt(params.grid_weight)
     z = params.latent_mean() + params.latent_std() * RandomStream(1).normals(5)
     samples = scale * (z[:, None] >= np.log(params.strike / params.s0_grid) / params.expiry)
@@ -143,7 +142,7 @@ def test_squared_deviation_leaf_sum_is_bitwise_np_sum(monkeypatch, leaf, shape):
     (DirectionGaussian(counterexample_direction(50), forced=1.0), 50),
     (_heavy_tailed(100), 100),
     (CoefficientGaussian(1.0), 20),
-    (BernoulliPayoff(BinaryOptionParams.default(64)), 64),
+    (BinaryOptionParams.default(64), 64),
 ])
 def test_batch_bytes_is_within_a_factor_of_two_of_the_traced_peak(model, m):
     n = 100_000
@@ -288,7 +287,7 @@ def test_bernoulli_unbiasedness():
     acc = np.zeros(32)
     sq = 0.0
     for rep in range(reps):
-        batch = draw_batch(BernoulliPayoff(option), target, n, seed=17, stream=rep)
+        batch = draw_batch(option, target, n, seed=17, stream=rep)
         acc += batch.mean - target
         sq += batch.sample_std**2
     bias = np.linalg.norm(acc / reps)

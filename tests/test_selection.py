@@ -22,9 +22,9 @@ from avereg.spectral import (
 
 KINDS = [
     FilterSpec.tikhonov(),
-    FilterSpec.iterated_tikhonov(2),
-    FilterSpec.tsvd(),
-    FilterSpec.landweber(),
+    FilterSpec("iterated_tikhonov", order=2),
+    FilterSpec("tsvd"),
+    FilterSpec("landweber", relaxation=0.9),
 ]
 
 
@@ -65,7 +65,7 @@ def test_counterexample_forced_noise_selects_tiny_alpha():
     # with Y_bar equal to the noise direction and delta = 1/sqrt(4) = 1/2,
     # TSVD must resolve at least 3 levels before the residual drops below 1/2
     op, direction = counterexample_operator(6)
-    result = discrepancy_principle(op, FilterSpec.tsvd(), CoefficientVector(direction),
+    result = discrepancy_principle(op, FilterSpec("tsvd"), CoefficientVector(direction),
                                    delta_est=0.5, q=0.5)
     assert result.alpha <= 1e-6
     assert result.alpha > 0.5e-6
@@ -74,7 +74,7 @@ def test_counterexample_forced_noise_selects_tiny_alpha():
 
 def test_counterexample_forced_noise_with_emergency_stop():
     op, direction = counterexample_operator(6)
-    result = discrepancy_principle(op, FilterSpec.tsvd(), CoefficientVector(direction),
+    result = discrepancy_principle(op, FilterSpec("tsvd"), CoefficientVector(direction),
                                    delta_est=0.5, q=0.5, emergency_n=4)
     assert result.emergency_triggered
     assert 1.0 / 8.0 < result.alpha <= 1.0 / 4.0
@@ -327,14 +327,14 @@ def test_blocked_search_rejects_an_underflowing_spectrum():
     # at m = 161 the smallest square is subnormal, and both searches agree
     op, direction = counterexample_operator(161)
     assert 0 < op.singular_values[-1] ** 2 < 2.0**-1022
-    _assert_same_search(op, FilterSpec.tsvd(), CoefficientVector(direction), 0.5, 0.5)
+    _assert_same_search(op, FilterSpec("tsvd"), CoefficientVector(direction), 0.5, 0.5)
 
 
 def test_emergency_guard_bounds_alpha():
     # with the guard active, alpha always exceeds q/n
     op, direction = counterexample_operator(10)
     for n in (3, 10, 50):
-        result = discrepancy_principle(op, FilterSpec.tsvd(), CoefficientVector(direction),
+        result = discrepancy_principle(op, FilterSpec("tsvd"), CoefficientVector(direction),
                                        delta_est=1e-6, q=0.7, emergency_n=n)
         assert result.alpha > 0.7 / n
         if result.emergency_triggered:
@@ -386,6 +386,15 @@ def test_stacked_search_and_solution_equal_one_row_at_a_time_bitwise(seed, kind,
         assert solution.x.tobytes() == single.x.tobytes()
         assert solution.residual.hex() == single.residual.hex()
         assert solution.residual.hex() == stacked[i].residual_at_stop.hex()
+
+    # a column of alphas gives each row its own, and no row gives no residual
+    alphas = [float(a) for a in 10.0 ** rng.uniform(-8, 0, size=rows)]
+    column = residual_norm(op, spec, np.array(alphas)[:, None], ys)
+    assert column.shape == (rows, 1)
+    assert [r.hex() for r in column[:, 0].tolist()] == \
+        [residual_norm(op, spec, a, y).hex() for a, y in zip(alphas, ys)]
+    assert residual_norm(op, spec, np.empty((0, 1)), []).shape == (0, 1)
+    assert residual_norm(op, spec, np.array(alphas), []).shape == (0, rows)
 
 
 # ---------------------------------------------------------------------------

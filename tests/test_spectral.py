@@ -51,7 +51,7 @@ def test_decomposition_requires_sorted_positive_singular_values():
 
 def _pseudoinverse(op, y):
     alpha = float(op.singular_values[-1] ** 2)
-    return apply_regularizer(op, FilterSpec.tsvd(), alpha, CoefficientVector(y)).x
+    return apply_regularizer(op, FilterSpec("tsvd"), alpha, CoefficientVector(y)).x
 
 
 def test_pseudoinverse_inverts_forward():

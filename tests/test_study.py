@@ -790,16 +790,16 @@ def test_solve_rule_is_the_study_replication_solve():
     y_bar = project_data(scenario.op, batch.mean)
     for rule in config.rules:
         delta = rule_delta(rule, batch, config.delta_rule, config.delta_tau)
-        choice, solution = solve_rule(scenario.op, config.filter_spec, rule, y_bar, delta,
-                                      batch.n)
+        [(choice, solution)] = solve_rule(scenario.op, config.filter_spec, rule, [y_bar],
+                                          [delta], batch.n)
         record = result.records[(rule.name, 50)][0]
         assert (choice.alpha, choice.k, choice.emergency_triggered, choice.delta_est_used) == \
             (record.alpha, record.k, record.emergency, record.delta_est)
         error = np.linalg.norm(solution.x - scenario.x_hat)
         assert float(error) == record.error
     delta = rule_delta(config.rules[2], batch, config.delta_rule)
-    choice, solution = solve_rule(scenario.op, config.filter_spec, config.rules[2], y_bar,
-                                  delta, batch.n)
+    [(choice, solution)] = solve_rule(scenario.op, config.filter_spec, config.rules[2],
+                                      [y_bar], [delta], batch.n)
     assert choice.delta_est_used == 1.0 / math.sqrt(50)
     assert choice.iterations_evaluated == 0
     assert choice.residual_at_stop == solution.residual
