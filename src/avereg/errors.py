@@ -17,6 +17,11 @@ class InputError(AveregError, ValueError):
     relaxation."""
 
 
+class BatchOverflowError(InputError):
+    """A measurement batch whose mean or spread overflows double precision;
+    a study records it as its replication's failure."""
+
+
 class NumericalError(AveregError, RuntimeError):
     """A numerical procedure failed to converge within its bounds, or its
     result overflows double precision."""

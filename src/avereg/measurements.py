@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBatchError, InputError
+from .errors import BatchOverflowError, DegenerateBatchError, InputError
 from .rng import RandomStream, pareto_from_uniforms
 from .spectral import _load_csv
 
@@ -155,7 +155,7 @@ class MeasurementBatch:
     ``samples`` is the full (n, dimension) array of a batch drawn or read
     sample by sample, and None for a factored batch.  A single measurement
     has no sample spread; its ``sample_std`` is 0.  A mean or spread beyond
-    the float range, as every noise model can draw, is an InputError.
+    the float range, as every noise model can draw, is a BatchOverflowError.
     """
 
     def __init__(
@@ -168,7 +168,7 @@ class MeasurementBatch:
         if n < 1:
             raise InputError("a batch needs n >= 1 samples")
         if not (np.all(np.isfinite(mean)) and math.isfinite(sample_std)):
-            raise InputError("the measurements' mean or spread overflows double precision")
+            raise BatchOverflowError("the measurements' mean or spread overflows double precision")
         if sample_std < 0:
             raise InputError("sample_std must be nonnegative")
         self.n = int(n)
@@ -215,7 +215,7 @@ def _squared_deviation_sum(samples: np.ndarray, mean: np.ndarray) -> float:
 
 def _finalize_full(samples, source: str = "") -> MeasurementBatch:
     """Batch of a C-ordered (n, dim) sample matrix, which it keeps; ``source``
-    begins the message of an overflow."""
+    begins the message of an error, which keeps its type."""
     n = samples.shape[0]
     # finite samples can still sum, or square their deviations, beyond the
     # float range; opposite overflows in a sum make nan
@@ -225,7 +225,7 @@ def _finalize_full(samples, source: str = "") -> MeasurementBatch:
     try:
         return MeasurementBatch(n, mean, math.sqrt(sq / (n - 1)) if n > 1 else 0.0, samples)
     except InputError as exc:
-        raise InputError(f"{source}{exc}") from None
+        raise type(exc)(f"{source}{exc}") from None
 
 
 def batch_bytes(model: NoiseModel, n: int, m: int) -> int:

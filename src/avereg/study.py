@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    BatchOverflowError,
     ConfigError,
     DegenerateBatchError,
     InputError,
@@ -587,27 +588,37 @@ class StudyResult:
         return [rec.error for rec in self.records[(rule, n)] if not rec.failed]
 
 
+#: bytes a held (sample size, replication) pair takes beside its 8 m bytes of
+#: projected mean; tracemalloc read 340 to 440 for one to three rules
+_CELL_OVERHEAD = 512
+
+
 def run_study(config: StudyConfig) -> StudyResult:
     """Run every (rule, sample size, replication) cell; deterministic.
 
     All rules share the batch of a given (sample size, replication) pair.
-    Replications whose sample-based noise estimate degenerates, whose search
-    cannot stop or whose solution error overflows are recorded as failed with
-    the reason and excluded from summaries; over 5% failures abort it.  The
-    (sample size, replication) pairs are drawn, projected and estimated in
-    ``_fan_out``, one run per core as long as the memory budget holds the
-    largest batch once per run; the caller then solves each (rule, sample
-    size) as one stack of its replications.
+    Replications whose batch overflows, whose sample-based noise estimate
+    degenerates, whose search cannot stop or whose solution error overflows
+    are recorded as failed with the reason and excluded from summaries; over
+    5% failures abort it.  The (sample size, replication) pairs are drawn,
+    projected and estimated in ``_fan_out``, one run per core as long as the
+    memory budget holds the largest batch once per run; the caller then
+    solves each (rule, sample size) as one stack of its replications.  A
+    largest batch above the budget, or more pairs than it holds, is a
+    ConfigError before any batch is drawn.
     """
     scenario = build_scenario(config)
     # a filter the spectrum makes divergent fails before any batch is drawn
     residual_factor(config.filter_spec, 1.0, scenario.op.squares)
     rule_names = tuple(rule.name for rule in config.rules)
 
-    def cell(item):
-        n_index, rep = item
-        batch = draw_batch(scenario.model, scenario.y_hat, config.sample_sizes[n_index],
-                           config.base_seed, (n_index << 32) | rep)
+    def cell(index):
+        n_index, rep = divmod(index, config.replications)
+        try:
+            batch = draw_batch(scenario.model, scenario.y_hat, config.sample_sizes[n_index],
+                               config.base_seed, (n_index << 32) | rep)
+        except BatchOverflowError as exc:  # the reason of every rule's record
+            return None, math.nan, [str(exc)] * len(config.rules)
         deltas = []
         for rule in config.rules:
             try:
@@ -618,18 +629,25 @@ def run_study(config: StudyConfig) -> StudyResult:
         # full-sample batch holds an n x m matrix
         return project_data(scenario.op, batch.mean), delta_true(batch, scenario.y_hat), deltas
 
-    items = [(n_index, rep) for n_index in range(len(config.sample_sizes))
-             for rep in range(config.replications)]
-    cell_bytes = batch_bytes(scenario.model, max(config.sample_sizes), len(scenario.y_hat))
-    runs = min(_cores(), max(1, _budget() // cell_bytes))
-    cells = _fan_out(cell, items, runs)
+    pairs = len(config.sample_sizes) * config.replications
+    m, budget = len(scenario.y_hat), _budget()
+    cell_bytes = batch_bytes(scenario.model, max(config.sample_sizes), m)
+    if cell_bytes > budget:
+        raise ConfigError([f"sample_sizes: one batch of n = {max(config.sample_sizes)} "
+                           f"holds {cell_bytes} bytes, above the {budget} bytes available"])
+    held_bytes = pairs * (8 * m + _CELL_OVERHEAD)
+    if held_bytes > budget:
+        raise ConfigError([f"replications: {pairs} pairs of sample size and replication "
+                           f"hold {held_bytes} bytes until they are solved, above the "
+                           f"{budget} bytes available"])
+    cells = _fan_out(cell, range(pairs), min(_cores(), budget // cell_bytes))
     records = {}
     for r, rule in enumerate(config.rules):
         for n_index, n in enumerate(config.sample_sizes):
             stack = cells[n_index * config.replications:(n_index + 1) * config.replications]
             records[(rule.name, n)] = _solve_stack(config, scenario, rule, n, r, stack)
 
-    total = len(items) * len(rule_names)
+    total = pairs * len(rule_names)
     failed = sum(rec.failed for recs in records.values() for rec in recs)
     if failed > 0.05 * total:
         detail = failure_reasons(rec for recs in records.values() for rec in recs)
@@ -690,7 +708,7 @@ def _budget() -> int:
     return budget
 
 
-def _fan_out(func, items: list, runs: int) -> list:
+def _fan_out(func, items, runs: int) -> list:
     """``[func(item) for item in items]``, computed in up to ``runs`` strided runs.
 
     Run r computes ``items[r::runs]``.  Each run but the first is a forked
@@ -755,7 +773,7 @@ def _fan_out(func, items: list, runs: int) -> list:
     return results
 
 
-def _run(func, items: list, r: int, runs: int, caller: int = 0) -> tuple:
+def _run(func, items, r: int, runs: int, caller: int = 0) -> tuple:
     """Run r of ``runs``: the results of ``items[r::runs]`` up to the first
     that raises an ``Exception``, and ``(index, exception)`` of that item or
     None.  A run given its ``caller``'s pid ends the process with status 2
@@ -771,7 +789,7 @@ def _run(func, items: list, r: int, runs: int, caller: int = 0) -> tuple:
     return results, None
 
 
-def _serve(func, items: list, r: int, runs: int, caller: int, write_end: int) -> None:
+def _serve(func, items, r: int, runs: int, caller: int, write_end: int) -> None:
     """The body of a forked run: pickle the results of ``_run`` into
     ``write_end``, a failure with its traceback text, and exit with status 0,
     or 2 if they cannot be sent.  It never returns into the caller's stack."""

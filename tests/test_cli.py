@@ -24,8 +24,7 @@ def _write_identity_problem(tmp_path, n_rows=8):
     return str(matrix), str(measurements)
 
 
-def _write_trapezoid_problem(tmp_path, n_rows=12):
-    m = 6
+def _write_trapezoid_problem(tmp_path, n_rows=12, m=6):
     h = 1.0 / m
     a = np.tril(np.full((m, m), h), -1) + np.eye(m) * (h / 2.0)
     matrix = tmp_path / "matrix.csv"
@@ -353,6 +352,40 @@ def test_solve_apriori_golden_solution(tmp_path, capsys, problem):
     assert choice["delta_est_used"] == 1.0 / math.sqrt(n_rows)
 
 
+def _readme_python_api() -> str:
+    """The first python block of the README's "Python API" section."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_api_chain_is_the_solve_command(tmp_path, capsys, monkeypatch):
+    matrix, measurements = _write_trapezoid_problem(tmp_path, n_rows=50, m=33)
+    os.replace(matrix, tmp_path / "A.csv")
+    os.replace(measurements, tmp_path / "Y.csv")
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(_readme_python_api(), names)
+    assert main(["solve", "--matrix", "A.csv", "--measurements", "Y.csv", "--out", "out"]) == 0
+    capsys.readouterr()
+    choice = json.loads((tmp_path / "out" / "choice.json").read_text())
+    assert (names["choice"].alpha, names["choice"].k) == (choice["alpha"], choice["k"])
+    written = np.loadtxt(tmp_path / "out" / "solution.csv")
+    assert written.tobytes() == names["x"].tobytes()
+
+
+def test_package_namespace_is_what_perfbench_reads():
+    import avereg
+
+    public = {name for name in vars(avereg) if not name.startswith("_")}
+    # submodules bind themselves once imported
+    public -= {"cli", "errors", "filters", "measurements", "rng", "selection", "spectral",
+               "study"}
+    assert public == {"svd", "project_data", "embed_solution", "FilterSpec",
+                      "apply_regularizer", "discrepancy_principle"}
+    assert isinstance(avereg.__version__, str)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -465,25 +498,45 @@ def test_simulate_rank_zero_matrix_file_is_an_input_error_before_any_draw(
     assert not out.exists()
 
 
-def test_simulate_overflowing_heavy_tailed_spread_is_one_error_line(tmp_path, capsys):
-    # at shape 50 the Pareto latents square beyond the float range; the
-    # rank-one batch reports it as a full-sample batch does, without a warning
+def _heavy_tailed_config(tmp_path, shape, replications):
     raw = {
         "version": 1,
         "scenario": {"name": "heat_like", "m": 20},
-        "noise": {"variant": "heavy_tailed", "shape": 50.0},
+        "noise": {"variant": "heavy_tailed", "shape": shape},
         "filter": {"kind": "tikhonov"},
         "rules": [{"name": "dp"}],
         "delta_rule": {"name": "sample_std"},
         "sample_sizes": [1000],
-        "replications": 3,
+        "replications": replications,
         "base_seed": 1,
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    return str(config)
+
+
+def test_simulate_overflowing_heavy_tailed_spread_is_one_error_line(tmp_path, capsys):
+    # at shape 50 the Pareto latents of replications 1 and 2 square beyond
+    # the float range; each fails alone, without a warning, and 2 of 3 are
+    # above the 5% gate
+    config = _heavy_tailed_config(tmp_path, 50.0, 3)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        "error: the measurements' mean or spread overflows double precision\n")
+        "error: 2 of 3 replications failed (2 x the measurements' mean or spread overflows "
+        "double precision); summaries would be meaningless\n")
+
+
+def test_simulate_overflowing_batch_below_the_gate_fails_only_its_replication(tmp_path,
+                                                                              capsys):
+    # at shape 30 only the batch of replication 5 of 100 overflows
+    config = _heavy_tailed_config(tmp_path, 30.0, 100)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "completed rule=dp n=1000 (99 replications, 1 failed: 1 x the measurements' mean "
+        "or spread overflows double precision)")
+    rows = (out / "dp_n1000.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [rep for rep in range(100) if rep != 5]
 
 
 def test_simulate_divergent_landweber_is_an_error_before_any_draw(
@@ -511,9 +564,11 @@ def test_simulate_divergent_landweber_is_an_error_before_any_draw(
     assert not out.exists()
 
 
-def test_simulate_out_of_memory_is_one_error_line(tmp_path, capsys):
+def test_simulate_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     # 10^15 samples of 100 coefficients are 8e17 bytes, beyond any address
-    # space, so the allocation fails at once and nothing is forked
+    # space, so the allocation fails at once and nothing is forked; a budget
+    # that claims to hold them lets the study try
+    monkeypatch.setattr(study, "_budget", lambda: 1 << 62)
     raw = {
         "version": 1,
         "scenario": {"name": "diagonal_synthetic", "m": 100},

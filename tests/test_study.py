@@ -922,6 +922,55 @@ def test_the_run_rule_forks_as_many_batches_as_the_memory_budget_holds(tmp_path,
             assert path.read_bytes() == (out / path.name).read_bytes()
 
 
+def _no_draw(*args):
+    raise AssertionError("a batch was drawn")
+
+
+def test_a_batch_above_the_memory_budget_is_a_config_error_before_any_draw(monkeypatch):
+    config = StudyConfig.from_dict(_coefficient_gaussian_raw(monkeypatch))
+    cell = batch_bytes(CoefficientGaussian(1.0), max(config.sample_sizes), config.scenario["m"])
+    monkeypatch.setattr(study, "draw_batch", _no_draw)
+    monkeypatch.setattr(study, "_budget", lambda: cell - 1)
+    with pytest.raises(ConfigError, match=f"^invalid configuration: sample_sizes: one batch "
+                                          f"of n = 5000 holds {cell} bytes, above the "
+                                          f"{cell - 1} bytes available$"):
+        run_study(config)
+
+
+_MANY_REPLICATIONS = """
+import resource, time
+# a list of the pairs, or their cells, fails at once in 4 GiB of address space
+resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32))
+from avereg import study
+
+def no_draw(*args):
+    raise AssertionError("a batch was drawn")
+
+study.draw_batch, study._budget = no_draw, lambda: 1 << 33
+config = study.StudyConfig.from_dict({**study.default_heat_config(replications=10**9),
+                                      "scenario": {"name": "heat_like", "m": 20},
+                                      "sample_sizes": [1000]})
+start = time.perf_counter()
+try:
+    study.run_study(config)
+except study.ConfigError as exc:
+    print(exc)
+print(time.perf_counter() - start < 1.0)
+"""
+
+
+def test_more_replications_than_the_memory_budget_holds_are_a_config_error_at_once():
+    # 10^9 pairs of 20 coefficients are 6.72e11 held bytes; the study runs in
+    # a child process so that a check that comes too late cannot fill memory
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(study.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _MANY_REPLICATIONS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines() == [
+        "invalid configuration: replications: 1000000000 pairs of sample size and replication "
+        "hold 672000000000 bytes until they are solved, above the 8589934592 bytes available",
+        "True"]
+
+
 _MEMINFO = "MemTotal:       16000 kB\nMemAvailable:    8000 kB\n"
 
 
