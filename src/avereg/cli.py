@@ -85,7 +85,7 @@ def _cmd_solve(args) -> int:
     if not np.all(np.isfinite(x)):
         raise NumericalError("the solution overflows double precision")
     report = {**dataclasses.asdict(choice), "iterations_evaluated": choice.iterations_evaluated,
-              "residual": solution.residual}
+              "residual": choice.residual_at_stop}
 
     os.makedirs(args.out, exist_ok=True)
     solution_path = os.path.join(args.out, "solution.csv")
@@ -93,7 +93,7 @@ def _cmd_solve(args) -> int:
     choice_path = os.path.join(args.out, "choice.json")
     atomic_write(choice_path, json.dumps(report, sort_keys=True) + "\n")
     print(f"wrote {solution_path} and {choice_path} "
-          f"(alpha={choice.alpha:.6g}, residual={solution.residual:.6g})")
+          f"(alpha={choice.alpha:.6g}, residual={choice.residual_at_stop:.6g})")
     return 0
 
 

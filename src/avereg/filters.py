@@ -182,15 +182,13 @@ def filter_value(spec: FilterSpec, alpha, lam):
 @dataclass(frozen=True)
 class RegularizedSolution:
     """Result of applying R_alpha to data: the solution's coefficients in the
-    right singular basis and the residual."""
+    right singular basis."""
 
     x: np.ndarray
-    residual: float
 
 
-def _stack(op: SpectralDecomposition, y) -> tuple:
-    """Rows of coefficients and squared orthogonal norms of one or more vectors."""
-    rows = [y] if isinstance(y, CoefficientVector) else y
+def _stack(op: SpectralDecomposition, rows) -> tuple:
+    """Coefficients and squared orthogonal norms of a sequence of vectors, one row each."""
     for row in rows:
         _check_length(op, row, "data vector")
     return (np.array([row.coefficients for row in rows]).reshape(len(rows), op.rank),
@@ -202,28 +200,25 @@ def apply_regularizer(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
 
     A CoefficientVector ``y`` with a float alpha gives a RegularizedSolution,
     and a sequence of them with one alpha each one per row, bitwise the same.
-    The residual is :func:`residual_norm` at alpha, which counts any
-    component of y orthogonal to the range basis.
     """
     if isinstance(y, CoefficientVector):
         return apply_regularizer(op, spec, [alpha], [y])[0]
     coefficients, _ = _stack(op, y)
     alphas = _axes(np.ravel(alpha))[0]
     x = _filter(spec, alphas, op.squares) * op.singular_values * coefficients
-    residuals = residual_norm(op, spec, alphas, y)[:, 0]
-    return [RegularizedSolution(row, residual) for row, residual in zip(x, residuals.tolist())]
+    return [RegularizedSolution(row) for row in x]
 
 
-def residual_norm(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
-    """||(K R_alpha - Id) y||; the quantity driven to delta by the discrepancy loop.
+def residual_norm(op: SpectralDecomposition, spec: FilterSpec, alpha, rows) -> np.ndarray:
+    """||(K R_alpha - Id) y|| of each CoefficientVector y in ``rows``, the
+    quantity driven to delta by the discrepancy loop.
 
-    A float alpha gives a float, and a 1-D array of alphas one residual per
-    alpha.  A sequence of CoefficientVectors gives one row per vector, with
-    alpha broadcast against (rows, alphas): a float or a 1-D block is shared
-    by every row, and a column gives each row its own.  Each residual is
-    bitwise the one its float alpha and its vector alone give.
+    The result is (rows, alphas), with alpha broadcast against it: a float
+    or a 1-D block is shared by every row, and a column gives each row its
+    own.  Each residual counts any component of y orthogonal to the range
+    basis and is bitwise the one its alpha and its vector alone give.
     """
-    coefficients, orthogonal_squares = _stack(op, y)
+    coefficients, orthogonal_squares = _stack(op, rows)
     # (rows, alphas per row, rank): one row of factors per alpha
     factor = _factor(spec, _axes(np.atleast_2d(alpha)[..., None])[0], op.squares)
     factor = np.broadcast_to(factor, (len(coefficients), *factor.shape[1:]))
@@ -234,9 +229,7 @@ def residual_norm(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
         np.square(product, out=product)
         residuals[lo:lo + step] = np.sqrt(np.sum(product, axis=-1)
                                           + orthogonal_squares[lo:lo + step, None])
-    residuals = residuals.reshape(len(coefficients), *np.shape(alpha)[-1:])
-    residuals = residuals[0] if isinstance(y, CoefficientVector) else residuals
-    return float(residuals) if residuals.ndim == 0 else residuals
+    return residuals
 
 
 @dataclass(frozen=True)

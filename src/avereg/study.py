@@ -30,7 +30,7 @@ import sys
 import tempfile
 import traceback
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import (
     InputError,
     StudyError,
 )
-from .filters import KINDS, FilterSpec, apply_regularizer, residual_factor
+from .filters import KINDS, FilterSpec, apply_regularizer, residual_factor, residual_norm
 from .measurements import (
     DELTA_RULES,
     LIL_MIN_N,
@@ -369,7 +369,7 @@ def read_config(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # a deep nesting recurses
         raise InputError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -541,18 +541,19 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
     of n measurements in the left singular basis of ``op`` with one noise
     estimate each in ``delta``: per row a (ChoiceResult,
     RegularizedSolution) pair, or the NonTerminationError its search raises.
-    An a priori choice has k = -1."""
+    An a priori choice has k = -1 and the residual at its alpha."""
     if isinstance(rule, DiscrepancyRule):
         choices = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
                                         emergency_n=n if rule.emergency else None)
     else:
-        # the residual is its solution's, filled in below as for a search
-        choices = [ChoiceResult(apriori_alpha(rule, d), -1, math.nan, False, d) for d in delta]
+        alphas = [apriori_alpha(rule, d) for d in delta]
+        residuals = residual_norm(op, spec, np.array(alphas)[:, None], y_bar)[:, 0].tolist()
+        choices = [ChoiceResult(a, -1, r, False, d) for a, r, d in zip(alphas, residuals, delta)]
     chosen = [i for i, choice in enumerate(choices) if isinstance(choice, ChoiceResult)]
     solutions = apply_regularizer(op, spec, [choices[i].alpha for i in chosen],
                                   [y_bar[i] for i in chosen])
     for i, solution in zip(chosen, solutions):
-        choices[i] = replace(choices[i], residual_at_stop=solution.residual), solution
+        choices[i] = choices[i], solution
     return choices
 
 
@@ -591,6 +592,22 @@ class StudyResult:
 #: bytes a held (sample size, replication) pair takes beside its 8 m bytes of
 #: projected mean; tracemalloc read 340 to 440 for one to three rules
 _CELL_OVERHEAD = 512
+#: bytes of the record of each pair and rule; tracemalloc read 250 to 510
+_RECORD_BYTES = 512
+#: m-vectors per row of the stack being solved, beside the held pairs; tracemalloc
+#: read 3.0 (Tikhonov, TSVD), 6.1 (Landweber) and 8.1 (iterated Tikhonov)
+_SOLVE_VECTORS = 9
+#: (size key, its power, bytes per 8 size^power) of the scenarios whose arrays grow
+#: with a key, above build_scenario's peaks: 10.0, 13.5, and 9.2 with LAPACK's
+#: workspace.  The counterexample caps m at 161; a matrix_file is its file's size
+_SCENARIO_BYTES = {"diagonal_synthetic": ("m", 1, 12), "heat_like": ("m", 1, 16),
+                   "binary_option": ("grid", 2, 12)}
+
+
+def _check_budget(budget: int, need: int, head: str, tail: str = "") -> None:
+    """Raise a ConfigError of ``head``, ``need`` bytes and ``tail`` if need > budget."""
+    if need > budget:
+        raise ConfigError([f"{head} {need} bytes{tail}, above the {budget} bytes available"])
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -604,9 +621,14 @@ def run_study(config: StudyConfig) -> StudyResult:
     projected and estimated in ``_fan_out``, one run per core as long as the
     memory budget holds the largest batch once per run; the caller then
     solves each (rule, sample size) as one stack of its replications.  A
-    largest batch above the budget, or more pairs than it holds, is a
-    ConfigError before any batch is drawn.
+    scenario, a largest batch or pairs and a solve stack above the budget
+    are a ConfigError before any of them is allocated.
     """
+    budget, params = _budget(), config.scenario
+    if params["name"] in _SCENARIO_BYTES:
+        key, power, factor = _SCENARIO_BYTES[params["name"]]
+        _check_budget(budget, factor * 8 * params[key] ** power,
+                      f"scenario {key}: {params['name']} at {key} = {params[key]} holds")
     scenario = build_scenario(config)
     # a filter the spectrum makes divergent fails before any batch is drawn
     residual_factor(config.filter_spec, 1.0, scenario.op.squares)
@@ -630,16 +652,16 @@ def run_study(config: StudyConfig) -> StudyResult:
         return project_data(scenario.op, batch.mean), delta_true(batch, scenario.y_hat), deltas
 
     pairs = len(config.sample_sizes) * config.replications
-    m, budget = len(scenario.y_hat), _budget()
-    cell_bytes = batch_bytes(scenario.model, max(config.sample_sizes), m)
-    if cell_bytes > budget:
-        raise ConfigError([f"sample_sizes: one batch of n = {max(config.sample_sizes)} "
-                           f"holds {cell_bytes} bytes, above the {budget} bytes available"])
+    n_max, m = max(config.sample_sizes), len(scenario.y_hat)
+    cell_bytes = batch_bytes(scenario.model, n_max, m)
+    _check_budget(budget, cell_bytes, f"sample_sizes: one batch of n = {n_max} holds")
     held_bytes = pairs * (8 * m + _CELL_OVERHEAD)
-    if held_bytes > budget:
-        raise ConfigError([f"replications: {pairs} pairs of sample size and replication "
-                           f"hold {held_bytes} bytes until they are solved, above the "
-                           f"{budget} bytes available"])
+    _check_budget(budget, held_bytes, f"replications: {pairs} pairs of sample size and "
+                  "replication hold", " until they are solved")
+    _check_budget(budget, held_bytes + pairs * len(rule_names) * _RECORD_BYTES
+                  + config.replications * _SOLVE_VECTORS * 8 * m,
+                  f"replications: {pairs} pairs of sample size and replication take",
+                  f" while a stack of {config.replications} is solved")
     cells = _fan_out(cell, range(pairs), min(_cores(), budget // cell_bytes))
     records = {}
     for r, rule in enumerate(config.rules):

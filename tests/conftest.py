@@ -3,6 +3,8 @@ import sys
 import numpy as np
 import pytest
 
+from avereg.filters import residual_norm
+
 
 def pytest_terminal_summary(terminalreporter):
     module = sys.modules.get("test_acceptance") or sys.modules.get("tests.test_acceptance")
@@ -11,6 +13,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def row_residual(op, spec, alpha, y):
+    """The residual of the lone vector y, the one row of ``residual_norm`` of
+    ``[y]``: a float for a float alpha, one value per alpha of a 1-D block."""
+    row = residual_norm(op, spec, alpha, [y])[0]
+    return float(row[0]) if np.ndim(alpha) == 0 else row
 
 
 def _rate_fit(ns, medians) -> dict:

@@ -12,6 +12,10 @@ import pytest
 
 from avereg import study
 from avereg.cli import main
+from avereg.filters import FilterSpec
+from avereg.measurements import load_batch_csv
+from avereg.spectral import load_matrix_csv, project_data, svd
+from conftest import row_residual
 
 
 def _write_identity_problem(tmp_path, n_rows=8):
@@ -352,6 +356,21 @@ def test_solve_apriori_golden_solution(tmp_path, capsys, problem):
     assert choice["delta_est_used"] == 1.0 / math.sqrt(n_rows)
 
 
+@pytest.mark.parametrize("rule", ["dp", "dp+es", "apriori"])
+def test_solve_reports_the_residual_at_the_chosen_alpha(tmp_path, capsys, rule):
+    # the report's two residual keys are one value: the residual at alpha
+    matrix, measurements = _write_trapezoid_problem(tmp_path, n_rows=50, m=33)
+    out = tmp_path / "out"
+    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--rule", rule, "--out", str(out)]) == 0
+    choice = json.loads((out / "choice.json").read_text())
+    op = svd(load_matrix_csv(matrix))
+    y_bar = project_data(op, load_batch_csv(measurements).mean)
+    residual = row_residual(op, FilterSpec("tikhonov"), choice["alpha"], y_bar)
+    assert choice["residual"].hex() == choice["residual_at_stop"].hex() == residual.hex()
+    assert capsys.readouterr().out.endswith(f", residual={residual:.6g})\n")
+
+
 def _readme_python_api() -> str:
     """The first python block of the README's "Python API" section."""
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
@@ -434,6 +453,34 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_simulate_deeply_nested_config_is_one_error_line(tmp_path, capsys):
+    # the JSON decoder recurses once per level of nesting
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["simulate", "--config", str(deep), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read config {deep}: ")
+
+
+@pytest.mark.parametrize("scenario", [{"name": "diagonal_synthetic", "m": 10**30},
+                                      {"name": "heat_like", "m": 10**30},
+                                      {"name": "binary_option", "grid": 10**30}])
+def test_simulate_huge_scenario_is_one_error_line_before_it_is_built(tmp_path, capsys,
+                                                                     monkeypatch, scenario):
+    monkeypatch.setattr(study, "build_scenario", lambda *args: pytest.fail("a scenario was built"))
+    raw = {**study.default_heat_config(replications=1), "scenario": scenario}
+    if scenario["name"] == "binary_option":
+        raw = {**study.default_binopt_config(replications=1), "scenario": scenario}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    key = "grid" if "grid" in scenario else "m"
+    assert len(err) == 1 and err[0].startswith(
+        f"error: invalid configuration: scenario {key}: {scenario['name']} at {key} = {10**30} "
+        "holds ")
 
 
 @pytest.mark.parametrize("overrides, failed", [

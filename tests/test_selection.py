@@ -19,6 +19,7 @@ from avereg.spectral import (
     SpectralDecomposition,
     counterexample_operator,
 )
+from conftest import row_residual
 
 KINDS = [
     FilterSpec.tikhonov(),
@@ -169,7 +170,7 @@ def test_stop_certificate_fuzz(seed, kind, q):
     op = SpectralDecomposition(sigma)
     y = CoefficientVector(rng.standard_normal(m))
     spec = KINDS[kind]
-    res_at_one = residual_norm(op, spec, 1.0, y)
+    res_at_one = row_residual(op, spec, 1.0, y)
     if res_at_one == 0.0:
         return
     delta = res_at_one * rng.uniform(0.01, 0.99)
@@ -190,7 +191,7 @@ def test_larger_delta_never_increases_k(seed, kind):
     op = SpectralDecomposition(sigma)
     y = CoefficientVector(rng.standard_normal(m))
     spec = KINDS[kind]
-    res_at_one = residual_norm(op, spec, 1.0, y)
+    res_at_one = row_residual(op, spec, 1.0, y)
     if res_at_one == 0.0:
         return
     small = res_at_one * 0.05
@@ -213,7 +214,7 @@ def _reference_search(op, spec, y, delta_est, q, emergency_n=None):
     guard = None if emergency_n is None else 1.0 / emergency_n
     k, alpha = 0, 1.0
     while True:
-        residual = residual_norm(op, spec, alpha, y)
+        residual = row_residual(op, spec, alpha, y)
         if residual <= delta_est:
             return ChoiceResult(alpha, k, residual, False, delta_est)
         if guard is not None and not alpha > guard:
@@ -271,7 +272,7 @@ def test_blocked_search_stops_at_block_edges(target):
     alpha = 1.0
     for _ in range(target):
         alpha *= 0.7
-    delta = residual_norm(op, FilterSpec.tikhonov(), alpha, y)
+    delta = row_residual(op, FilterSpec.tikhonov(), alpha, y)
     outcome = _assert_same_search(op, FilterSpec.tikhonov(), y, delta, 0.7)
     assert outcome[1] == target and outcome[5] == target + 1
 
@@ -295,11 +296,11 @@ def test_blocked_search_k_max_inside_a_block(k_max, monkeypatch):
     alphas = [1.0]
     for _ in range(k_max + 1):
         alphas.append(alphas[-1] * 0.7)
-    late = residual_norm(op, spec, alphas[k_max + 1], y)
+    late = row_residual(op, spec, alphas[k_max + 1], y)
     for delta in (1e-300, late):
         outcome = _assert_same_search(op, spec, y, delta, 0.7)
         assert outcome[0] == "NonTerminationError" and f"k_max={k_max}" in outcome[1]
-    in_time = residual_norm(op, spec, alphas[k_max], y)
+    in_time = row_residual(op, spec, alphas[k_max], y)
     assert _assert_same_search(op, spec, y, in_time, 0.7)[1] == k_max
 
 
@@ -379,20 +380,21 @@ def test_stacked_search_and_solution_equal_one_row_at_a_time_bitwise(seed, kind,
     assert [_row(result) for result in stacked] == singles
 
     chosen = [i for i, result in enumerate(stacked) if isinstance(result, ChoiceResult)]
-    solutions = apply_regularizer(op, spec, [stacked[i].alpha for i in chosen],
-                                  [ys[i] for i in chosen])
-    for i, solution in zip(chosen, solutions):
+    stops = [stacked[i].alpha for i in chosen]
+    solutions = apply_regularizer(op, spec, stops, [ys[i] for i in chosen])
+    residuals = residual_norm(op, spec, np.array(stops)[:, None], [ys[i] for i in chosen])
+    for i, solution, residual in zip(chosen, solutions, residuals[:, 0].tolist()):
         single = apply_regularizer(op, spec, stacked[i].alpha, ys[i])
         assert solution.x.tobytes() == single.x.tobytes()
-        assert solution.residual.hex() == single.residual.hex()
-        assert solution.residual.hex() == stacked[i].residual_at_stop.hex()
+        assert residual.hex() == row_residual(op, spec, stacked[i].alpha, ys[i]).hex()
+        assert residual.hex() == stacked[i].residual_at_stop.hex()
 
     # a column of alphas gives each row its own, and no row gives no residual
     alphas = [float(a) for a in 10.0 ** rng.uniform(-8, 0, size=rows)]
     column = residual_norm(op, spec, np.array(alphas)[:, None], ys)
     assert column.shape == (rows, 1)
     assert [r.hex() for r in column[:, 0].tolist()] == \
-        [residual_norm(op, spec, a, y).hex() for a, y in zip(alphas, ys)]
+        [row_residual(op, spec, a, y).hex() for a, y in zip(alphas, ys)]
     assert residual_norm(op, spec, np.empty((0, 1)), []).shape == (0, 1)
     assert residual_norm(op, spec, np.array(alphas), []).shape == (0, rows)
 

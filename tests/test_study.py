@@ -36,6 +36,7 @@ from avereg.study import (
     summarize,
     write_study_csvs,
 )
+from conftest import row_residual
 
 
 def _tiny_config(**overrides):
@@ -802,7 +803,8 @@ def test_solve_rule_is_the_study_replication_solve():
                                       [y_bar], [delta], batch.n)
     assert choice.delta_est_used == 1.0 / math.sqrt(50)
     assert choice.iterations_evaluated == 0
-    assert choice.residual_at_stop == solution.residual
+    assert choice.residual_at_stop == row_residual(scenario.op, config.filter_spec,
+                                                   choice.alpha, y_bar)
 
 
 def test_apriori_rule_records_no_iteration_count():
@@ -934,6 +936,46 @@ def test_a_batch_above_the_memory_budget_is_a_config_error_before_any_draw(monke
     with pytest.raises(ConfigError, match=f"^invalid configuration: sample_sizes: one batch "
                                           f"of n = 5000 holds {cell} bytes, above the "
                                           f"{cell - 1} bytes available$"):
+        run_study(config)
+
+
+@pytest.mark.parametrize("name, key, size, need", [
+    ("diagonal_synthetic", "m", 1000, 12 * 8 * 1000),
+    ("heat_like", "m", 1000, 16 * 8 * 1000),
+    ("binary_option", "grid", 100, 12 * 8 * 100**2),
+])
+def test_a_scenario_above_the_memory_budget_is_a_config_error_before_it_is_built(
+        monkeypatch, name, key, size, need):
+    default = default_binopt_config if name == "binary_option" else default_heat_config
+    config = StudyConfig.from_dict({**default(replications=1), "scenario": {"name": name, key: size}})
+    monkeypatch.setattr(study, "build_scenario", lambda *args: pytest.fail("a scenario was built"))
+    monkeypatch.setattr(study, "_budget", lambda: need - 1)
+    with pytest.raises(ConfigError, match=f"^invalid configuration: scenario {key}: {name} at "
+                                          f"{key} = {size} holds {need} bytes, above the "
+                                          f"{need - 1} bytes available$"):
+        run_study(config)
+    monkeypatch.setattr(study, "_budget", lambda: need)
+    with pytest.raises(pytest.fail.Exception, match="a scenario was built"):
+        run_study(config)
+
+
+def test_pairs_and_records_above_the_memory_budget_while_a_stack_is_solved_are_a_config_error(
+        monkeypatch):
+    # 1,000 held pairs of 20 coefficients take 672,000 bytes; their records
+    # of three rules and the arrays of a stack of 1,000 rows do not fit beside
+    config = StudyConfig.from_dict({**default_heat_config(replications=1000),
+                                    "scenario": {"name": "heat_like", "m": 20},
+                                    "sample_sizes": [1000]})
+    monkeypatch.setattr(study, "draw_batch", _no_draw)
+    monkeypatch.setattr(study, "_cores", lambda: 1)
+    monkeypatch.setattr(study, "_budget", lambda: 672000)
+    with pytest.raises(ConfigError, match="^invalid configuration: replications: 1000 pairs of "
+                                          "sample size and replication take 3648000 bytes while "
+                                          "a stack of 1000 is solved, above the 672000 bytes "
+                                          "available$"):
+        run_study(config)
+    monkeypatch.setattr(study, "_budget", lambda: 3648000)
+    with pytest.raises(AssertionError, match="a batch was drawn"):
         run_study(config)
 
 
