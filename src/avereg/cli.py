@@ -58,12 +58,12 @@ def _given(args, *names) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    spec, rule = solve_settings({"kind": args.filter, **_given(args, "order", "relaxation")},
-                                {"name": args.rule, **_given(args, "q")})
-    tau = args.tau
-    if args.delta == "lil":
-        tau = 1.5 if tau is None else tau
-    elif tau is not None:
+    tau = 1.5 if args.tau is None else args.tau
+    spec, rule, delta = solve_settings(
+        {"kind": args.filter, **_given(args, "order", "relaxation")},
+        {"name": args.rule, **_given(args, "q")},
+        {"name": "lil", "tau": tau} if args.delta == "lil" else {"name": args.delta})
+    if args.delta != "lil" and args.tau is not None:
         raise InputError("--tau is only meaningful with --delta lil")
     matrix = load_matrix_csv(args.matrix)
     batch = load_batch_csv(args.measurements)
@@ -74,8 +74,8 @@ def _cmd_solve(args) -> int:
         )
     op = matrix_rank_check(svd(matrix), args.matrix)
     y_bar = project_data(op, batch.mean)
-    delta = rule_delta(rule, batch, args.delta, tau)
-    [solved] = solve_rule(op, spec, rule, [y_bar], [delta], batch.n)
+    estimate = rule_delta(rule, batch, delta["name"], delta.get("tau"))
+    [solved] = solve_rule(op, spec, rule, [y_bar], [estimate], batch.n)
     if isinstance(solved, NonTerminationError):
         raise solved
     choice, solution = solved
@@ -148,7 +148,7 @@ def _cmd_verify_filters(args) -> int:
         # each kind at its config defaults, certified up to its qualification or 20
         spec = FilterSpec(kind, **{key: default for key, (_, default) in FILTERS[kind].items()})
         nu = min(spec.qualification, 20.0)
-        report = verify_filter_constants(spec, sigma_max=1.0, nu=nu)
+        report = verify_filter_constants(spec, nu=nu)
         status = "pass" if report.passed else "FAIL"
         print(f"{spec.name}: C_R {report.c_r:.6g}/{spec.c_r:.6g} "
               f"C_F {report.c_f:.6g}/{spec.c_f:.6g} "

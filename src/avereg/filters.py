@@ -255,23 +255,20 @@ _N_LAMBDA = 200
 _N_ALPHA = 50
 
 
-def verify_filter_constants(
-    spec: FilterSpec, sigma_max: float, nu: float
-) -> FilterConstantsReport:
+def verify_filter_constants(spec: FilterSpec, nu: float) -> FilterConstantsReport:
     """Grid certification of the filter axioms.
 
-    Evaluates F_alpha on a log grid of 200 lambda points in
-    (1e-12 sigma_max^2, sigma_max^2] and 50 alpha points in (1e-8, 1] and
-    reports the observed suprema of lambda F_alpha, alpha |F_alpha| and
-    lambda^{nu/2} |1 - lambda F_alpha| / alpha^{nu/2} and a monotonicity flag.
+    Evaluates F_alpha on a log grid of 200 lambda points in [1e-12, 1] and
+    50 alpha points in [1e-8, 1] and reports the observed suprema of
+    lambda F_alpha, alpha |F_alpha| and lambda^{nu/2} |1 - lambda F_alpha| /
+    alpha^{nu/2} and a monotonicity flag.
     A declared constant exceeded by more than 1e-9 relative, which includes
     the C_nu of a qualification declared too high, and F outside
     [0, 1/lambda] are violations.
     """
-    if sigma_max <= 0 or nu <= 0:
-        raise InputError("sigma_max and nu must be positive")
-    lam_hi = sigma_max**2
-    lam = np.logspace(math.log10(lam_hi) - 12, math.log10(lam_hi), _N_LAMBDA)
+    if nu <= 0:
+        raise InputError("nu must be positive")
+    lam = np.logspace(-12.0, 0.0, _N_LAMBDA)
     alphas = np.logspace(-8, 0, _N_ALPHA)  # ascending
 
     factor = residual_factor(spec, alphas, lam)  # one row per alpha

@@ -95,40 +95,31 @@ def discrepancy_principle(op: SpectralDecomposition, spec: FilterSpec, y_bar, de
                for row, delta in zip(y_bar, delta_est)]
     searching = [i for i, result in enumerate(results) if result is None]
     guard = 1.0 / emergency_n if emergency_n is not None else None
-    k0 = 0
-    alpha = 1.0
+    k0, alpha = 0, 1.0
     while searching:
         # grid points k0, k0 + 1, ... up to the block size or the point after
         # which a search that never meets delta_est would raise
-        block = [alpha]
-        while True:
-            k = k0 + len(block) - 1
-            if k >= _K_MAX:
-                end = f"discrepancy search did not stop within k_max={_K_MAX} steps"
-            # in the subnormal range alpha * q can round back to alpha itself
-            elif alpha * q in (0.0, alpha):
-                end = "alpha underflowed before the residual reached delta_est"
-            else:
-                end = None
-            if end is not None or len(block) == _BLOCK:
-                break
-            alpha *= q
-            block.append(alpha)
-
-        alphas = np.array(block)
+        alphas = np.multiply.accumulate([alpha] + [q] * min(_BLOCK - 1, _K_MAX - k0))
+        # in the subnormal range alpha * q can round back to alpha itself
+        stuck = np.flatnonzero((alphas * q == 0.0) | (alphas * q == alphas))
+        alphas = alphas[:stuck[0] + 1] if stuck.size else alphas
+        end = "alpha underflowed before the residual reached delta_est" if stuck.size else None
+        if k0 + len(alphas) > _K_MAX:  # at the same point the k_max message wins
+            end = f"discrepancy search did not stop within k_max={_K_MAX} steps"
         residuals = residual_norm(op, spec, alphas, [y_bar[i] for i in searching])
         met = residuals <= np.array([delta_est[i] for i in searching])[:, None]
         stops = met if guard is None else met | ~(alphas > guard)
         rows = zip(searching, stops.any(axis=1).tolist(), np.argmax(stops, axis=1).tolist())
         for j, (i, stopped, first) in enumerate(rows):
             if stopped:
-                results[i] = ChoiceResult(block[first], k0 + first, float(residuals[j, first]),
-                                          not met[j, first], delta_est[i])
+                results[i] = ChoiceResult(float(alphas[first]), k0 + first,
+                                          float(residuals[j, first]), not met[j, first],
+                                          delta_est[i])
             elif end is not None:
                 results[i] = NonTerminationError(end, delta_est[i])
         searching = [i for i in searching if results[i] is None]
         k0 += _BLOCK
-        alpha *= q
+        alpha = alphas[-1] * q
     return results
 
 

@@ -293,15 +293,17 @@ def _rule(entry: dict) -> DiscrepancyRule | AprioriRule:
     return DiscrepancyRule(entry["q"], emergency=entry["name"] == "dp+es")
 
 
-def solve_settings(filter_section: dict, rule_entry: dict) -> tuple:
-    """The FilterSpec and rule of a filter section and a rules entry, checked
-    and completed as in a study config; raises ConfigError."""
+def solve_settings(filter_section: dict, rule_entry: dict, delta_section: dict) -> tuple:
+    """The FilterSpec, the rule and the resolved delta_rule section of a
+    filter section, a rules entry and a delta_rule section, checked and
+    completed as in a study config; raises ConfigError."""
     violations = []
     spec = resolve("filter", FILTERS, filter_section, violations, "kind")
     rule = _resolve_rule(rule_entry, violations)
+    delta = resolve("delta_rule", DELTAS, delta_section, violations, "name")
     if violations:
         raise ConfigError(violations)
-    return FilterSpec(**spec), _rule(rule)
+    return FilterSpec(**spec), _rule(rule), delta
 
 
 @dataclass(frozen=True)
@@ -373,7 +375,7 @@ def read_config(path: str):
         raise InputError(f"cannot read config {path}: {exc}") from exc
 
 
-def default_heat_config(replications: int = 200, base_seed: int = 99) -> dict:
+def default_heat_config(replications: int = 200) -> dict:
     """Severely ill-posed heavy-tail protocol: Tikhonov, dp / dp+es / a priori."""
     return {
         "version": CONFIG_VERSION,
@@ -388,11 +390,11 @@ def default_heat_config(replications: int = 200, base_seed: int = 99) -> dict:
         "delta_rule": {"name": "sample_std"},
         "sample_sizes": [1000, 10000, 100000],
         "replications": replications,
-        "base_seed": base_seed,
+        "base_seed": 99,
     }
 
 
-def default_binopt_config(replications: int = 20, base_seed: int = 20240502) -> dict:
+def default_binopt_config(replications: int = 20) -> dict:
     """Binary-option differentiation: Tikhonov + discrepancy principle."""
     return {
         "version": CONFIG_VERSION,
@@ -402,12 +404,12 @@ def default_binopt_config(replications: int = 20, base_seed: int = 20240502) -> 
         "delta_rule": {"name": "sample_std"},
         "sample_sizes": [1000, 10000],
         "replications": replications,
-        "base_seed": base_seed,
+        "base_seed": 20240502,
     }
 
 
 def default_counterexample_config(n_max: int = 6, forced: bool = False,
-                                  emergency: bool = False, base_seed: int = 1) -> dict:
+                                  emergency: bool = False) -> dict:
     """The divergence construction: TSVD with the 1/sqrt(n) noise estimate."""
     scenario = {"name": "counterexample", "m": 100}
     if forced:
@@ -421,7 +423,7 @@ def default_counterexample_config(n_max: int = 6, forced: bool = False,
         "delta_rule": {"name": "inv_sqrt_n"},
         "sample_sizes": list(range(2, n_max + 1)),
         "replications": 1,
-        "base_seed": base_seed,
+        "base_seed": 1,
     }
 
 
@@ -465,7 +467,8 @@ def _smooth_scenario(op: SpectralDecomposition, config: StudyConfig,
     """The scenario of the smooth solution x = (K*K)^{nu/2} w on ``op``, with
     ||w|| = rho and w_l proportional to l^-0.55, or with ``alternating`` to
     (-1)^(l-1) exp(-3 l/m).  The data and the noise direction are mapped
-    into ambient coordinates when ``op`` has a left basis."""
+    into ambient coordinates when ``op`` has a left basis.  A solution or
+    data that overflow double precision are a ConfigError."""
     m, source = op.rank, config.source
     levels = np.arange(1, m + 1, dtype=float)
     if alternating:
@@ -474,12 +477,17 @@ def _smooth_scenario(op: SpectralDecomposition, config: StudyConfig,
     else:
         w = levels**-0.55
     w *= source["rho"] / np.linalg.norm(w)
-    x_hat = op.singular_values ** source["nu"] * w
-    y_hat = op.singular_values * x_hat
-    if op.left_basis is not None:
-        y_hat = op.left_basis @ y_hat
-    return Scenario(op, embed_solution(op, x_hat), y_hat,
-                    _noise_model(config.noise, m, op.left_basis))
+    # an inf coefficient times a zero basis entry is nan: both mean overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_hat = op.singular_values ** source["nu"] * w
+        y_hat = op.singular_values * x_hat
+        if op.left_basis is not None:
+            y_hat = op.left_basis @ y_hat
+        x_hat = embed_solution(op, x_hat)
+    if not (np.all(np.isfinite(x_hat)) and np.all(np.isfinite(y_hat))):
+        raise ConfigError([f"source nu: the solution or data at nu = {source['nu']:g} and "
+                           f"rho = {source['rho']:g} overflow double precision"])
+    return Scenario(op, x_hat, y_hat, _noise_model(config.noise, m, op.left_basis))
 
 
 def build_scenario(config: StudyConfig) -> Scenario:
@@ -655,10 +663,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     n_max, m = max(config.sample_sizes), len(scenario.y_hat)
     cell_bytes = batch_bytes(scenario.model, n_max, m)
     _check_budget(budget, cell_bytes, f"sample_sizes: one batch of n = {n_max} holds")
-    held_bytes = pairs * (8 * m + _CELL_OVERHEAD)
-    _check_budget(budget, held_bytes, f"replications: {pairs} pairs of sample size and "
-                  "replication hold", " until they are solved")
-    _check_budget(budget, held_bytes + pairs * len(rule_names) * _RECORD_BYTES
+    _check_budget(budget, pairs * (8 * m + _CELL_OVERHEAD + len(rule_names) * _RECORD_BYTES)
                   + config.replications * _SOLVE_VECTORS * 8 * m,
                   f"replications: {pairs} pairs of sample size and replication take",
                   f" while a stack of {config.replications} is solved")

@@ -79,7 +79,7 @@ def test_acceptance_1_filter_constants():
         (FilterSpec("tsvd"), 20.0),
         (FilterSpec("landweber", relaxation=0.9), 20.0),
     ]
-    reports = [verify_filter_constants(spec, sigma_max=1.0, nu=nu)
+    reports = [verify_filter_constants(spec, nu=nu)
                for spec, nu in cases]
     elapsed = time.perf_counter() - start
     passed = all(r.passed for r in reports) and elapsed < 5.0

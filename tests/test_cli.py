@@ -167,6 +167,19 @@ def test_solve_rejects_tau_without_lil(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tau", ["0.5", "nan"])
+def test_solve_checks_tau_before_reading_the_files(tmp_path, capsys, tau):
+    # an out-of-range tau used to surface only after both CSVs were read, and
+    # a missing matrix hid it behind the file error
+    code = main(["solve", "--matrix", str(tmp_path / "nope.csv"),
+                 "--measurements", str(tmp_path / "nope.csv"), "--delta", "lil",
+                 "--tau", tau, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: invalid configuration: delta_rule tau must be "
+                                       "finite and > 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_lil_defaults_tau_to_one_and_a_half(tmp_path, capsys):
     matrix, measurements = _write_identity_problem(tmp_path, n_rows=20)
     out_default, out_given = tmp_path / "default", tmp_path / "given"
@@ -542,6 +555,35 @@ def test_simulate_rank_zero_matrix_file_is_an_input_error_before_any_draw(
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (f"error: matrix CSV {matrix} has rank 0: no singular "
                                        "value is above 1e-14 times the largest\n")
+    assert not out.exists()
+
+
+def test_simulate_overflowing_source_is_a_config_error_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # sigma_1 = 3.24, so sigma_1^1000 overflows: the truth itself is not a
+    # float, and the measurements drawn around it used to take the blame
+    matrix = tmp_path / "matrix.csv"
+    np.savetxt(matrix, np.random.default_rng(0).standard_normal((8, 5)), delimiter=",")
+    raw = {
+        "version": 1,
+        "scenario": {"name": "matrix_file", "path": str(matrix)},
+        "source": {"nu": 1000},
+        "noise": {"variant": "direction_gaussian"},
+        "filter": {"kind": "tikhonov"},
+        "rules": [{"name": "dp"}],
+        "delta_rule": {"name": "sample_std"},
+        "sample_sizes": [20],
+        "replications": 3,
+        "base_seed": 1,
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    monkeypatch.setattr(study, "_fan_out", lambda *args: pytest.fail("a batch was drawn"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: invalid configuration: source nu: the solution "
+                                       "or data at nu = 1000 and rho = 1 overflow double "
+                                       "precision\n")
     assert not out.exists()
 
 

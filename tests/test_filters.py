@@ -146,7 +146,7 @@ def test_landweber_divergent_configuration():
 
 def _from_config(section):
     """The FilterSpec of a config's filter section, as a study or solve builds it."""
-    return solve_settings(section, {"name": "dp"})[0]
+    return solve_settings(section, {"name": "dp"}, {"name": "sample_std"})[0]
 
 
 def test_filter_spec_validation_and_config_round_trip():
@@ -388,7 +388,7 @@ def test_verify_filter_constants_default_kinds_pass():
         (FilterSpec("tsvd"), 20.0),
         (FilterSpec("landweber", relaxation=0.9), 20.0),
     ]:
-        report = verify_filter_constants(spec, sigma_max=1.0, nu=nu)
+        report = verify_filter_constants(spec, nu=nu)
         assert report.passed, report.violations
         assert report.monotone
 
@@ -398,7 +398,7 @@ class _TamperedTikhonov(FilterSpec):
 
 
 def test_verify_filter_constants_flags_tampered_c_r():
-    report = verify_filter_constants(_TamperedTikhonov("tikhonov"), sigma_max=1.0, nu=2.0)
+    report = verify_filter_constants(_TamperedTikhonov("tikhonov"), nu=2.0)
     assert not report.passed
     assert any("C_R" in violation for violation in report.violations)
 
@@ -409,10 +409,10 @@ class _OverqualifiedTikhonov(FilterSpec):
 
 def test_verify_filter_constants_flags_beyond_qualification():
     # beyond the qualification no C_nu is declared, so the bias is not checked
-    assert verify_filter_constants(FilterSpec.tikhonov(), sigma_max=1.0, nu=4.0).passed
+    assert verify_filter_constants(FilterSpec.tikhonov(), nu=4.0).passed
     assert math.isinf(FilterSpec.tikhonov().c_nu(4.0))
     # a qualification declared too high declares C_nu = 1, which the grid breaks
-    report = verify_filter_constants(_OverqualifiedTikhonov("tikhonov"), sigma_max=1.0, nu=4.0)
+    report = verify_filter_constants(_OverqualifiedTikhonov("tikhonov"), nu=4.0)
     assert report.violations == ("C_nu observed 1e+08 exceeds declared 1",)
 
 

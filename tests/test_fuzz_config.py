@@ -39,7 +39,7 @@ TIME_BOUND_S = 10.0
 
 MATRIX_PATH = "<matrix>"
 
-JUNK_VALUES = [True, False, None, -1, 0, 1.5, -2.5, "x", [], {}]
+JUNK_VALUES = [True, False, None, -1, 0, 1.5, -2.5, "x", [], {}, 10**30, [10**30]]
 
 #: what Python's json module reads from Infinity, -Infinity and NaN
 NON_FINITE = [float("inf"), float("-inf"), float("nan")]

@@ -24,6 +24,7 @@ def _load_run():
 run = _load_run()
 
 
+@pytest.mark.golden_bits
 @pytest.mark.parametrize("workload", [run.Heat, run.CoefGauss, run.DenseSolve],
                          ids=lambda workload: workload.__name__)
 def test_benchmark_workload_passes_its_own_check(workload, tmp_path, capsys):

@@ -103,6 +103,7 @@ def _golden_stream() -> RandomStream:
     return RandomStream(99, (2 << 32) | 17)
 
 
+@pytest.mark.golden_bits
 @pytest.mark.parametrize("method", sorted(_GOLDEN))
 @pytest.mark.parametrize("size_index", range(len(_GOLDEN_SIZES)))
 def test_draws_match_golden_bits(method, size_index):

@@ -613,6 +613,7 @@ _GOLDEN_STUDIES = {
 }
 
 
+@pytest.mark.golden_bits
 @pytest.mark.parametrize("name", sorted(_GOLDEN_STUDIES))
 def test_study_csvs_keep_their_golden_bytes(name, tmp_path):
     make_raw, expected = _GOLDEN_STUDIES[name]
@@ -1002,14 +1003,16 @@ print(time.perf_counter() - start < 1.0)
 
 
 def test_more_replications_than_the_memory_budget_holds_are_a_config_error_at_once():
-    # 10^9 pairs of 20 coefficients are 6.72e11 held bytes; the study runs in
-    # a child process so that a check that comes too late cannot fill memory
+    # 10^9 pairs of 20 coefficients take 3.648e12 bytes with their records and
+    # the stack being solved; the study runs in a child process so that a
+    # check that comes too late cannot fill memory
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(study.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _MANY_REPLICATIONS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.splitlines() == [
         "invalid configuration: replications: 1000000000 pairs of sample size and replication "
-        "hold 672000000000 bytes until they are solved, above the 8589934592 bytes available",
+        "take 3648000000000 bytes while a stack of 1000000000 is solved, above the 8589934592 "
+        "bytes available",
         "True"]
 
 
