@@ -78,10 +78,10 @@ def _cmd_solve(args) -> int:
     [solved] = solve_rule(op, spec, rule, [y_bar], [estimate], batch.n)
     if isinstance(solved, NonTerminationError):
         raise solved
-    choice, solution = solved
+    choice, x = solved
     # an inf coefficient times a zero basis entry is nan: both mean overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        x = embed_solution(op, solution.x)
+        x = embed_solution(op, x)
     if not np.all(np.isfinite(x)):
         raise NumericalError("the solution overflows double precision")
     report = {**dataclasses.asdict(choice), "iterations_evaluated": choice.iterations_evaluated,

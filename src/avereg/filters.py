@@ -29,6 +29,7 @@ from .spectral import CoefficientVector, SpectralDecomposition, _check_length
 KINDS = ("tikhonov", "iterated_tikhonov", "tsvd", "landweber")
 
 _TINY = sys.float_info.min  # 2^-1022, the smallest normal double
+_CHUNK = 1 << 15  # elements a kernel forms per chunk of rows: 256 KB of doubles
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class FilterSpec:
         bounded by (nu / (2ae))^{nu/2}.  Beyond the qualification no constant
         exists and +inf is returned.
         """
-        if nu <= 0:
+        if not nu > 0:
             raise InputError("nu must be positive")
         if self.kind == "landweber":
             return (nu / (2.0 * self.relaxation * math.e)) ** (nu / 2.0)
@@ -187,6 +188,12 @@ class RegularizedSolution:
     x: np.ndarray
 
 
+def _chunks(rows: int, width: int) -> list:
+    """Slices of about _CHUNK elements over ``rows`` rows of ``width`` each."""
+    step = max(1, _CHUNK // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 def _stack(op: SpectralDecomposition, rows) -> tuple:
     """Coefficients and squared orthogonal norms of a sequence of vectors, one row each."""
     for row in rows:
@@ -199,36 +206,34 @@ def apply_regularizer(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
     """Apply R_alpha = F_alpha(K*K) K* to data-side coefficients.
 
     A CoefficientVector ``y`` with a float alpha gives a RegularizedSolution,
-    and a sequence of them with one alpha each one per row, bitwise the same.
+    and a sequence of them with one alpha each a (rows, rank) array of the x.
     """
     if isinstance(y, CoefficientVector):
-        return apply_regularizer(op, spec, [alpha], [y])[0]
-    coefficients, _ = _stack(op, y)
-    alphas = _axes(np.ravel(alpha))[0]
-    x = _filter(spec, alphas, op.squares) * op.singular_values * coefficients
-    return [RegularizedSolution(row) for row in x]
+        return RegularizedSolution(apply_regularizer(op, spec, [alpha], [y])[0])
+    x, _ = _stack(op, y)
+    alphas = np.broadcast_to(_axes(np.ravel(alpha))[0], (len(x), 1))  # one alpha or one per row
+    for chunk in _chunks(len(x), op.rank):
+        x[chunk] *= _filter(spec, alphas[chunk], op.squares) * op.singular_values
+    return x
 
 
 def residual_norm(op: SpectralDecomposition, spec: FilterSpec, alpha, rows) -> np.ndarray:
     """||(K R_alpha - Id) y|| of each CoefficientVector y in ``rows``, the
     quantity driven to delta by the discrepancy loop.
 
-    The result is (rows, alphas), with alpha broadcast against it: a float
-    or a 1-D block is shared by every row, and a column gives each row its
-    own.  Each residual counts any component of y orthogonal to the range
-    basis and is bitwise the one its alpha and its vector alone give.
+    The result is (rows, alphas): a float or a 1-D block of alphas is shared
+    by every row, and a column gives each row its own.  Each residual counts
+    y's part outside the range basis, bitwise as its alpha and y alone give.
     """
     coefficients, orthogonal_squares = _stack(op, rows)
-    # (rows, alphas per row, rank): one row of factors per alpha
-    factor = _factor(spec, _axes(np.atleast_2d(alpha)[..., None])[0], op.squares)
-    factor = np.broadcast_to(factor, (len(coefficients), *factor.shape[1:]))
-    residuals = np.empty(factor.shape[:2])
-    step = max(1, (1 << 15) // (factor.shape[1] * op.rank))  # rows whose product fills about 256 KB
-    for lo in range(0, len(coefficients), step):
-        product = factor[lo:lo + step] * coefficients[lo:lo + step, None]
+    alphas = _axes(np.atleast_2d(alpha)[..., None])[0]  # one row of alphas, or one per vector
+    shared = _factor(spec, alphas[0], op.squares) if len(alphas) == 1 else None  # formed once
+    residuals = np.empty(np.broadcast_shapes((len(coefficients), 1), alphas.shape[:2]))
+    for chunk in _chunks(len(coefficients), alphas.shape[1] * op.rank):
+        factor = _factor(spec, alphas[chunk], op.squares) if shared is None else shared
+        product = factor * coefficients[chunk, None]
         np.square(product, out=product)
-        residuals[lo:lo + step] = np.sqrt(np.sum(product, axis=-1)
-                                          + orthogonal_squares[lo:lo + step, None])
+        residuals[chunk] = np.sqrt(np.sum(product, axis=-1) + orthogonal_squares[chunk, None])
     return residuals
 
 
@@ -266,7 +271,7 @@ def verify_filter_constants(spec: FilterSpec, nu: float) -> FilterConstantsRepor
     the C_nu of a qualification declared too high, and F outside
     [0, 1/lambda] are violations.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise InputError("nu must be positive")
     lam = np.logspace(-12.0, 0.0, _N_LAMBDA)
     alphas = np.logspace(-8, 0, _N_ALPHA)  # ascending

@@ -64,10 +64,10 @@ class BinaryOptionParams:
     s0_grid: np.ndarray
 
     def __post_init__(self):
-        if self.volatility <= 0 or self.expiry <= 0 or self.strike <= 0:
+        if not (self.volatility > 0 and self.expiry > 0 and self.strike > 0):
             raise InputError("volatility, expiry and strike must be positive")
         grid = np.atleast_1d(np.asarray(self.s0_grid, dtype=float))
-        if grid.size < 2 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        if grid.size < 2 or not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
             raise InputError("s0_grid must be increasing positive prices")
         object.__setattr__(self, "s0_grid", grid)
 
@@ -114,7 +114,7 @@ class CoefficientGaussian:
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise InputError("scale must be positive")
 
 
@@ -137,7 +137,7 @@ class HeavyTailed:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise InputError("generalized Pareto scale must be positive")
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if not np.all(np.isfinite(w)):

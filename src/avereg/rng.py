@@ -140,7 +140,7 @@ def pareto_from_uniforms(x: np.ndarray, shape: float, scale: float, location: fl
     """Generalized-Pareto variates X = location + scale ((1 - U)^{-shape} - 1)
     / shape of the uniforms U in ``x``, in place; the shape -> 0 limit is
     exponential."""
-    if scale <= 0:
+    if not scale > 0:
         raise InputError(f"generalized Pareto scale must be positive, got {scale}")
     np.negative(x, out=x)
     np.log1p(x, out=x)

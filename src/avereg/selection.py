@@ -137,7 +137,7 @@ class AprioriRule:
     def __post_init__(self):
         if self.variant not in APRIORI_VARIANTS:
             raise InputError(f"unknown a priori variant {self.variant!r}")
-        if self.c <= 0 or self.nu <= 0 or self.rho <= 0:
+        if not (self.c > 0 and self.nu > 0 and self.rho > 0):
             raise InputError("c, nu and rho must be positive")
         # settings the variant ignores would change only equality
         if self.variant == "inv_sqrt_n_alpha" and (self.c, self.nu, self.rho) != (1.0, 1.0, 1.0):

@@ -41,7 +41,7 @@ from .errors import (
     InputError,
     StudyError,
 )
-from .filters import KINDS, FilterSpec, apply_regularizer, residual_factor, residual_norm
+from .filters import _CHUNK, KINDS, FilterSpec, apply_regularizer, residual_factor, residual_norm
 from .measurements import (
     DELTA_RULES,
     LIL_MIN_N,
@@ -57,6 +57,7 @@ from .measurements import (
     heavy_tail_weights,
 )
 from .selection import (
+    _BLOCK,
     APRIORI_VARIANTS,
     AprioriRule,
     ChoiceResult,
@@ -547,8 +548,8 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
                y_bar, delta, n: int):
     """Choose alpha by ``rule`` and regularize each row of ``y_bar``, means
     of n measurements in the left singular basis of ``op`` with one noise
-    estimate each in ``delta``: per row a (ChoiceResult,
-    RegularizedSolution) pair, or the NonTerminationError its search raises.
+    estimate each in ``delta``: per row a (ChoiceResult, solution coefficients)
+    pair, or the NonTerminationError its search raises.
     An a priori choice has k = -1 and the residual at its alpha."""
     if isinstance(rule, DiscrepancyRule):
         choices = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
@@ -560,8 +561,8 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
     chosen = [i for i, choice in enumerate(choices) if isinstance(choice, ChoiceResult)]
     solutions = apply_regularizer(op, spec, [choices[i].alpha for i in chosen],
                                   [y_bar[i] for i in chosen])
-    for i, solution in zip(chosen, solutions):
-        choices[i] = choices[i], solution
+    for i, x in zip(chosen, solutions):
+        choices[i] = choices[i], x
     return choices
 
 
@@ -602,9 +603,11 @@ class StudyResult:
 _CELL_OVERHEAD = 512
 #: bytes of the record of each pair and rule; tracemalloc read 250 to 510
 _RECORD_BYTES = 512
-#: m-vectors per row of the stack being solved, beside the held pairs; tracemalloc
-#: read 3.0 (Tikhonov, TSVD), 6.1 (Landweber) and 8.1 (iterated Tikhonov)
-_SOLVE_VECTORS = 9
+#: m-vectors per row of a stack being solved (its one (rows, m) array, beside a row of
+#: _BLOCK search residuals), (_BLOCK, m) arrays of the search's shared power form, and
+#: filter temporaries of a chunk of rows (at most the stack and _CHUNK elements, or one
+#: row); tracemalloc read 1.0-1.4 m-vectors a row with the choices, 3.0 and 7.1
+_SOLVE_VECTORS, _SOLVE_BLOCKS, _SOLVE_CHUNKS = 1, 3, 8
 #: (size key, its power, bytes per 8 size^power) of the scenarios whose arrays grow
 #: with a key, above build_scenario's peaks: 10.0, 13.5, and 9.2 with LAPACK's
 #: workspace.  The counterexample caps m at 161; a matrix_file is its file's size
@@ -663,8 +666,10 @@ def run_study(config: StudyConfig) -> StudyResult:
     n_max, m = max(config.sample_sizes), len(scenario.y_hat)
     cell_bytes = batch_bytes(scenario.model, n_max, m)
     _check_budget(budget, cell_bytes, f"sample_sizes: one batch of n = {n_max} holds")
+    solve = (config.replications * (_SOLVE_VECTORS * m + _BLOCK) + _SOLVE_BLOCKS * _BLOCK * m
+             + _SOLVE_CHUNKS * min(config.replications * m, max(_CHUNK, m)))
     _check_budget(budget, pairs * (8 * m + _CELL_OVERHEAD + len(rule_names) * _RECORD_BYTES)
-                  + config.replications * _SOLVE_VECTORS * 8 * m,
+                  + 8 * solve,
                   f"replications: {pairs} pairs of sample size and replication take",
                   f" while a stack of {config.replications} is solved")
     cells = _fan_out(cell, range(pairs), min(_cores(), budget // cell_bytes))
@@ -853,11 +858,10 @@ def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
     records = []
     for rep, ((_, d_true, _), outcome) in enumerate(zip(stack, outcomes)):
         if isinstance(outcome, tuple):
-            choice, solution = outcome
+            choice, x = outcome
             # an inf coefficient times a zero basis entry is nan: both mean overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                error = float(np.linalg.norm(embed_solution(scenario.op, solution.x)
-                                             - scenario.x_hat))
+                error = float(np.linalg.norm(embed_solution(scenario.op, x) - scenario.x_hat))
             reason = "" if math.isfinite(error) else "the solution error overflows double precision"
             records.append(ReplicationRecord(rep, error, choice.alpha, choice.k,
                                              choice.emergency_triggered, d_true,

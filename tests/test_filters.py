@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -6,14 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from avereg import filters
 from avereg.errors import ConfigError, InputError
 from avereg.filters import (
     FilterSpec,
     apply_regularizer,
     filter_value,
     residual_factor,
+    residual_norm,
     verify_filter_constants,
 )
+from avereg.measurements import BinaryOptionParams, CoefficientGaussian, HeavyTailed
+from avereg.rng import pareto_from_uniforms
+from avereg.selection import AprioriRule
 from avereg.spectral import CoefficientVector, SpectralDecomposition, counterexample_operator
 from avereg.study import solve_settings
 from conftest import row_residual
@@ -137,6 +143,33 @@ def test_filter_value_input_errors():
         filter_value(FilterSpec.tikhonov(), 0.0, 1.0)
     with pytest.raises(InputError):
         filter_value(FilterSpec.tikhonov(), 1.0, -1.0)
+
+
+_NAN = math.nan
+_BINOPT = BinaryOptionParams.default(8)
+
+
+# each check must read NaN as not positive: NaN <= 0 is False
+@pytest.mark.parametrize("build", [
+    lambda: FilterSpec.tikhonov().c_nu(_NAN),
+    lambda: FilterSpec("landweber", relaxation=0.9).c_nu(_NAN),
+    lambda: verify_filter_constants(FilterSpec.tikhonov(), _NAN),
+    lambda: AprioriRule("scaled_source", c=_NAN),
+    lambda: AprioriRule("scaled_source", nu=_NAN),
+    lambda: AprioriRule("scaled_source", rho=_NAN),
+    lambda: CoefficientGaussian(_NAN),
+    lambda: HeavyTailed(0.5, _NAN, 0.0, np.ones(3)),
+    lambda: dataclasses.replace(_BINOPT, volatility=_NAN),
+    lambda: dataclasses.replace(_BINOPT, expiry=_NAN),
+    lambda: dataclasses.replace(_BINOPT, strike=_NAN),
+    lambda: dataclasses.replace(_BINOPT, s0_grid=[1.0, _NAN, 3.0]),
+    lambda: pareto_from_uniforms(np.array([0.5]), 0.5, _NAN, 0.0),
+], ids=["c_nu", "landweber c_nu", "verify nu", "apriori c", "apriori nu", "apriori rho",
+        "coefficient scale", "heavy-tailed scale", "volatility", "expiry", "strike",
+        "s0_grid", "pareto scale"])
+def test_nan_is_not_positive(build):
+    with pytest.raises(InputError, match="positive"):
+        build()
 
 
 def test_landweber_divergent_configuration():
@@ -274,6 +307,20 @@ def test_residual_includes_orthogonal_component():
     y = CoefficientVector([1.0], orthogonal_norm=2.0)
     res = row_residual(op, FilterSpec("tsvd"), 0.5, y)
     assert res == pytest.approx(2.0)
+
+
+def test_alphas_that_are_neither_shared_nor_one_per_row_are_an_error(monkeypatch):
+    # each chunk of rows takes its slice of the alphas: a count that is neither
+    # one nor the number of rows must not leave some chunk a single alpha to share
+    monkeypatch.setattr(filters, "_CHUNK", 6)
+    op, spec = SpectralDecomposition([1.0, 0.5, 0.1]), FilterSpec.tikhonov()
+    rows = [CoefficientVector([1.0, 2.0, float(i)]) for i in range(10)]
+    with pytest.raises(ValueError):
+        apply_regularizer(op, spec, [0.1] * 7, rows)
+    with pytest.raises(ValueError):
+        residual_norm(op, spec, np.full((7, 1), 0.1), rows)
+    shared = apply_regularizer(op, spec, 0.1, rows)
+    assert shared.tobytes() == apply_regularizer(op, spec, [0.1] * 10, rows).tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)

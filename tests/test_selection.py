@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avereg import selection
+from avereg import filters, selection
 from avereg.errors import AveregError, InputError, NonTerminationError
 from avereg.filters import FilterSpec, apply_regularizer, filter_value, residual_norm
 from avereg.selection import (
@@ -357,9 +357,10 @@ def _row(result):
     q=st.floats(0.1, 0.95),
     emergency=st.booleans(),
     k_max=st.sampled_from([2, 40, 10**6]),
+    chunk=st.sampled_from([1, 7, 1 << 15]),
 )
 def test_stacked_search_and_solution_equal_one_row_at_a_time_bitwise(seed, kind, rows, q,
-                                                                     emergency, k_max):
+                                                                     emergency, k_max, chunk):
     rng = np.random.default_rng(seed)
     spec = KINDS[kind]
     m = int(rng.integers(1, 120))
@@ -372,31 +373,33 @@ def test_stacked_search_and_solution_equal_one_row_at_a_time_bitwise(seed, kind,
     deltas = [float(np.linalg.norm(y.coefficients) * 10.0 ** rng.uniform(-6, 0.3)) or 1.0
               for y in ys]
     n = int(rng.integers(1, 10**6)) if emergency else None
+    # a small chunk splits each kernel call into chunks of rows, down to one row
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filters, "_CHUNK", chunk)
         patch.setattr(selection, "_K_MAX", k_max)
         stacked = discrepancy_principle(op, spec, ys, deltas, q=q, emergency_n=n)
         singles = [_outcome(discrepancy_principle, op, spec, y, delta, q=q, emergency_n=n)
                    for y, delta in zip(ys, deltas)]
-    assert [_row(result) for result in stacked] == singles
+        assert [_row(result) for result in stacked] == singles
 
-    chosen = [i for i, result in enumerate(stacked) if isinstance(result, ChoiceResult)]
-    stops = [stacked[i].alpha for i in chosen]
-    solutions = apply_regularizer(op, spec, stops, [ys[i] for i in chosen])
-    residuals = residual_norm(op, spec, np.array(stops)[:, None], [ys[i] for i in chosen])
-    for i, solution, residual in zip(chosen, solutions, residuals[:, 0].tolist()):
-        single = apply_regularizer(op, spec, stacked[i].alpha, ys[i])
-        assert solution.x.tobytes() == single.x.tobytes()
-        assert residual.hex() == row_residual(op, spec, stacked[i].alpha, ys[i]).hex()
-        assert residual.hex() == stacked[i].residual_at_stop.hex()
+        chosen = [i for i, result in enumerate(stacked) if isinstance(result, ChoiceResult)]
+        stops = [stacked[i].alpha for i in chosen]
+        solutions = apply_regularizer(op, spec, stops, [ys[i] for i in chosen])
+        residuals = residual_norm(op, spec, np.array(stops)[:, None], [ys[i] for i in chosen])
+        for i, solution, residual in zip(chosen, solutions, residuals[:, 0].tolist()):
+            single = apply_regularizer(op, spec, stacked[i].alpha, ys[i])
+            assert solution.tobytes() == single.x.tobytes()
+            assert residual.hex() == row_residual(op, spec, stacked[i].alpha, ys[i]).hex()
+            assert residual.hex() == stacked[i].residual_at_stop.hex()
 
-    # a column of alphas gives each row its own, and no row gives no residual
-    alphas = [float(a) for a in 10.0 ** rng.uniform(-8, 0, size=rows)]
-    column = residual_norm(op, spec, np.array(alphas)[:, None], ys)
-    assert column.shape == (rows, 1)
-    assert [r.hex() for r in column[:, 0].tolist()] == \
-        [row_residual(op, spec, a, y).hex() for a, y in zip(alphas, ys)]
-    assert residual_norm(op, spec, np.empty((0, 1)), []).shape == (0, 1)
-    assert residual_norm(op, spec, np.array(alphas), []).shape == (0, rows)
+        # a column of alphas gives each row its own, and no row gives no residual
+        alphas = [float(a) for a in 10.0 ** rng.uniform(-8, 0, size=rows)]
+        column = residual_norm(op, spec, np.array(alphas)[:, None], ys)
+        assert column.shape == (rows, 1)
+        assert [r.hex() for r in column[:, 0].tolist()] == \
+            [row_residual(op, spec, a, y).hex() for a, y in zip(alphas, ys)]
+        assert residual_norm(op, spec, np.empty((0, 1)), []).shape == (0, 1)
+        assert residual_norm(op, spec, np.array(alphas), []).shape == (0, rows)
 
 
 # ---------------------------------------------------------------------------

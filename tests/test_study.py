@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -792,12 +793,12 @@ def test_solve_rule_is_the_study_replication_solve():
     y_bar = project_data(scenario.op, batch.mean)
     for rule in config.rules:
         delta = rule_delta(rule, batch, config.delta_rule, config.delta_tau)
-        [(choice, solution)] = solve_rule(scenario.op, config.filter_spec, rule, [y_bar],
-                                          [delta], batch.n)
+        [(choice, x)] = solve_rule(scenario.op, config.filter_spec, rule, [y_bar],
+                                   [delta], batch.n)
         record = result.records[(rule.name, 50)][0]
         assert (choice.alpha, choice.k, choice.emergency_triggered, choice.delta_est_used) == \
             (record.alpha, record.k, record.emergency, record.delta_est)
-        error = np.linalg.norm(solution.x - scenario.x_hat)
+        error = np.linalg.norm(x - scenario.x_hat)
         assert float(error) == record.error
     delta = rule_delta(config.rules[2], batch, config.delta_rule)
     [(choice, solution)] = solve_rule(scenario.op, config.filter_spec, config.rules[2],
@@ -962,20 +963,21 @@ def test_a_scenario_above_the_memory_budget_is_a_config_error_before_it_is_built
 
 def test_pairs_and_records_above_the_memory_budget_while_a_stack_is_solved_are_a_config_error(
         monkeypatch):
-    # 1,000 held pairs of 20 coefficients take 672,000 bytes; their records
-    # of three rules and the arrays of a stack of 1,000 rows do not fit beside
+    # 1,000 held pairs of 20 coefficients take 672,000 bytes, their records of
+    # three rules 1,536,000, a stack of 1,000 rows with their search residuals
+    # 416,000, the search's shared block 15,360 and the chunk temporaries 1,280,000
     config = StudyConfig.from_dict({**default_heat_config(replications=1000),
                                     "scenario": {"name": "heat_like", "m": 20},
                                     "sample_sizes": [1000]})
     monkeypatch.setattr(study, "draw_batch", _no_draw)
     monkeypatch.setattr(study, "_cores", lambda: 1)
-    monkeypatch.setattr(study, "_budget", lambda: 672000)
+    monkeypatch.setattr(study, "_budget", lambda: 3919359)
     with pytest.raises(ConfigError, match="^invalid configuration: replications: 1000 pairs of "
-                                          "sample size and replication take 3648000 bytes while "
-                                          "a stack of 1000 is solved, above the 672000 bytes "
+                                          "sample size and replication take 3919360 bytes while "
+                                          "a stack of 1000 is solved, above the 3919359 bytes "
                                           "available$"):
         run_study(config)
-    monkeypatch.setattr(study, "_budget", lambda: 3648000)
+    monkeypatch.setattr(study, "_budget", lambda: 3919360)
     with pytest.raises(AssertionError, match="a batch was drawn"):
         run_study(config)
 
@@ -1003,7 +1005,7 @@ print(time.perf_counter() - start < 1.0)
 
 
 def test_more_replications_than_the_memory_budget_holds_are_a_config_error_at_once():
-    # 10^9 pairs of 20 coefficients take 3.648e12 bytes with their records and
+    # 10^9 pairs of 20 coefficients take 2.624e12 bytes with their records and
     # the stack being solved; the study runs in a child process so that a
     # check that comes too late cannot fill memory
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(study.__file__).parents[1]))
@@ -1011,9 +1013,44 @@ def test_more_replications_than_the_memory_budget_holds_are_a_config_error_at_on
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.splitlines() == [
         "invalid configuration: replications: 1000000000 pairs of sample size and replication "
-        "take 3648000000000 bytes while a stack of 1000000000 is solved, above the 8589934592 "
+        "take 2624002112512 bytes while a stack of 1000000000 is solved, above the 8589934592 "
         "bytes available",
         "True"]
+
+
+@pytest.mark.parametrize("m", [100, 400])
+def test_the_replications_check_bounds_the_traced_solve_of_every_filter(m):
+    # a solve grows per row of its stack by the one (rows, m) array, the search's
+    # row of residuals and the choice, which becomes a record; the filters form
+    # their temporaries in chunks of rows, so the growth is the same for each.
+    # Stacks of 10^5 and 2 10^5 coefficients outgrow those temporaries
+    from avereg.spectral import project_data
+    from avereg.study import solve_rule
+
+    config = StudyConfig.from_dict(_tiny_config(
+        scenario={"name": "heat_like", "m": m},
+        rules=[{"name": "dp", "q": 0.7}, {"name": "apriori", "variant": "inv_sqrt_n_alpha"}]))
+    scenario = build_scenario(config)
+    rows = 100_000 // m
+    noise = 1e-4 * np.random.default_rng(0).standard_normal((2 * rows, m))
+    stack = [project_data(scenario.op, scenario.y_hat + row) for row in noise]
+    counted = 8 * (study._SOLVE_VECTORS * m + study._BLOCK) + study._RECORD_BYTES
+    for rule in config.rules:
+        growth = []
+        for spec in [FilterSpec("tikhonov"), FilterSpec("tsvd"),
+                     FilterSpec("iterated_tikhonov", order=2),
+                     FilterSpec("landweber", relaxation=1.0)]:
+            peaks = []
+            for size in [rows, 2 * rows]:
+                tracemalloc.start()
+                try:
+                    solve_rule(scenario.op, spec, rule, stack[:size], [0.01] * size, 100)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            growth.append((peaks[1] - peaks[0]) / rows)
+        assert max(growth) <= counted, (rule, growth, counted)
+        assert max(growth) <= 1.5 * min(growth), (rule, growth)
 
 
 _MEMINFO = "MemTotal:       16000 kB\nMemAvailable:    8000 kB\n"
