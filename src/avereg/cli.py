@@ -84,8 +84,9 @@ def _cmd_solve(args) -> int:
         x = embed_solution(op, x)
     if not np.all(np.isfinite(x)):
         raise NumericalError("the solution overflows double precision")
-    report = {**dataclasses.asdict(choice), "iterations_evaluated": choice.iterations_evaluated,
-              "residual": choice.residual_at_stop}
+    # iterations_evaluated: the grid points up to and including the stop, 0 a priori
+    report = {**dataclasses.asdict(choice), "delta_est_used": estimate,
+              "iterations_evaluated": choice.k + 1, "residual": choice.residual_at_stop}
 
     os.makedirs(args.out, exist_ok=True)
     solution_path = os.path.join(args.out, "solution.csv")

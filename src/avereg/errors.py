@@ -32,11 +32,7 @@ class DegenerateBatchError(AveregError, RuntimeError):
 
 
 class NonTerminationError(AveregError, RuntimeError):
-    """The discrepancy search cannot stop; ``delta_est`` is the level it sought."""
-
-    def __init__(self, message, delta_est=float("nan")):
-        self.delta_est = delta_est
-        super().__init__(message)
+    """The discrepancy search cannot stop."""
 
 
 class StudyError(AveregError, RuntimeError):

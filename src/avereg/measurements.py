@@ -49,53 +49,42 @@ class BinaryOptionParams:
     sqrt(h)-scaled grid coordinates, with Z_i normal with mean drift -
     volatility^2/2 and standard deviation volatility/sqrt(expiry).
 
-    ``r`` is the risk-free rate per day, ``expiry`` the maturity in days,
-    ``strike`` the barrier, ``payoff`` the cash amount Q, ``drift`` and
-    ``volatility`` the parameters of the underlying, and ``s0_grid`` the
-    initial prices at which the value curve is sampled.
+    The option is fixed: ``r`` is the risk-free rate per day, ``expiry`` the
+    maturity in days, ``strike`` the barrier, ``payoff`` the cash amount Q,
+    and ``drift`` and ``volatility`` the parameters of the underlying.
+    ``s0_grid`` holds the initial prices at which the value curve is sampled.
     """
 
-    r: float
-    expiry: float
-    strike: float
-    payoff: float
-    drift: float
-    volatility: float
+    r = 1e-4
+    expiry = 30.0
+    strike = 0.5
+    payoff = 1.0
+    drift = 0.01
+    volatility = 0.1
+    discounted_payoff = payoff * math.exp(-r * expiry)
+    latent_mean = drift - 0.5 * volatility**2
+    latent_std = volatility / math.sqrt(expiry)
+
     s0_grid: np.ndarray
 
     def __post_init__(self):
-        if not (self.volatility > 0 and self.expiry > 0 and self.strike > 0):
-            raise InputError("volatility, expiry and strike must be positive")
         grid = np.atleast_1d(np.asarray(self.s0_grid, dtype=float))
         if grid.size < 2 or not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
             raise InputError("s0_grid must be increasing positive prices")
         object.__setattr__(self, "s0_grid", grid)
 
     @classmethod
-    def default(cls, grid_size: int = 512) -> "BinaryOptionParams":
-        """r=1e-4/day, 30-day expiry, strike 0.5, unit payoff, drift 0.01,
-        volatility 0.1, on the uniform grid {1/m, ..., 1} of initial prices."""
+    def default(cls, grid_size: int) -> "BinaryOptionParams":
+        """The option on the uniform grid {1/m, ..., 1} of initial prices."""
         if grid_size < 2:
             raise InputError("grid_size must be at least 2")
-        grid = np.arange(1, grid_size + 1, dtype=float) / grid_size
-        return cls(r=1e-4, expiry=30.0, strike=0.5, payoff=1.0, drift=0.01,
-                   volatility=0.1, s0_grid=grid)
-
-    @property
-    def discounted_payoff(self) -> float:
-        return self.payoff * math.exp(-self.r * self.expiry)
+        return cls(np.arange(1, grid_size + 1, dtype=float) / grid_size)
 
     @property
     def grid_weight(self) -> float:
         """Quadrature weight h of the uniform grid (curves are stored as
         sqrt(h)-scaled coordinates so Euclidean norms approximate L2 norms)."""
         return 1.0 / self.s0_grid.size
-
-    def latent_mean(self) -> float:
-        return self.drift - 0.5 * self.volatility**2
-
-    def latent_std(self) -> float:
-        return self.volatility / math.sqrt(self.expiry)
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,7 @@ class CoefficientGaussian:
             raise InputError("scale must be positive")
 
 
-def heavy_tail_weights(m: int, seed: int = 0) -> np.ndarray:
+def heavy_tail_weights(m: int, seed: int) -> np.ndarray:
     """Seeded uniformly-random permutation of (1, 1/2^{3/4}, ..., 1/m^{3/4})."""
     if m < 1:
         raise InputError("m must be positive")
@@ -139,6 +128,9 @@ class HeavyTailed:
     def __post_init__(self):
         if not self.scale > 0:
             raise InputError("generalized Pareto scale must be positive")
+        for name, value in (("shape", self.shape), ("location", self.location)):
+            if not math.isfinite(value):
+                raise InputError(f"generalized Pareto {name} must be finite, not {value!r}")
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if not np.all(np.isfinite(w)):
             raise InputError("weights must be finite")
@@ -287,7 +279,7 @@ def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
 
 
 def _bernoulli_batch(p: BinaryOptionParams, n, rng) -> MeasurementBatch:
-    z = p.latent_mean() + p.latent_std() * rng.normals(n)
+    z = p.latent_mean + p.latent_std * rng.normals(n)
     # indicator threshold per grid point: Z_i >= ln(strike/s0)/T
     thresholds = np.log(p.strike / p.s0_grid) / p.expiry
     z_sorted = np.sort(z)

@@ -43,21 +43,13 @@ class ChoiceResult:
     ``alpha`` equals q^k computed by repeated multiplication (bitwise the
     value the loop actually used).  When ``emergency_triggered`` is set the
     loop exited through the guard ``alpha > 1/n`` with the residual still
-    above ``delta_est_used``.  An a priori choice is reported with k = -1.
+    above the noise estimate.  An a priori choice is reported with k = -1.
     """
 
     alpha: float
     k: int
     residual_at_stop: float
     emergency_triggered: bool
-    delta_est_used: float
-
-    @property
-    def iterations_evaluated(self) -> int:
-        """k + 1, the grid points up to and including the stop, and 0 for an
-        a priori choice; residuals a block computed beyond the stop do not
-        count."""
-        return self.k + 1
 
 
 def discrepancy_principle(op: SpectralDecomposition, spec: FilterSpec, y_bar, delta_est,
@@ -90,7 +82,7 @@ def discrepancy_principle(op: SpectralDecomposition, spec: FilterSpec, y_bar, de
         raise InputError("emergency_n must be a positive integer")
 
     outside = "the data component outside the operator's range exceeds delta_est"
-    results = [NonTerminationError(outside, delta)
+    results = [NonTerminationError(outside)
                if emergency_n is None and row.orthogonal_norm > delta else None
                for row, delta in zip(y_bar, delta_est)]
     searching = [i for i, result in enumerate(results) if result is None]
@@ -113,10 +105,9 @@ def discrepancy_principle(op: SpectralDecomposition, spec: FilterSpec, y_bar, de
         for j, (i, stopped, first) in enumerate(rows):
             if stopped:
                 results[i] = ChoiceResult(float(alphas[first]), k0 + first,
-                                          float(residuals[j, first]), not met[j, first],
-                                          delta_est[i])
+                                          float(residuals[j, first]), not met[j, first])
             elif end is not None:
-                results[i] = NonTerminationError(end, delta_est[i])
+                results[i] = NonTerminationError(end)
         searching = [i for i in searching if results[i] is None]
         k0 += _BLOCK
         alpha = alphas[-1] * q

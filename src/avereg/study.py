@@ -112,7 +112,7 @@ def binary_option_truth(params: BinaryOptionParams) -> dict:
     """Analytic value curve V(S_0) = e^{-rT} Q Phi(d) and its S_0-derivative."""
     s0 = params.s0_grid
     vol_sqrt_t = params.volatility * math.sqrt(params.expiry)
-    d = (np.log(s0 / params.strike) + params.expiry * params.latent_mean()) / vol_sqrt_t
+    d = (np.log(s0 / params.strike) + params.expiry * params.latent_mean) / vol_sqrt_t
     disc = params.discounted_payoff
     density = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
     return {
@@ -557,7 +557,7 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
     else:
         alphas = [apriori_alpha(rule, d) for d in delta]
         residuals = residual_norm(op, spec, np.array(alphas)[:, None], y_bar)[:, 0].tolist()
-        choices = [ChoiceResult(a, -1, r, False, d) for a, r, d in zip(alphas, residuals, delta)]
+        choices = [ChoiceResult(a, -1, r, False) for a, r in zip(alphas, residuals)]
     chosen = [i for i, choice in enumerate(choices) if isinstance(choice, ChoiceResult)]
     solutions = apply_regularizer(op, spec, [choices[i].alpha for i in chosen],
                                   [y_bar[i] for i in chosen])
@@ -592,7 +592,6 @@ class StudyResult:
     sample_sizes: tuple
     records: dict
     summaries: dict
-    failed_count: int
 
     def errors(self, rule: str, n: int) -> list:
         return [rec.error for rec in self.records[(rule, n)] if not rec.failed]
@@ -603,11 +602,11 @@ class StudyResult:
 _CELL_OVERHEAD = 512
 #: bytes of the record of each pair and rule; tracemalloc read 250 to 510
 _RECORD_BYTES = 512
-#: m-vectors per row of a stack being solved (its one (rows, m) array, beside a row of
-#: _BLOCK search residuals), (_BLOCK, m) arrays of the search's shared power form, and
-#: filter temporaries of a chunk of rows (at most the stack and _CHUNK elements, or one
-#: row); tracemalloc read 1.0-1.4 m-vectors a row with the choices, 3.0 and 7.1
-_SOLVE_VECTORS, _SOLVE_BLOCKS, _SOLVE_CHUNKS = 1, 3, 8
+#: (_BLOCK, m) arrays of the search's shared power form, and filter temporaries of a
+#: chunk of rows (at most the stack and _CHUNK elements, or one row), beside the one
+#: m-vector and _BLOCK search residuals of each row of a stack being solved;
+#: tracemalloc read 3.0 and 7.1, and 1.0-1.4 m-vectors a row with the choices
+_SOLVE_BLOCKS, _SOLVE_CHUNKS = 3, 8
 #: (size key, its power, bytes per 8 size^power) of the scenarios whose arrays grow
 #: with a key, above build_scenario's peaks: 10.0, 13.5, and 9.2 with LAPACK's
 #: workspace.  The counterexample caps m at 161; a matrix_file is its file's size
@@ -666,7 +665,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     n_max, m = max(config.sample_sizes), len(scenario.y_hat)
     cell_bytes = batch_bytes(scenario.model, n_max, m)
     _check_budget(budget, cell_bytes, f"sample_sizes: one batch of n = {n_max} holds")
-    solve = (config.replications * (_SOLVE_VECTORS * m + _BLOCK) + _SOLVE_BLOCKS * _BLOCK * m
+    solve = (config.replications * (m + _BLOCK) + _SOLVE_BLOCKS * _BLOCK * m
              + _SOLVE_CHUNKS * min(config.replications * m, max(_CHUNK, m)))
     _check_budget(budget, pairs * (8 * m + _CELL_OVERHEAD + len(rule_names) * _RECORD_BYTES)
                   + 8 * solve,
@@ -692,7 +691,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         errors = [rec.error for rec in recs if not rec.failed]
         if errors:
             summaries[key] = summarize(errors)
-    return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries, failed)
+    return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries)
 
 
 def _cores() -> int:
@@ -856,7 +855,8 @@ def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
     for i, outcome in zip(rows, solved):
         outcomes[i] = outcome
     records = []
-    for rep, ((_, d_true, _), outcome) in enumerate(zip(stack, outcomes)):
+    for rep, ((_, d_true, deltas), outcome) in enumerate(zip(stack, outcomes)):
+        estimate = math.nan if isinstance(deltas[r], str) else deltas[r]
         if isinstance(outcome, tuple):
             choice, x = outcome
             # an inf coefficient times a zero basis entry is nan: both mean overflow
@@ -864,11 +864,10 @@ def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
                 error = float(np.linalg.norm(embed_solution(scenario.op, x) - scenario.x_hat))
             reason = "" if math.isfinite(error) else "the solution error overflows double precision"
             records.append(ReplicationRecord(rep, error, choice.alpha, choice.k,
-                                             choice.emergency_triggered, d_true,
-                                             choice.delta_est_used, reason))
-        else:  # a degenerate batch has no estimate; a search that cannot stop carries it
+                                             choice.emergency_triggered, d_true, estimate, reason))
+        else:  # a degenerate batch has no estimate; a search that cannot stop has one
             records.append(ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
-                                             getattr(outcome, "delta_est", math.nan), str(outcome)))
+                                             estimate, str(outcome)))
     return records
 
 

@@ -269,7 +269,7 @@ def test_acceptance_8_binary_option():
     p_hat = batch.mean / scale
     vol_sqrt_t = params.volatility * math.sqrt(params.expiry)
     d = (np.log(params.s0_grid / params.strike)
-         + params.expiry * params.latent_mean()) / vol_sqrt_t
+         + params.expiry * params.latent_mean) / vol_sqrt_t
     p_true = ndtr(d)
     se = np.sqrt(p_true * (1.0 - p_true) / 10000)
     coverage = float(np.mean(np.abs(p_hat - p_true) <= 3.0 * se + 1e-15))

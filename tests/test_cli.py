@@ -79,6 +79,7 @@ def test_solve_identity_recovers_mean(tmp_path, capsys):
     choice = json.loads((out / "choice.json").read_text())
     assert choice["alpha"] > 0
     assert choice["residual"] <= choice["delta_est_used"]
+    assert choice["iterations_evaluated"] == choice["k"] + 1
     assert "alpha=" in capsys.readouterr().out
 
 
@@ -245,6 +246,22 @@ def test_solve_overflowing_solution_is_an_error_line_and_writes_nothing(tmp_path
                  "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == "error: the solution overflows double precision\n"
+    assert not out.exists()
+
+
+def test_solve_search_that_cannot_stop_is_one_error_line_and_writes_nothing(tmp_path, capsys):
+    # the data lie far outside the range of a 6 x 3 matrix, their noise is 1e-6
+    rng = np.random.default_rng(0)
+    matrix, measurements = tmp_path / "matrix.csv", tmp_path / "measurements.csv"
+    np.savetxt(matrix, rng.standard_normal((6, 3)), delimiter=",")
+    np.savetxt(measurements, rng.standard_normal(6) + 1e-6 * rng.standard_normal((50, 6)),
+               delimiter=",")
+    out = tmp_path / "out"
+    code = main(["solve", "--matrix", str(matrix), "--measurements", str(measurements),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: the data component outside the operator's range exceeds delta_est\n"
     assert not out.exists()
 
 
@@ -466,6 +483,18 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: [raw], "configuration must be a JSON object"),
+    (lambda raw: {**raw, "rules": raw["rules"] * 2}, "rule names must be unique"),
+], ids=["list", "repeated rule"])
+def test_simulate_invalid_config_value_is_one_error_line(tmp_path, capsys, edit, message):
+    config = pathlib.Path(_tiny_config(tmp_path))
+    config.write_text(json.dumps(edit(json.loads(config.read_text()))))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_deeply_nested_config_is_one_error_line(tmp_path, capsys):
@@ -799,6 +828,19 @@ def test_verify_filters_passes(capsys):
         "landweber(a=0.9): C_R 1/1 C_F 1.27301/2 C_nu(nu=20) 1.30181e+06/1.30206e+06 "
         "monotone=True -> pass",
     ]
+
+
+def test_verify_filters_violation_exits_3(capsys, monkeypatch):
+    # a declared C_F of 1.5 holds for every kind but iterated Tikhonov of order 2
+    monkeypatch.setattr(FilterSpec, "c_f", 1.5)
+    assert main(["verify-filters"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [
+        "iterated_tikhonov(2): C_R 1/1 C_F 2/1.5 C_nu(nu=4) 1/1 monotone=True -> FAIL",
+        "  violation: C_F observed 2 exceeds declared 1.5",
+    ]
+    assert [line[-4:] for line in lines if "->" in line] == ["pass", "FAIL", "pass", "pass"]
+    assert len(lines) == 5
 
 
 def test_unknown_command_exits_via_argparse(tmp_path, capsys):

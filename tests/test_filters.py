@@ -17,7 +17,7 @@ from avereg.filters import (
     residual_norm,
     verify_filter_constants,
 )
-from avereg.measurements import BinaryOptionParams, CoefficientGaussian, HeavyTailed
+from avereg.measurements import BinaryOptionParams, CoefficientGaussian, HeavyTailed, draw_batch
 from avereg.rng import pareto_from_uniforms
 from avereg.selection import AprioriRule
 from avereg.spectral import CoefficientVector, SpectralDecomposition, counterexample_operator
@@ -159,17 +159,22 @@ _BINOPT = BinaryOptionParams.default(8)
     lambda: AprioriRule("scaled_source", rho=_NAN),
     lambda: CoefficientGaussian(_NAN),
     lambda: HeavyTailed(0.5, _NAN, 0.0, np.ones(3)),
-    lambda: dataclasses.replace(_BINOPT, volatility=_NAN),
-    lambda: dataclasses.replace(_BINOPT, expiry=_NAN),
-    lambda: dataclasses.replace(_BINOPT, strike=_NAN),
     lambda: dataclasses.replace(_BINOPT, s0_grid=[1.0, _NAN, 3.0]),
     lambda: pareto_from_uniforms(np.array([0.5]), 0.5, _NAN, 0.0),
 ], ids=["c_nu", "landweber c_nu", "verify nu", "apriori c", "apriori nu", "apriori rho",
-        "coefficient scale", "heavy-tailed scale", "volatility", "expiry", "strike",
-        "s0_grid", "pareto scale"])
+        "coefficient scale", "heavy-tailed scale", "s0_grid", "pareto scale"])
 def test_nan_is_not_positive(build):
     with pytest.raises(InputError, match="positive"):
         build()
+
+
+@pytest.mark.parametrize("shape, location, name", [
+    (_NAN, 0.0, "shape"), (math.inf, 0.0, "shape"),
+    (0.5, _NAN, "location"), (0.5, -math.inf, "location"),
+])
+def test_heavy_tailed_non_finite_parameter_is_named(shape, location, name):
+    with pytest.raises(InputError, match=f"generalized Pareto {name} must be finite"):
+        draw_batch(HeavyTailed(shape, 1.0, location, np.ones(3)), np.zeros(3), 10, 1)
 
 
 def test_landweber_divergent_configuration():
@@ -461,6 +466,38 @@ def test_verify_filter_constants_flags_beyond_qualification():
     # a qualification declared too high declares C_nu = 1, which the grid breaks
     report = verify_filter_constants(_OverqualifiedTikhonov("tikhonov"), nu=4.0)
     assert report.violations == ("C_nu observed 1e+08 exceeds declared 1",)
+
+
+def test_verify_filter_constants_flags_tampered_c_f(monkeypatch):
+    monkeypatch.setattr(FilterSpec, "c_f", 0.5)  # below the observed sup of alpha F_alpha = 1
+    report = verify_filter_constants(FilterSpec.tikhonov(), nu=2.0)
+    assert report.violations == ("C_F observed 1 exceeds declared 0.5",)
+
+
+def test_verify_filter_constants_flags_a_filter_rising_in_alpha(monkeypatch):
+    original = filters._filter
+
+    def rising(spec, alpha, lam):
+        f = 0.5 * original(spec, alpha, lam)  # halved, so C_R and C_F still hold
+        f[-1] = 1.1 * f[-2]  # F at alpha = 1 above F at the next smaller alpha
+        return f
+
+    monkeypatch.setattr(filters, "_filter", rising)
+    report = verify_filter_constants(FilterSpec.tikhonov(), nu=2.0)
+    assert not report.monotone
+    assert report.violations == ("filter is not monotone in alpha on the grid",)
+
+
+class _LooseTikhonov(FilterSpec):
+    c_r = 2.0
+    c_f = 2.0
+
+
+def test_verify_filter_constants_flags_a_filter_beyond_one_over_lambda(monkeypatch):
+    original = filters._filter
+    monkeypatch.setattr(filters, "_filter", lambda *args: 1.5 * original(*args))
+    report = verify_filter_constants(_LooseTikhonov("tikhonov"), nu=2.0)
+    assert report.violations == ("filter leaves the range [0, 1/lambda]",)
 
 
 def test_declared_constants_by_kind():

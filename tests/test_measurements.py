@@ -44,12 +44,11 @@ def test_direction_gaussian_mean_is_linear_in_latents():
 
 
 def test_bernoulli_with_tiny_strike_pays_everywhere():
-    params = BinaryOptionParams(r=1e-4, expiry=30.0, strike=1e-12, payoff=1.0,
-                                drift=0.01, volatility=0.1,
-                                s0_grid=np.linspace(0.1, 1.0, 16))
+    # the fixed strike 0.5 against prices in [5e10, 5e11], as a strike of 1e-12 on [0.1, 1]
+    params = BinaryOptionParams(1e12 * np.linspace(0.05, 0.5, 16))
     batch = draw_batch(params, _zero(16), n=5, seed=1)
     scale = params.discounted_payoff * math.sqrt(params.grid_weight)
-    z = params.latent_mean() + params.latent_std() * RandomStream(1).normals(5)
+    z = params.latent_mean + params.latent_std * RandomStream(1).normals(5)
     samples = scale * (z[:, None] >= np.log(params.strike / params.s0_grid) / params.expiry)
     assert np.allclose(samples, scale)
     assert np.allclose(batch.mean, scale)
@@ -356,7 +355,6 @@ def test_batch_csv_mean_or_spread_beyond_the_float_range_is_an_input_error(tmp_p
 
 def test_binary_option_params_validation():
     with pytest.raises(InputError):
-        BinaryOptionParams(r=0.0, expiry=30.0, strike=0.5, payoff=1.0,
-                           drift=0.0, volatility=0.0, s0_grid=[0.5, 1.0])
+        BinaryOptionParams([1.0, 0.5])
     with pytest.raises(InputError):
         BinaryOptionParams.default(1)
