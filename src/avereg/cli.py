@@ -27,7 +27,8 @@ import numpy as np
 from .errors import (AveregError, DegenerateBatchError, InputError, NonTerminationError,
                      NumericalError, StudyError)
 # perfbench's tracer requires cli to bind apply_regularizer and discrepancy_principle
-from .filters import KINDS, FilterSpec, apply_regularizer, verify_filter_constants  # noqa: F401
+from .filters import (KINDS, FilterSpec, apply_regularizer,  # noqa: F401
+                      residual_norm, verify_filter_constants)
 from .measurements import DELTA_RULES, load_batch_csv
 from .selection import discrepancy_principle  # noqa: F401
 from .spectral import embed_solution, load_matrix_csv, project_data, svd
@@ -58,13 +59,11 @@ def _given(args, *names) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    tau = 1.5 if args.tau is None else args.tau
     spec, rule, delta = solve_settings(
         {"kind": args.filter, **_given(args, "order", "relaxation")},
         {"name": args.rule, **_given(args, "q")},
-        {"name": "lil", "tau": tau} if args.delta == "lil" else {"name": args.delta})
-    if args.delta != "lil" and args.tau is not None:
-        raise InputError("--tau is only meaningful with --delta lil")
+        {"name": args.delta, **({"tau": 1.5} if args.delta == "lil" else {}),
+         **_given(args, "tau")})
     matrix = load_matrix_csv(args.matrix)
     batch = load_batch_csv(args.measurements)
     if batch.dimension != matrix.shape[0]:
@@ -84,9 +83,10 @@ def _cmd_solve(args) -> int:
         x = embed_solution(op, x)
     if not np.all(np.isfinite(x)):
         raise NumericalError("the solution overflows double precision")
+    residual = float(residual_norm(op, spec, choice.alpha, [y_bar])[0, 0])
     # iterations_evaluated: the grid points up to and including the stop, 0 a priori
-    report = {**dataclasses.asdict(choice), "delta_est_used": estimate,
-              "iterations_evaluated": choice.k + 1, "residual": choice.residual_at_stop}
+    report = {**dataclasses.asdict(choice), "delta_est_used": estimate, "residual": residual,
+              "iterations_evaluated": choice.k + 1, "residual_at_stop": residual}
 
     os.makedirs(args.out, exist_ok=True)
     solution_path = os.path.join(args.out, "solution.csv")
@@ -94,22 +94,7 @@ def _cmd_solve(args) -> int:
     choice_path = os.path.join(args.out, "choice.json")
     atomic_write(choice_path, json.dumps(report, sort_keys=True) + "\n")
     print(f"wrote {solution_path} and {choice_path} "
-          f"(alpha={choice.alpha:.6g}, residual={choice.residual_at_stop:.6g})")
-    return 0
-
-
-def _run_and_emit(config: StudyConfig, out_dir: str) -> int:
-    result = run_study(config)
-    write_study_csvs(result, out_dir)
-    for rule in result.rule_names:
-        for n in result.sample_sizes:
-            records = result.records[(rule, n)]
-            failed = [rec for rec in records if rec.failed]
-            line = f"completed rule={rule} n={n} ({len(records) - len(failed)} replications"
-            if failed:
-                line += f", {len(failed)} failed: {failure_reasons(failed)}"
-            print(line + ")")
-    print(format_summary_table(result))
+          f"(alpha={choice.alpha:.6g}, residual={residual:.6g})")
     return 0
 
 
@@ -122,9 +107,19 @@ def _load_config(path: str | None, default: dict, seed: int | None) -> StudyConf
 
 
 def _cmd_study(args) -> int:
-    """simulate, heat and binopt: the study in --config, else the command's default."""
-    config = _load_config(args.config, args.default, args.seed)
-    return _run_and_emit(config, args.out)
+    """simulate's --config study, or the heat or binopt default."""
+    result = run_study(_load_config(args.config, args.default, args.seed))
+    write_study_csvs(result, args.out)
+    for rule in result.rule_names:
+        for n in result.sample_sizes:
+            records = result.records[(rule, n)]
+            failed = [rec for rec in records if rec.failed]
+            line = f"completed rule={rule} n={n} ({len(records) - len(failed)} replications"
+            if failed:
+                line += f", {len(failed)} failed: {failure_reasons(failed)}"
+            print(line + ")")
+    print(format_summary_table(result))
+    return 0
 
 
 def _cmd_counterexample(args) -> int:
@@ -132,8 +127,7 @@ def _cmd_counterexample(args) -> int:
         raise InputError("--seed is ignored with --forced: the forced noise draws nothing")
     raw = default_counterexample_config(args.n_max, forced=args.forced,
                                         emergency=args.emergency)
-    config = _load_config(None, raw, args.seed)
-    result = run_study(config)
+    result = run_study(_load_config(None, raw, args.seed))
     write_study_csvs(result, args.out)
     rule = result.rule_names[0]
     for n in result.sample_sizes:
@@ -203,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, text, default in studies:
         study = sub.add_parser(name, help=text)
-        study.add_argument("--config", required=default is None, default=None)
+        if default is None:
+            study.add_argument("--config", required=True)
         study.add_argument("--seed", type=int, default=None)
         study.add_argument("--out", default="study_out")
-        study.set_defaults(func=_cmd_study, default=default)
+        study.set_defaults(func=_cmd_study, default=default, config=None)
 
     counter = sub.add_parser("counterexample", help="the divergence construction")
     counter.add_argument("--n-max", type=int, default=6)

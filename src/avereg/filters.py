@@ -102,8 +102,8 @@ def _axes(alpha, lam=None):
     """Validated alpha and lambda (if given) arrays; a 1-D alpha becomes a
     column, so results have one row per alpha against the lambda axis."""
     alpha = np.asarray(alpha, dtype=float)
-    if not np.all(alpha > 0):
-        raise InputError("alpha must be positive")
+    if alpha.ndim > 1 or not np.all(alpha > 0):
+        raise InputError("alpha must be positive, a float or a 1-D array")
     if lam is not None:
         lam = np.asarray(lam, dtype=float)
         if np.any(lam <= 0) or not np.all(np.isfinite(lam)):
@@ -211,7 +211,9 @@ def apply_regularizer(op: SpectralDecomposition, spec: FilterSpec, alpha, y):
     if isinstance(y, CoefficientVector):
         return RegularizedSolution(apply_regularizer(op, spec, [alpha], [y])[0])
     x, _ = _stack(op, y)
-    alphas = np.broadcast_to(_axes(np.ravel(alpha))[0], (len(x), 1))  # one alpha or one per row
+    alphas = _axes(np.ravel(alpha))[0]
+    if len(alphas) != len(x):
+        raise InputError(f"got {len(alphas)} alphas for {len(x)} rows, not one per row")
     for chunk in _chunks(len(x), op.rank):
         x[chunk] *= _filter(spec, alphas[chunk], op.squares) * op.singular_values
     return x
@@ -221,16 +223,14 @@ def residual_norm(op: SpectralDecomposition, spec: FilterSpec, alpha, rows) -> n
     """||(K R_alpha - Id) y|| of each CoefficientVector y in ``rows``, the
     quantity driven to delta by the discrepancy loop.
 
-    The result is (rows, alphas): a float or a 1-D block of alphas is shared
-    by every row, and a column gives each row its own.  Each residual counts
-    y's part outside the range basis, bitwise as its alpha and y alone give.
+    The result is (rows, alphas) for a float or a 1-D block of alphas, shared
+    by every row.  Each residual counts y's part outside the range basis,
+    bitwise as its alpha and y alone give.
     """
     coefficients, orthogonal_squares = _stack(op, rows)
-    alphas = _axes(np.atleast_2d(alpha)[..., None])[0]  # one row of alphas, or one per vector
-    shared = _factor(spec, alphas[0], op.squares) if len(alphas) == 1 else None  # formed once
-    residuals = np.empty(np.broadcast_shapes((len(coefficients), 1), alphas.shape[:2]))
-    for chunk in _chunks(len(coefficients), alphas.shape[1] * op.rank):
-        factor = _factor(spec, alphas[chunk], op.squares) if shared is None else shared
+    factor = _factor(spec, _axes(np.atleast_1d(alpha))[0], op.squares)  # (alphas, rank), once
+    residuals = np.empty((len(coefficients), len(factor)))
+    for chunk in _chunks(len(coefficients), factor.size):
         product = factor * coefficients[chunk, None]
         np.square(product, out=product)
         residuals[chunk] = np.sqrt(np.sum(product, axis=-1) + orthogonal_squares[chunk, None])

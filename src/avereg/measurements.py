@@ -69,15 +69,13 @@ class BinaryOptionParams:
 
     def __post_init__(self):
         grid = np.atleast_1d(np.asarray(self.s0_grid, dtype=float))
-        if grid.size < 2 or not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
-            raise InputError("s0_grid must be increasing positive prices")
+        if grid.ndim != 1 or grid.size < 2 or not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
+            raise InputError("s0_grid must be a 1-D array of increasing positive prices")
         object.__setattr__(self, "s0_grid", grid)
 
     @classmethod
     def default(cls, grid_size: int) -> "BinaryOptionParams":
         """The option on the uniform grid {1/m, ..., 1} of initial prices."""
-        if grid_size < 2:
-            raise InputError("grid_size must be at least 2")
         return cls(np.arange(1, grid_size + 1, dtype=float) / grid_size)
 
     @property
@@ -95,6 +93,14 @@ class DirectionGaussian:
     direction: np.ndarray
     forced: float | None = None
 
+    def __post_init__(self):
+        direction = np.asarray(self.direction, dtype=float)
+        if direction.ndim != 1 or not np.all(np.isfinite(direction)):
+            raise InputError("direction must be a 1-D array of finite values")
+        if self.forced is not None and not math.isfinite(self.forced):
+            raise InputError(f"forced must be finite, not {self.forced!r}")
+        object.__setattr__(self, "direction", direction)
+
 
 @dataclass(frozen=True)
 class CoefficientGaussian:
@@ -103,8 +109,8 @@ class CoefficientGaussian:
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise InputError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise InputError("scale must be positive and finite")
 
 
 def heavy_tail_weights(m: int, seed: int) -> np.ndarray:
@@ -126,14 +132,14 @@ class HeavyTailed:
     weights: np.ndarray
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise InputError("generalized Pareto scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise InputError("generalized Pareto scale must be positive and finite")
         for name, value in (("shape", self.shape), ("location", self.location)):
             if not math.isfinite(value):
                 raise InputError(f"generalized Pareto {name} must be finite, not {value!r}")
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if not np.all(np.isfinite(w)):
-            raise InputError("weights must be finite")
+        if w.ndim != 1 or not np.all(np.isfinite(w)):
+            raise InputError("weights must be a 1-D array of finite values")
         object.__setattr__(self, "weights", w)
 
 
@@ -268,7 +274,6 @@ def draw_batch(
 
 def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
     """Batch of the latents ``z`` times ``direction``; ``z`` ends as its squared deviations."""
-    direction = np.asarray(direction, dtype=float)
     if direction.shape[0] != len(y_hat):
         raise InputError("direction length must match y_hat")
     z_bar = float(z.mean())

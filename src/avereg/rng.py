@@ -16,7 +16,10 @@ place in a scratch buffer that stays in cache and is then converted straight
 into the caller's output array, so a draw of n variates allocates its output
 and two blocks rather than several n-long temporaries.  Every output value is
 the same floating-point expression of its own word, so the output does not
-depend on the block size or on how a draw is split across calls.
+depend on the block size or on how a draw is split across calls.  It does
+depend on the SIMD kernels numpy dispatches to where it takes ``np.log``
+(normals), ``np.log1p`` or ``np.expm1`` (generalized Pareto variates); the
+uniforms and permutations, exactly rounded arithmetic of the words, do not.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class RandomStream:
     """Counter-based generator addressed by a 64-bit (seed, stream) pair.
 
     Identical ``(seed, stream)`` pairs and call sequences produce bitwise
-    identical output on every platform.
+    identical output on one set of numpy's kernels (see the module docstring).
     """
 
     def __init__(self, seed: int, stream: int = 0):

@@ -48,7 +48,6 @@ class ChoiceResult:
 
     alpha: float
     k: int
-    residual_at_stop: float
     emergency_triggered: bool
 
 
@@ -104,8 +103,7 @@ def discrepancy_principle(op: SpectralDecomposition, spec: FilterSpec, y_bar, de
         rows = zip(searching, stops.any(axis=1).tolist(), np.argmax(stops, axis=1).tolist())
         for j, (i, stopped, first) in enumerate(rows):
             if stopped:
-                results[i] = ChoiceResult(float(alphas[first]), k0 + first,
-                                          float(residuals[j, first]), not met[j, first])
+                results[i] = ChoiceResult(float(alphas[first]), k0 + first, not met[j, first])
             elif end is not None:
                 results[i] = NonTerminationError(end)
         searching = [i for i in searching if results[i] is None]

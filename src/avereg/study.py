@@ -41,7 +41,7 @@ from .errors import (
     InputError,
     StudyError,
 )
-from .filters import _CHUNK, KINDS, FilterSpec, apply_regularizer, residual_factor, residual_norm
+from .filters import _CHUNK, KINDS, FilterSpec, apply_regularizer, residual_factor
 from .measurements import (
     DELTA_RULES,
     LIL_MIN_N,
@@ -550,14 +550,12 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
     of n measurements in the left singular basis of ``op`` with one noise
     estimate each in ``delta``: per row a (ChoiceResult, solution coefficients)
     pair, or the NonTerminationError its search raises.
-    An a priori choice has k = -1 and the residual at its alpha."""
+    An a priori choice has k = -1."""
     if isinstance(rule, DiscrepancyRule):
         choices = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
                                         emergency_n=n if rule.emergency else None)
     else:
-        alphas = [apriori_alpha(rule, d) for d in delta]
-        residuals = residual_norm(op, spec, np.array(alphas)[:, None], y_bar)[:, 0].tolist()
-        choices = [ChoiceResult(a, -1, r, False) for a, r in zip(alphas, residuals)]
+        choices = [ChoiceResult(apriori_alpha(rule, d), -1, False) for d in delta]
     chosen = [i for i, choice in enumerate(choices) if isinstance(choice, ChoiceResult)]
     solutions = apply_regularizer(op, spec, [choices[i].alpha for i in chosen],
                                   [y_bar[i] for i in chosen])

@@ -159,12 +159,14 @@ def test_solve_lil_with_few_measurements_is_input_error(tmp_path, capsys):
 
 
 def test_solve_rejects_tau_without_lil(tmp_path, capsys):
-    matrix, measurements = _write_identity_problem(tmp_path)
+    # the delta_rule section's schema rejects the key, before any file is read
     for delta in ("sample_std", "inv_sqrt_n"):
-        code = main(["solve", "--matrix", matrix, "--measurements", measurements,
-                     "--delta", delta, "--tau", "0.5", "--out", str(tmp_path / "out")])
+        code = main(["solve", "--matrix", str(tmp_path / "nope.csv"),
+                     "--measurements", str(tmp_path / "nope.csv"),
+                     "--delta", delta, "--tau", "2", "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "--tau is only meaningful with --delta lil" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: invalid configuration: delta_rule {delta} "
+                                           "does not take ['tau']\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -772,46 +774,41 @@ def test_counterexample_rejects_a_seed_the_forced_noise_ignores(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_heat_accepts_small_custom_config(tmp_path, capsys):
+@pytest.mark.parametrize("scenario, rows", [
+    ({"name": "heat_like", "m": 20}, {"dp": 4, "dp+es": 4}),
+    ({"name": "binary_option", "grid": 32}, {"dp": 4}),
+], ids=["heat_like", "binary_option"])
+def test_simulate_runs_a_small_custom_config(tmp_path, capsys, scenario, rows):
+    # heat and binopt run their built-in study only; simulate runs any config
     raw = {
         "version": 1,
-        "scenario": {"name": "heat_like", "m": 20},
+        "scenario": scenario,
         "filter": {"kind": "tikhonov"},
-        "rules": [{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}],
+        "rules": [{"name": rule, "q": 0.7} for rule in rows],
         "delta_rule": {"name": "sample_std"},
-        "sample_sizes": [100],
+        "sample_sizes": [200],
         "replications": 4,
         "base_seed": 3,
     }
-    config = tmp_path / "heat.json"
+    config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    code = main(["heat", "--config", str(config), "--out", str(out)])
-    assert code == 0
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     capsys.readouterr()
     summary = (out / "summary.csv").read_text().strip().splitlines()
-    assert len(summary) == 3  # header + dp + dp+es
+    assert len(summary) == 1 + len(rows)  # header + one row per rule
+    for rule, count in rows.items():
+        csv = (out / f"{rule.replace('+', '_plus_')}_n200.csv").read_text()
+        assert len(csv.strip().splitlines()) == 1 + count  # header + replications
 
 
-def test_binopt_accepts_small_custom_config(tmp_path, capsys):
-    raw = {
-        "version": 1,
-        "scenario": {"name": "binary_option", "grid": 32},
-        "filter": {"kind": "tikhonov"},
-        "rules": [{"name": "dp", "q": 0.7}],
-        "delta_rule": {"name": "sample_std"},
-        "sample_sizes": [200],
-        "replications": 2,
-        "base_seed": 5,
-    }
-    config = tmp_path / "binopt.json"
-    config.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    code = main(["binopt", "--config", str(config), "--out", str(out)])
-    assert code == 0
-    capsys.readouterr()
-    rows = (out / "dp_n200.csv").read_text().strip().splitlines()
-    assert len(rows) == 3  # header + 2 replications
+@pytest.mark.parametrize("command", ["heat", "binopt"])
+def test_heat_and_binopt_take_no_config(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--config", str(tmp_path / "x.json"), "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -315,17 +315,20 @@ def test_residual_includes_orthogonal_component():
 
 
 def test_alphas_that_are_neither_shared_nor_one_per_row_are_an_error(monkeypatch):
-    # each chunk of rows takes its slice of the alphas: a count that is neither
-    # one nor the number of rows must not leave some chunk a single alpha to share
+    # apply_regularizer takes one alpha per row, and residual_norm one block of
+    # alphas shared by every row; each chunk of rows must not see another count
     monkeypatch.setattr(filters, "_CHUNK", 6)
     op, spec = SpectralDecomposition([1.0, 0.5, 0.1]), FilterSpec.tikhonov()
     rows = [CoefficientVector([1.0, 2.0, float(i)]) for i in range(10)]
-    with pytest.raises(ValueError):
-        apply_regularizer(op, spec, [0.1] * 7, rows)
-    with pytest.raises(ValueError):
-        residual_norm(op, spec, np.full((7, 1), 0.1), rows)
-    shared = apply_regularizer(op, spec, 0.1, rows)
-    assert shared.tobytes() == apply_regularizer(op, spec, [0.1] * 10, rows).tobytes()
+    for alphas, count in (([0.1] * 7, 7), (0.1, 1), ([0.1] * 11, 11)):
+        with pytest.raises(InputError, match=f"got {count} alphas for 10 rows, not one per row"):
+            apply_regularizer(op, spec, alphas, rows)
+    for alphas in (np.full((7, 1), 0.1), np.full((1, 10), 0.1), np.full((10, 1), 0.1)):
+        with pytest.raises(InputError, match="alpha must be positive, a float or a 1-D array"):
+            residual_norm(op, spec, alphas, rows)
+    solved = apply_regularizer(op, spec, [0.1] * 10, rows)
+    assert solved.tobytes() == np.array([apply_regularizer(op, spec, 0.1, row).x
+                                         for row in rows]).tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)

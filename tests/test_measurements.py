@@ -13,6 +13,7 @@ from avereg.measurements import (
     CoefficientGaussian,
     DirectionGaussian,
     HeavyTailed,
+    MeasurementBatch,
     delta_est,
     delta_true,
     draw_batch,
@@ -358,3 +359,41 @@ def test_binary_option_params_validation():
         BinaryOptionParams([1.0, 0.5])
     with pytest.raises(InputError):
         BinaryOptionParams.default(1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DirectionGaussian(np.array([1.0, math.nan])), "direction must be a 1-D array"),
+    (lambda: DirectionGaussian(np.array([1.0, math.inf])), "direction must be a 1-D array"),
+    (lambda: DirectionGaussian(np.ones((2, 2))), "direction must be a 1-D array"),
+    (lambda: DirectionGaussian(np.ones(2), math.nan), "forced must be finite, not nan"),
+    (lambda: DirectionGaussian(np.ones(2), -math.inf), "forced must be finite, not -inf"),
+    (lambda: CoefficientGaussian(math.inf), "scale must be positive and finite"),
+    (lambda: HeavyTailed(1.0 / 3.0, math.inf, 1.5, np.ones(2)),
+     "generalized Pareto scale must be positive and finite"),
+    (lambda: HeavyTailed(1.0 / 3.0, 0.5, 1.5, np.ones((3, 3))),
+     "weights must be a 1-D array of finite values"),
+    (lambda: BinaryOptionParams(np.array([[0.1, 0.2], [0.3, 0.4]])),
+     "s0_grid must be a 1-D array of increasing positive prices"),
+], ids=["nan direction", "inf direction", "2-D direction", "nan forced", "inf forced",
+        "inf gaussian scale", "inf pareto scale", "2-D weights", "2-D price grid"])
+def test_noise_model_with_a_non_finite_or_misshapen_parameter_is_an_input_error(build, message):
+    # such a model used to build, and its draw then blamed an overflow, a
+    # length or numpy broadcasting, or gave a batch with a 2-D mean
+    with pytest.raises(InputError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: heavy_tail_weights(0, 5), "m must be positive"),
+    (lambda: HeavyTailed(1.0 / 3.0, 0.5, 1.5, np.array([1.0, math.nan])),
+     "weights must be a 1-D array of finite values"),
+    (lambda: MeasurementBatch(0, np.zeros(2), 0.0), "a batch needs n >= 1 samples"),
+    (lambda: MeasurementBatch(2, np.zeros(2), -1.0), "sample_std must be nonnegative"),
+    (lambda: draw_batch(object(), np.zeros(2), 10, 1), "unknown noise model object"),
+    (lambda: draw_batch(DirectionGaussian(np.ones(3)), np.zeros(2), 10, 1),
+     "direction length must match y_hat"),
+], ids=["no weights", "nan weight", "empty batch", "negative spread", "unknown model",
+        "direction length"])
+def test_measurement_guards_raise_input_errors(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

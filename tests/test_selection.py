@@ -49,7 +49,8 @@ def test_immediate_stop_at_alpha_one():
     # residual(alpha) = 2 alpha / (1 + alpha); residual(1) = 1 <= 1
     assert result.k == 0 and result.alpha == 1.0
     assert not result.emergency_triggered
-    assert result.residual_at_stop == pytest.approx(1.0)
+    assert row_residual(op, FilterSpec.tikhonov(), result.alpha,
+                        CoefficientVector([2.0])) == pytest.approx(1.0)
 
 
 def test_single_step_matches_closed_form_residual():
@@ -58,7 +59,8 @@ def test_single_step_matches_closed_form_residual():
                                    CoefficientVector([2.0]), delta_est=0.9, q=0.5)
     # residual(1) = 1 > 0.9, residual(0.5) = 2/3 <= 0.9
     assert result.k == 1 and result.alpha == 0.5
-    assert result.residual_at_stop == pytest.approx(2.0 / 3.0)
+    assert row_residual(op, FilterSpec.tikhonov(), result.alpha,
+                        CoefficientVector([2.0])) == pytest.approx(2.0 / 3.0)
 
 
 def test_counterexample_forced_noise_selects_tiny_alpha():
@@ -69,7 +71,8 @@ def test_counterexample_forced_noise_selects_tiny_alpha():
                                    delta_est=0.5, q=0.5)
     assert result.alpha <= 1e-6
     assert result.alpha > 0.5e-6
-    assert result.residual_at_stop <= 0.5
+    assert row_residual(op, FilterSpec("tsvd"), result.alpha,
+                        CoefficientVector(direction)) <= 0.5
 
 
 def test_counterexample_forced_noise_with_emergency_stop():
@@ -78,7 +81,8 @@ def test_counterexample_forced_noise_with_emergency_stop():
                                    delta_est=0.5, q=0.5, emergency_n=4)
     assert result.emergency_triggered
     assert 1.0 / 8.0 < result.alpha <= 1.0 / 4.0
-    assert result.residual_at_stop > 0.5
+    assert row_residual(op, FilterSpec("tsvd"), result.alpha,
+                        CoefficientVector(direction)) > 0.5
 
 
 def test_emergency_not_triggered_when_residual_drops_first():
@@ -215,9 +219,9 @@ def _reference_search(op, spec, y, delta_est, q, emergency_n=None):
     while True:
         residual = row_residual(op, spec, alpha, y)
         if residual <= delta_est:
-            return ChoiceResult(alpha, k, residual, False)
+            return ChoiceResult(alpha, k, False)
         if guard is not None and not alpha > guard:
-            return ChoiceResult(alpha, k, residual, True)
+            return ChoiceResult(alpha, k, True)
         if k >= k_max:
             raise NonTerminationError(
                 f"discrepancy search did not stop within k_max={k_max} steps")
@@ -234,10 +238,8 @@ def _outcome(search, *args, **kwargs):
         choice = search(*args, **kwargs)
     except AveregError as exc:
         return (type(exc).__name__, str(exc))
-    assert type(choice.alpha) is float and type(choice.residual_at_stop) is float
-    assert type(choice.emergency_triggered) is bool
-    return (choice.alpha.hex(), choice.k, choice.residual_at_stop.hex(),
-            choice.emergency_triggered)
+    assert type(choice.alpha) is float and type(choice.emergency_triggered) is bool
+    return (choice.alpha.hex(), choice.k, choice.emergency_triggered)
 
 
 def _assert_same_search(*args, **kwargs):
@@ -281,7 +283,7 @@ def test_blocked_search_emergency_guard_inside_a_block(n):
     op = SpectralDecomposition([1.0, 0.3])
     y = CoefficientVector([1.0, 1.0], orthogonal_norm=1.0)
     outcome = _assert_same_search(op, FilterSpec.tikhonov(), y, 0.5, 0.7, emergency_n=n)
-    assert outcome[3] is True
+    assert outcome[2] is True
 
 
 @pytest.mark.parametrize("k_max", [0, 1, 20, 31, 32, 33, 40, 64])
@@ -383,21 +385,19 @@ def test_stacked_search_and_solution_equal_one_row_at_a_time_bitwise(seed, kind,
         chosen = [i for i, result in enumerate(stacked) if isinstance(result, ChoiceResult)]
         stops = [stacked[i].alpha for i in chosen]
         solutions = apply_regularizer(op, spec, stops, [ys[i] for i in chosen])
-        residuals = residual_norm(op, spec, np.array(stops)[:, None], [ys[i] for i in chosen])
-        for i, solution, residual in zip(chosen, solutions, residuals[:, 0].tolist()):
+        for i, solution in zip(chosen, solutions):
             single = apply_regularizer(op, spec, stacked[i].alpha, ys[i])
             assert solution.tobytes() == single.x.tobytes()
-            assert residual.hex() == row_residual(op, spec, stacked[i].alpha, ys[i]).hex()
-            assert residual.hex() == stacked[i].residual_at_stop.hex()
 
-        # a column of alphas gives each row its own, and no row gives no residual
-        alphas = [float(a) for a in 10.0 ** rng.uniform(-8, 0, size=rows)]
-        column = residual_norm(op, spec, np.array(alphas)[:, None], ys)
-        assert column.shape == (rows, 1)
-        assert [r.hex() for r in column[:, 0].tolist()] == \
-            [row_residual(op, spec, a, y).hex() for a, y in zip(alphas, ys)]
-        assert residual_norm(op, spec, np.empty((0, 1)), []).shape == (0, 1)
-        assert residual_norm(op, spec, np.array(alphas), []).shape == (0, rows)
+        # a block of alphas is shared by every row, each row bitwise its lone
+        # residuals; a column of alphas is an error, and no row gives no residual
+        alphas = 10.0 ** rng.uniform(-8, 0, size=rows)
+        block = residual_norm(op, spec, alphas, ys)
+        assert [[r.hex() for r in row] for row in block.tolist()] == \
+            [[r.hex() for r in row_residual(op, spec, alphas, y).tolist()] for y in ys]
+        with pytest.raises(InputError, match="alpha must be positive, a float or a 1-D array"):
+            residual_norm(op, spec, alphas[:, None], ys)
+        assert residual_norm(op, spec, alphas, []).shape == (0, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from avereg.errors import InputError
+from avereg.errors import InputError, NumericalError
 from avereg.filters import FilterSpec, apply_regularizer
 from avereg.spectral import (
     CoefficientVector,
@@ -50,7 +50,9 @@ def test_decomposition_requires_sorted_positive_singular_values():
 
 
 def _pseudoinverse(op, y):
-    alpha = float(op.singular_values[-1] ** 2)
+    # the operator's own smallest square: a scalar ``sigma ** 2`` (libm's pow)
+    # can round one ulp above it, and TSVD then drops that level
+    alpha = float(op.squares[-1])
     return apply_regularizer(op, FilterSpec("tsvd"), alpha, CoefficientVector(y)).x
 
 
@@ -205,6 +207,7 @@ def test_svd_invariants_on_random_matrices(seed, rows, cols):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), m=st.integers(1, 20))
+@example(seed=179, m=4)  # float(sigma[-1]) ** 2 rounds one ulp above sigma[-1] squared
 def test_forward_pseudoinverse_round_trip(seed, m):
     rng = np.random.default_rng(seed)
     sigma = np.sort(rng.uniform(0.1, 2.0, size=m))[::-1]
@@ -256,3 +259,31 @@ def test_load_matrix_csv(tmp_path):
         load_matrix_csv(bad)
     with pytest.raises(InputError):
         load_matrix_csv(tmp_path / "missing.csv")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CoefficientVector(np.ones((2, 2))), "coefficients must be one-dimensional"),
+    (lambda: SpectralDecomposition([1.0, 0.5], left_basis=np.eye(3)),
+     "left_basis must have one column per singular value"),
+    (lambda: SpectralDecomposition([1.0, 0.5], right_basis=np.ones(2)),
+     "right_basis must have one column per singular value"),
+    (lambda: counterexample_direction(1), "need m >= 2"),
+    (lambda: svd(np.ones(3)), "matrix must be two-dimensional and non-empty"),
+    (lambda: svd(np.empty((0, 3))), "matrix must be two-dimensional and non-empty"),
+    (lambda: project_data(svd(np.eye(3)), np.ones(2)), "vector dimension mismatch"),
+    (lambda: project_solution(SpectralDecomposition([1.0, 0.5]), np.ones(3)),
+     "vector dimension mismatch"),
+], ids=["2-D coefficients", "left basis columns", "1-D right basis", "direction m=1",
+        "1-D matrix", "empty matrix", "data dimension", "solution dimension"])
+def test_spectral_guards_raise_input_errors(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_svd_that_does_not_converge_is_a_numerical_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalError, match="SVD did not converge"):
+        svd(np.eye(2))

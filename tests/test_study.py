@@ -37,7 +37,6 @@ from avereg.study import (
     summarize,
     write_study_csvs,
 )
-from conftest import row_residual
 
 
 def _tiny_config(**overrides):
@@ -800,9 +799,8 @@ def test_solve_rule_is_the_study_replication_solve():
     [(choice, solution)] = solve_rule(scenario.op, config.filter_spec, config.rules[2],
                                       [y_bar], [delta], batch.n)
     assert delta == 1.0 / math.sqrt(50)
-    assert choice.k == -1
-    assert choice.residual_at_stop == row_residual(scenario.op, config.filter_spec,
-                                                   choice.alpha, y_bar)
+    # inv_sqrt_n_alpha's alpha is its estimate, and an a priori choice has k = -1
+    assert (choice.alpha, choice.k, choice.emergency_triggered) == (delta, -1, False)
 
 
 def test_apriori_rule_records_no_iteration_count():
@@ -1336,3 +1334,37 @@ def test_format_summary_table():
     assert "dp" in lines[0]
     assert lines[1].startswith("50")
     assert lines[2].startswith("200")
+
+
+def test_integration_operator_needs_two_levels():
+    with pytest.raises(InputError, match="need m >= 2"):
+        integration_operator(1)
+
+
+def test_atomic_write_that_fails_keeps_the_old_file_and_leaves_no_temporary(tmp_path,
+                                                                          monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        study.atomic_write(str(target), "new\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "old\n"
+
+
+def test_a_cell_whose_every_replication_failed_has_no_rows_and_no_summary(tmp_path):
+    ok = study.ReplicationRecord(0, 0.5, 0.1, 3, False, 0.2, 0.25)
+    failed = study.ReplicationRecord(0, math.nan, math.nan, -1, False, 0.2, 0.25,
+                                     "all measurements coincide")
+    result = study.StudyResult(("dp",), (10, 20), {("dp", 10): [ok], ("dp", 20): [failed]},
+                               {("dp", 10): summarize([ok.error])})
+    write_study_csvs(result, str(tmp_path))
+    assert (tmp_path / "dp_n20.csv").read_text() == \
+        "replication,error,alpha,k,emergency,delta_true,delta_est\n"
+    assert [line.split(",")[:2] for line in
+            (tmp_path / "summary.csv").read_text().splitlines()[1:]] == [["dp", "10"]]
+    assert format_summary_table(result).splitlines()[1:] == ["10        0.5", "20        -"]
