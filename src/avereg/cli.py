@@ -110,14 +110,12 @@ def _cmd_study(args) -> int:
     """simulate's --config study, or the heat or binopt default."""
     result = run_study(_load_config(args.config, args.default, args.seed))
     write_study_csvs(result, args.out)
-    for rule in result.rule_names:
-        for n in result.sample_sizes:
-            records = result.records[(rule, n)]
-            failed = [rec for rec in records if rec.failed]
-            line = f"completed rule={rule} n={n} ({len(records) - len(failed)} replications"
-            if failed:
-                line += f", {len(failed)} failed: {failure_reasons(failed)}"
-            print(line + ")")
+    for (rule, n), records in result.items():
+        failed = [rec for rec in records if rec.failed]
+        line = f"completed rule={rule} n={n} ({len(records) - len(failed)} replications"
+        if failed:
+            line += f", {len(failed)} failed: {failure_reasons(failed)}"
+        print(line + ")")
     print(format_summary_table(result))
     return 0
 
@@ -125,13 +123,13 @@ def _cmd_study(args) -> int:
 def _cmd_counterexample(args) -> int:
     if args.forced and args.seed is not None:
         raise InputError("--seed is ignored with --forced: the forced noise draws nothing")
+    if args.n_max < 2:
+        raise InputError(f"--n-max must be at least 2, not {args.n_max}")
     raw = default_counterexample_config(args.n_max, forced=args.forced,
                                         emergency=args.emergency)
     result = run_study(_load_config(None, raw, args.seed))
     write_study_csvs(result, args.out)
-    rule = result.rule_names[0]
-    for n in result.sample_sizes:
-        record = result.records[(rule, n)][0]
+    for (_, n), [record] in result.items():
         print(f"n={n} alpha={record.alpha:.6g} k={record.k} "
               f"emergency={int(record.emergency)} error={record.error:.6g}")
     return 0
@@ -230,7 +228,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

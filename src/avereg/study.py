@@ -376,7 +376,7 @@ def read_config(path: str):
         raise InputError(f"cannot read config {path}: {exc}") from exc
 
 
-def default_heat_config(replications: int = 200) -> dict:
+def default_heat_config() -> dict:
     """Severely ill-posed heavy-tail protocol: Tikhonov, dp / dp+es / a priori."""
     return {
         "version": CONFIG_VERSION,
@@ -390,12 +390,12 @@ def default_heat_config(replications: int = 200) -> dict:
         ],
         "delta_rule": {"name": "sample_std"},
         "sample_sizes": [1000, 10000, 100000],
-        "replications": replications,
+        "replications": 200,
         "base_seed": 99,
     }
 
 
-def default_binopt_config(replications: int = 20) -> dict:
+def default_binopt_config() -> dict:
     """Binary-option differentiation: Tikhonov + discrepancy principle."""
     return {
         "version": CONFIG_VERSION,
@@ -404,7 +404,7 @@ def default_binopt_config(replications: int = 20) -> dict:
         "rules": [{"name": "dp", "q": 0.7}],
         "delta_rule": {"name": "sample_std"},
         "sample_sizes": [1000, 10000],
-        "replications": replications,
+        "replications": 20,
         "base_seed": 20240502,
     }
 
@@ -568,7 +568,6 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
 class ReplicationRecord:
     """One rule's outcome on one batch; a failed replication has a ``reason``."""
 
-    replication: int
     error: float
     alpha: float
     k: int
@@ -580,19 +579,6 @@ class ReplicationRecord:
     @property
     def failed(self) -> bool:
         return bool(self.reason)
-
-
-@dataclass(frozen=True)
-class StudyResult:
-    """Per-(rule, n) replication records plus their summaries."""
-
-    rule_names: tuple
-    sample_sizes: tuple
-    records: dict
-    summaries: dict
-
-    def errors(self, rule: str, n: int) -> list:
-        return [rec.error for rec in self.records[(rule, n)] if not rec.failed]
 
 
 #: bytes a held (sample size, replication) pair takes beside its 8 m bytes of
@@ -618,8 +604,9 @@ def _check_budget(budget: int, need: int, head: str, tail: str = "") -> None:
         raise ConfigError([f"{head} {need} bytes{tail}, above the {budget} bytes available"])
 
 
-def run_study(config: StudyConfig) -> StudyResult:
-    """Run every (rule, sample size, replication) cell; deterministic.
+def run_study(config: StudyConfig) -> dict:
+    """Run every (rule, sample size, replication) cell; deterministic.  Returns
+    ``{(rule name, n): [ReplicationRecord, ...]}`` in the config's order.
 
     All rules share the batch of a given (sample size, replication) pair.
     Replications whose batch overflows, whose sample-based noise estimate
@@ -640,7 +627,6 @@ def run_study(config: StudyConfig) -> StudyResult:
     scenario = build_scenario(config)
     # a filter the spectrum makes divergent fails before any batch is drawn
     residual_factor(config.filter_spec, 1.0, scenario.op.squares)
-    rule_names = tuple(rule.name for rule in config.rules)
 
     def cell(index):
         n_index, rep = divmod(index, config.replications)
@@ -665,7 +651,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     _check_budget(budget, cell_bytes, f"sample_sizes: one batch of n = {n_max} holds")
     solve = (config.replications * (m + _BLOCK) + _SOLVE_BLOCKS * _BLOCK * m
              + _SOLVE_CHUNKS * min(config.replications * m, max(_CHUNK, m)))
-    _check_budget(budget, pairs * (8 * m + _CELL_OVERHEAD + len(rule_names) * _RECORD_BYTES)
+    _check_budget(budget, pairs * (8 * m + _CELL_OVERHEAD + len(config.rules) * _RECORD_BYTES)
                   + 8 * solve,
                   f"replications: {pairs} pairs of sample size and replication take",
                   f" while a stack of {config.replications} is solved")
@@ -676,7 +662,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             stack = cells[n_index * config.replications:(n_index + 1) * config.replications]
             records[(rule.name, n)] = _solve_stack(config, scenario, rule, n, r, stack)
 
-    total = pairs * len(rule_names)
+    total = pairs * len(config.rules)
     failed = sum(rec.failed for recs in records.values() for rec in recs)
     if failed > 0.05 * total:
         detail = failure_reasons(rec for recs in records.values() for rec in recs)
@@ -684,12 +670,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             f"{failed} of {total} replications failed ({detail}); "
             "summaries would be meaningless"
         )
-    summaries = {}
-    for key, recs in records.items():
-        errors = [rec.error for rec in recs if not rec.failed]
-        if errors:
-            summaries[key] = summarize(errors)
-    return StudyResult(rule_names, tuple(config.sample_sizes), records, summaries)
+    return records
 
 
 def _cores() -> int:
@@ -853,7 +834,7 @@ def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
     for i, outcome in zip(rows, solved):
         outcomes[i] = outcome
     records = []
-    for rep, ((_, d_true, deltas), outcome) in enumerate(zip(stack, outcomes)):
+    for (_, d_true, deltas), outcome in zip(stack, outcomes):
         estimate = math.nan if isinstance(deltas[r], str) else deltas[r]
         if isinstance(outcome, tuple):
             choice, x = outcome
@@ -861,10 +842,10 @@ def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
             with np.errstate(over="ignore", invalid="ignore"):
                 error = float(np.linalg.norm(embed_solution(scenario.op, x) - scenario.x_hat))
             reason = "" if math.isfinite(error) else "the solution error overflows double precision"
-            records.append(ReplicationRecord(rep, error, choice.alpha, choice.k,
+            records.append(ReplicationRecord(error, choice.alpha, choice.k,
                                              choice.emergency_triggered, d_true, estimate, reason))
         else:  # a degenerate batch has no estimate; a search that cannot stop has one
-            records.append(ReplicationRecord(rep, math.nan, math.nan, -1, False, d_true,
+            records.append(ReplicationRecord(math.nan, math.nan, -1, False, d_true,
                                              estimate, str(outcome)))
     return records
 
@@ -895,50 +876,46 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_study_csvs(result: StudyResult, out_dir: str) -> list:
-    """One CSV per (rule, n) plus summary.csv; returns the written paths."""
+def write_study_csvs(records: dict, out_dir: str) -> list:
+    """One CSV per (rule, n) of the records plus summary.csv; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for rule in result.rule_names:
-        for n in result.sample_sizes:
-            rows = ["replication,error,alpha,k,emergency,delta_true,delta_est"]
-            for rec in result.records[(rule, n)]:
-                if rec.failed:
-                    continue
-                rows.append(",".join([
-                    str(rec.replication), _fmt(rec.error), _fmt(rec.alpha),
-                    str(rec.k), str(int(rec.emergency)),
-                    _fmt(rec.delta_true), _fmt(rec.delta_est),
-                ]))
-            path = os.path.join(out_dir, f"{rule.replace('+', '_plus_')}_n{n}.csv")
-            atomic_write(path, "\n".join(rows) + "\n")
-            paths.append(path)
-
-    rows = ["rule,n,mean,median,q1,q3,outliers,max"]
-    for rule in result.rule_names:
-        for n in result.sample_sizes:
-            summary = result.summaries.get((rule, n))
-            if summary is None:
+    paths, summaries = [], ["rule,n,mean,median,q1,q3,outliers,max"]
+    for (rule, n), recs in records.items():
+        rows = ["replication,error,alpha,k,emergency,delta_true,delta_est"]
+        for replication, rec in enumerate(recs):
+            if rec.failed:
                 continue
             rows.append(",".join([
+                str(replication), _fmt(rec.error), _fmt(rec.alpha),
+                str(rec.k), str(int(rec.emergency)),
+                _fmt(rec.delta_true), _fmt(rec.delta_est),
+            ]))
+        path = os.path.join(out_dir, f"{rule.replace('+', '_plus_')}_n{n}.csv")
+        atomic_write(path, "\n".join(rows) + "\n")
+        paths.append(path)
+        errors = [rec.error for rec in recs if not rec.failed]
+        if errors:
+            summary = summarize(errors)
+            summaries.append(",".join([
                 rule, str(n), _fmt(summary.mean), _fmt(summary.median),
                 _fmt(summary.q1), _fmt(summary.q3), str(summary.outliers),
                 _fmt(summary.max),
             ]))
     path = os.path.join(out_dir, "summary.csv")
-    atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(summaries) + "\n")
     paths.append(path)
     return paths
 
 
-def format_summary_table(result: StudyResult) -> str:
+def format_summary_table(records: dict) -> str:
     """Mean-error table with one row per sample size and one column per rule."""
-    header = ["n".ljust(10)] + [rule.ljust(16) for rule in result.rule_names]
+    rules = dict.fromkeys(rule for rule, _ in records)
+    header = ["n".ljust(10)] + [rule.ljust(16) for rule in rules]
     lines = ["".join(header).rstrip()]
-    for n in result.sample_sizes:
+    for n in dict.fromkeys(n for _, n in records):
         cells = [str(n).ljust(10)]
-        for rule in result.rule_names:
-            summary = result.summaries.get((rule, n))
-            cells.append(("-" if summary is None else f"{summary.mean:.6g}").ljust(16))
+        for rule in rules:
+            errors = [rec.error for rec in records[(rule, n)] if not rec.failed]
+            cells.append(("-" if not errors else f"{summarize(errors).mean:.6g}").ljust(16))
         lines.append("".join(cells).rstrip())
     return "\n".join(lines)

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -13,6 +14,25 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def forks(monkeypatch):
+    """The pids forked during the test; each must have been reaped by its end."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def row_residual(op, spec, alpha, y):

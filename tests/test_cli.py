@@ -514,9 +514,9 @@ def test_simulate_deeply_nested_config_is_one_error_line(tmp_path, capsys):
 def test_simulate_huge_scenario_is_one_error_line_before_it_is_built(tmp_path, capsys,
                                                                      monkeypatch, scenario):
     monkeypatch.setattr(study, "build_scenario", lambda *args: pytest.fail("a scenario was built"))
-    raw = {**study.default_heat_config(replications=1), "scenario": scenario}
+    raw = {**study.default_heat_config(), "replications": 1, "scenario": scenario}
     if scenario["name"] == "binary_option":
-        raw = {**study.default_binopt_config(replications=1), "scenario": scenario}
+        raw = {**study.default_binopt_config(), "replications": 1, "scenario": scenario}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
@@ -707,6 +707,15 @@ def test_simulate_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch)
     assert len(err) == 1 and err[0].startswith("error: out of memory: ")
 
 
+def test_out_of_memory_without_a_message_is_one_error_line(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("avereg.cli.verify_filter_constants", fail)
+    assert main(["verify-filters"]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
     config = _tiny_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -771,6 +780,13 @@ def test_counterexample_rejects_a_seed_the_forced_noise_ignores(tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --seed is ignored with --forced")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_max", ["1", "0", "-5"])
+def test_counterexample_rejects_an_n_max_below_two_by_its_flag(tmp_path, capsys, n_max):
+    assert main(["counterexample", "--n-max", n_max, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: --n-max must be at least 2, not {n_max}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -468,8 +470,8 @@ def test_run_study_is_deterministic():
     config = StudyConfig.from_dict(_tiny_config())
     a = run_study(config)
     b = run_study(config)
-    for key in a.records:
-        for ra, rb in zip(a.records[key], b.records[key]):
+    for key in a:
+        for ra, rb in zip(a[key], b[key]):
             assert ra == rb
 
 
@@ -515,7 +517,7 @@ _GOLDEN_STUDIES = {
             "summary.csv": "b271b44476cc3b06af9bce3f537fad6d7876ec116bdb79eb38e278d9e390c1fc",
         }),
     "heat_like": (
-        lambda _: default_heat_config(replications=4), {
+        lambda _: {**default_heat_config(), "replications": 4}, {
             "apriori_n1000.csv":
                 "0839e3c32d96c3494efcb708dda41ea887039a66d14be657440fb70a63288712",
             "apriori_n10000.csv":
@@ -599,7 +601,7 @@ _GOLDEN_STUDIES = {
             "summary.csv": "d03fb1cb89633c9dd95afb7e95e7807a38d5239c4e28426bb7d5aef8af6f5f75",
         }),
     "binary_option": (
-        lambda _: {**default_binopt_config(replications=4),
+        lambda _: {**default_binopt_config(), "replications": 4,
                    "scenario": {"name": "binary_option", "grid": 16},
                    "sample_sizes": [100, 1000]}, {
             "dp_n100.csv": "969507132723de6772bfb241518bf6e9bfc4ad541b1c4ba3e132ad7c2677f99b",
@@ -624,7 +626,7 @@ def test_rules_share_batches():
     raw = _tiny_config(rules=[{"name": "dp", "q": 0.7}, {"name": "dp+es", "q": 0.7}])
     result = run_study(StudyConfig.from_dict(raw))
     for n in (50, 200):
-        for ra, rb in zip(result.records[("dp", n)], result.records[("dp+es", n)]):
+        for ra, rb in zip(result[("dp", n)], result[("dp+es", n)]):
             assert ra.delta_true == rb.delta_true
             assert ra.delta_est == rb.delta_est
 
@@ -632,7 +634,9 @@ def test_rules_share_batches():
 def test_error_decreases_with_sample_size_on_easy_problem():
     raw = _tiny_config(sample_sizes=[100, 10000], replications=20)
     result = run_study(StudyConfig.from_dict(raw))
-    assert result.summaries[("dp", 10000)].median < result.summaries[("dp", 100)].median
+    small, large = ([rec.error for rec in result[("dp", n)] if not rec.failed]
+                    for n in (100, 10000))
+    assert summarize(large).median < summarize(small).median
 
 
 def test_dp_stop_certificates_hold_post_hoc():
@@ -651,11 +655,11 @@ def test_dp_stop_certificates_hold_post_hoc():
         return float(np.linalg.norm(gaps * y))
 
     for n_index, n in enumerate(config.sample_sizes):
-        for rec in result.records[("dp", n)]:
+        for replication, rec in enumerate(result[("dp", n)]):
             assert not rec.failed
             assert rec.alpha == pytest.approx(0.7**rec.k)
             batch = draw_batch(scenario.model, scenario.y_hat, n,
-                               config.base_seed, (n_index << 32) | rec.replication)
+                               config.base_seed, (n_index << 32) | replication)
             assert residual(rec.alpha, batch.mean) <= rec.delta_est * (1 + 1e-12)
             if rec.k > 0:
                 assert residual(rec.alpha / 0.7, batch.mean) > rec.delta_est
@@ -665,7 +669,7 @@ def test_counterexample_forced_alpha_collapses():
     raw = default_counterexample_config(n_max=6, forced=True)
     result = run_study(StudyConfig.from_dict(raw))
     for n in range(2, 7):
-        rec = result.records[("dp", n)][0]
+        rec = result[("dp", n)][0]
         assert rec.alpha < 100.0**-n
         assert not rec.emergency
 
@@ -674,13 +678,13 @@ def test_counterexample_emergency_keeps_alpha_above_floor():
     raw = default_counterexample_config(n_max=6, forced=True, emergency=True)
     result = run_study(StudyConfig.from_dict(raw))
     for n in range(2, 7):
-        rec = result.records[("dp+es", n)][0]
+        rec = result[("dp+es", n)][0]
         assert rec.emergency
         assert 0.5 / n < rec.alpha <= 1.0 / n
 
 
 def test_heat_scenario_uses_heavy_tailed_noise():
-    config = StudyConfig.from_dict(default_heat_config(replications=1))
+    config = StudyConfig.from_dict({**default_heat_config(), "replications": 1})
     scenario = build_scenario(config)
     assert type(scenario.model).__name__ == "HeavyTailed"
     assert scenario.op.rank == 100
@@ -736,7 +740,6 @@ def test_search_that_cannot_stop_fails_only_its_replication():
     records = _solve_stack(config, scenario, DiscrepancyRule(q=0.7), 4, 0, stack)
     assert [record.failed for record in records] == [False, False, False, True, False]
     record = records[3]
-    assert record.replication == 3
     assert record.delta_est == 0.5
     assert math.isnan(record.error) and math.isnan(record.alpha)
     assert "delta_est" in record.reason
@@ -772,7 +775,7 @@ def test_landweber_study_runs_clean():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = run_study(StudyConfig.from_dict(raw))
-    assert not any(rec.failed for recs in result.records.values() for rec in recs)
+    assert not any(rec.failed for recs in result.values() for rec in recs)
 
 
 def test_solve_rule_is_the_study_replication_solve():
@@ -790,7 +793,7 @@ def test_solve_rule_is_the_study_replication_solve():
         delta = rule_delta(rule, batch, config.delta_rule, config.delta_tau)
         [(choice, x)] = solve_rule(scenario.op, config.filter_spec, rule, [y_bar],
                                    [delta], batch.n)
-        record = result.records[(rule.name, 50)][0]
+        record = result[(rule.name, 50)][0]
         assert (choice.alpha, choice.k, choice.emergency_triggered, delta) == \
             (record.alpha, record.k, record.emergency, record.delta_est)
         error = np.linalg.norm(x - scenario.x_hat)
@@ -806,7 +809,7 @@ def test_solve_rule_is_the_study_replication_solve():
 def test_apriori_rule_records_no_iteration_count():
     raw = _tiny_config(rules=[{"name": "apriori", "variant": "inv_sqrt_n_alpha"}])
     result = run_study(StudyConfig.from_dict(raw))
-    for rec in result.records[("apriori", 50)]:
+    for rec in result[("apriori", 50)]:
         assert rec.k == -1
         assert rec.alpha == pytest.approx(1.0 / math.sqrt(50))
 
@@ -815,38 +818,19 @@ def test_apriori_rule_records_no_iteration_count():
 # cells on forked runs
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids forked during the test; each must have been reaped by its end."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    yield pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def _assert_same_records(a, b):
     assert a.keys() == b.keys()
     for key in a:
         assert len(a[key]) == len(b[key])
-        for ra, rb in zip(a[key], b[key]):
+        for replication, (ra, rb) in enumerate(zip(a[key], b[key])):
             for field in dataclasses.fields(ra):
                 va, vb = getattr(ra, field.name), getattr(rb, field.name)
                 both_nan = isinstance(va, float) and math.isnan(va) and math.isnan(vb)
-                assert va == vb or both_nan, (key, ra.replication, field.name)
+                assert va == vb or both_nan, (key, replication, field.name)
 
 
 def _heat_raw(monkeypatch):
-    return default_heat_config(replications=4)
+    return {**default_heat_config(), "replications": 4}
 
 
 def _failing_heat_raw(monkeypatch):
@@ -861,7 +845,7 @@ def _failing_heat_raw(monkeypatch):
                 for choice, delta in zip(choices, delta_est)]
 
     monkeypatch.setattr(study, "discrepancy_principle", discrepancy_principle)
-    return default_heat_config(replications=20)
+    return {**default_heat_config(), "replications": 20}
 
 
 def _coefficient_gaussian_raw(monkeypatch):
@@ -882,11 +866,11 @@ def test_study_outputs_do_not_depend_on_the_number_of_runs(make_raw, tmp_path, m
         assert len(forks) - before == cores - 1
         write_study_csvs(results[cores], str(tmp_path / f"cores{cores}"))
     for cores in (2, 3):
-        _assert_same_records(results[1].records, results[cores].records)
+        _assert_same_records(results[1], results[cores])
         for path in (tmp_path / "cores1").iterdir():
             assert path.read_bytes() == (tmp_path / f"cores{cores}" / path.name).read_bytes()
     if make_raw is _failing_heat_raw:
-        failed = sum(rec.failed for recs in results[1].records.values() for rec in recs)
+        failed = sum(rec.failed for recs in results[1].values() for rec in recs)
         assert 0 < failed <= 0.05 * 20 * 9
 
 
@@ -900,6 +884,36 @@ def test_fan_out_keeps_item_order(forks):
     results = study._fan_out(lambda item: (item, os.getpid()), list(range(7)), 3)
     pids = [os.getpid(), *forks]  # run r computes the items r, r + 3, ...
     assert results == [(item, pids[item % 3]) for item in range(7)]
+
+
+def test_a_fork_that_fails_kills_and_reaps_the_runs_forked_before_it(monkeypatch, forks):
+    fork, real_waitpid, statuses = os.fork, os.waitpid, {}
+
+    def second_fork_fails():
+        if forks:  # as out of process slots
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    def waitpid(pid, options):
+        statuses[pid] = real_waitpid(pid, options)[1]
+        return pid, statuses[pid]
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    fds = len(os.listdir("/dev/fd"))
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        # the forked run outlasts the test unless it is killed
+        study._fan_out(lambda item: time.sleep(30), list(range(3)), 3)
+    assert len(os.listdir("/dev/fd")) == fds
+    [pid] = forks
+    assert os.WIFSIGNALED(statuses[pid]) and os.WTERMSIG(statuses[pid]) == signal.SIGKILL
+
+
+@pytest.mark.parametrize("cpu_count, cores", [(5, 5), (None, 1)])
+def test_cores_without_affinity_masks_are_the_cpu_count_or_one(monkeypatch, cpu_count, cores):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert study._cores() == cores
 
 
 def test_the_run_rule_forks_as_many_batches_as_the_memory_budget_holds(tmp_path, monkeypatch,
@@ -943,7 +957,8 @@ def test_a_batch_above_the_memory_budget_is_a_config_error_before_any_draw(monke
 def test_a_scenario_above_the_memory_budget_is_a_config_error_before_it_is_built(
         monkeypatch, name, key, size, need):
     default = default_binopt_config if name == "binary_option" else default_heat_config
-    config = StudyConfig.from_dict({**default(replications=1), "scenario": {"name": name, key: size}})
+    config = StudyConfig.from_dict({**default(), "replications": 1,
+                                    "scenario": {"name": name, key: size}})
     monkeypatch.setattr(study, "build_scenario", lambda *args: pytest.fail("a scenario was built"))
     monkeypatch.setattr(study, "_budget", lambda: need - 1)
     with pytest.raises(ConfigError, match=f"^invalid configuration: scenario {key}: {name} at "
@@ -960,7 +975,7 @@ def test_pairs_and_records_above_the_memory_budget_while_a_stack_is_solved_are_a
     # 1,000 held pairs of 20 coefficients take 672,000 bytes, their records of
     # three rules 1,536,000, a stack of 1,000 rows with their search residuals
     # 416,000, the search's shared block 15,360 and the chunk temporaries 1,280,000
-    config = StudyConfig.from_dict({**default_heat_config(replications=1000),
+    config = StudyConfig.from_dict({**default_heat_config(), "replications": 1000,
                                     "scenario": {"name": "heat_like", "m": 20},
                                     "sample_sizes": [1000]})
     monkeypatch.setattr(study, "draw_batch", _no_draw)
@@ -986,7 +1001,7 @@ def no_draw(*args):
     raise AssertionError("a batch was drawn")
 
 study.draw_batch, study._budget = no_draw, lambda: 1 << 33
-config = study.StudyConfig.from_dict({**study.default_heat_config(replications=10**9),
+config = study.StudyConfig.from_dict({**study.default_heat_config(), "replications": 10**9,
                                       "scenario": {"name": "heat_like", "m": 20},
                                       "sample_sizes": [1000]})
 start = time.perf_counter()
@@ -1100,7 +1115,7 @@ def test_no_study_draw_starts_a_thread(cores, monkeypatch, forks):
                        sample_sizes=[3000], replications=2)
     result = run_study(StudyConfig.from_dict(raw))
     assert len(forks) == cores - 1
-    assert len(result.records[("dp", 3000)]) == 2
+    assert len(result[("dp", 3000)]) == 2
 
 
 def test_exception_in_a_child_cell_reaches_the_caller_typed(forks):
@@ -1357,11 +1372,10 @@ def test_atomic_write_that_fails_keeps_the_old_file_and_leaves_no_temporary(tmp_
 
 
 def test_a_cell_whose_every_replication_failed_has_no_rows_and_no_summary(tmp_path):
-    ok = study.ReplicationRecord(0, 0.5, 0.1, 3, False, 0.2, 0.25)
-    failed = study.ReplicationRecord(0, math.nan, math.nan, -1, False, 0.2, 0.25,
+    ok = study.ReplicationRecord(0.5, 0.1, 3, False, 0.2, 0.25)
+    failed = study.ReplicationRecord(math.nan, math.nan, -1, False, 0.2, 0.25,
                                      "all measurements coincide")
-    result = study.StudyResult(("dp",), (10, 20), {("dp", 10): [ok], ("dp", 20): [failed]},
-                               {("dp", 10): summarize([ok.error])})
+    result = {("dp", 10): [ok], ("dp", 20): [failed]}
     write_study_csvs(result, str(tmp_path))
     assert (tmp_path / "dp_n20.csv").read_text() == \
         "replication,error,alpha,k,emergency,delta_true,delta_est\n"
