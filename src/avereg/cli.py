@@ -33,16 +33,20 @@ from .measurements import DELTA_RULES, load_batch_csv
 from .selection import discrepancy_principle  # noqa: F401
 from .spectral import embed_solution, load_matrix_csv, project_data, svd
 from .study import (
+    _SEED,
     FILTERS,
     RULE_NAMES,
     RULES,
+    SCENARIOS,
     StudyConfig,
+    _budget,
     atomic_write,
     default_binopt_config,
     default_counterexample_config,
     default_heat_config,
     failure_reasons,
     format_summary_table,
+    held_bytes,
     matrix_rank_check,
     read_config,
     rule_delta,
@@ -99,9 +103,12 @@ def _cmd_solve(args) -> int:
 
 
 def _load_config(path: str | None, default: dict, seed: int | None) -> StudyConfig:
+    what, test, _ = _SEED
+    if seed is not None and not test(seed):
+        raise InputError(f"--seed {seed}: base_seed must be {what}")
     raw = default if path is None else read_config(path)
     if seed is not None and isinstance(raw, dict):
-        # set before validation, so the seed is checked like the config's own
+        # set before validation, so --seed stands in for a config without base_seed
         raw = {**raw, "base_seed": seed}
     return StudyConfig.from_dict(raw)
 
@@ -125,6 +132,13 @@ def _cmd_counterexample(args) -> int:
         raise InputError("--seed is ignored with --forced: the forced noise draws nothing")
     if args.n_max < 2:
         raise InputError(f"--n-max must be at least 2, not {args.n_max}")
+    # each sample size 2..n_max is one pair of one replication and one rule;
+    # the list of them would outgrow memory before run_study's own check
+    m = SCENARIOS["counterexample"]["m"][1]
+    need, budget = held_bytes(args.n_max - 1, 1, m, 1), _budget()
+    if need > budget:
+        raise InputError(f"--n-max {args.n_max}: its {args.n_max - 1} sample sizes take "
+                         f"{need} bytes, above the {budget} bytes available")
     raw = default_counterexample_config(args.n_max, forced=args.forced,
                                         emergency=args.emergency)
     result = run_study(_load_config(None, raw, args.seed))

@@ -15,8 +15,11 @@ each rule sees the same batches.  No such pair depends on another, so a
 study draws, projects and estimates them in forked processes: one per core,
 as long as the available memory holds one batch per process.  Each pair
 comes back as its projected mean, about 8 m bytes that the caller holds
-until it solves each (rule, sample size) as one stack of replications.  The
-outputs do not depend on the number of processes.
+until it solves each (rule, sample size) as one stack of replications.
+Each process draws its pairs largest sample size first: glibc serves a batch
+below its mmap threshold from the heap, which keeps it after it is freed, so
+a smaller batch drawn before a larger one would stay resident beneath it.
+The outputs depend on neither the order nor the number of processes.
 """
 
 from __future__ import annotations
@@ -411,8 +414,9 @@ def default_binopt_config() -> dict:
 
 def default_counterexample_config(n_max: int = 6, forced: bool = False,
                                   emergency: bool = False) -> dict:
-    """The divergence construction: TSVD with the 1/sqrt(n) noise estimate."""
-    scenario = {"name": "counterexample", "m": 100}
+    """The divergence construction: TSVD with the 1/sqrt(n) noise estimate,
+    at the scenario's default m."""
+    scenario = {"name": "counterexample"}
     if forced:
         scenario["forced_value"] = 1.0
     rule = {"name": "dp+es" if emergency else "dp", "q": 0.5}
@@ -598,6 +602,15 @@ _SCENARIO_BYTES = {"diagonal_synthetic": ("m", 1, 12), "heat_like": ("m", 1, 16)
                    "binary_option": ("grid", 2, 12)}
 
 
+def held_bytes(pairs: int, replications: int, m: int, rules: int) -> int:
+    """Bytes the caller of a study holds for ``pairs`` (sample size,
+    replication) pairs of m coefficients and the records of ``rules`` rules,
+    while it solves a stack of ``replications``."""
+    solve = (replications * (m + _BLOCK) + _SOLVE_BLOCKS * _BLOCK * m
+             + _SOLVE_CHUNKS * min(replications * m, max(_CHUNK, m)))
+    return pairs * (8 * m + _CELL_OVERHEAD + rules * _RECORD_BYTES) + 8 * solve
+
+
 def _check_budget(budget: int, need: int, head: str, tail: str = "") -> None:
     """Raise a ConfigError of ``head``, ``need`` bytes and ``tail`` if need > budget."""
     if need > budget:
@@ -649,13 +662,13 @@ def run_study(config: StudyConfig) -> dict:
     n_max, m = max(config.sample_sizes), len(scenario.y_hat)
     cell_bytes = batch_bytes(scenario.model, n_max, m)
     _check_budget(budget, cell_bytes, f"sample_sizes: one batch of n = {n_max} holds")
-    solve = (config.replications * (m + _BLOCK) + _SOLVE_BLOCKS * _BLOCK * m
-             + _SOLVE_CHUNKS * min(config.replications * m, max(_CHUNK, m)))
-    _check_budget(budget, pairs * (8 * m + _CELL_OVERHEAD + len(config.rules) * _RECORD_BYTES)
-                  + 8 * solve,
+    _check_budget(budget, held_bytes(pairs, config.replications, m, len(config.rules)),
                   f"replications: {pairs} pairs of sample size and replication take",
                   f" while a stack of {config.replications} is solved")
-    cells = _fan_out(cell, range(pairs), min(_cores(), budget // cell_bytes))
+    # each run draws its pairs largest sample size first: once glibc has freed
+    # one mmapped batch it raises its mmap threshold, so a smaller batch drawn
+    # before a larger one can stay on the heap beneath it
+    cells = _fan_out(cell, range(pairs - 1, -1, -1), min(_cores(), budget // cell_bytes))[::-1]
     records = {}
     for r, rule in enumerate(config.rules):
         for n_index, n in enumerate(config.sample_sizes):

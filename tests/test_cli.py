@@ -911,11 +911,12 @@ def test_perfbench_tracer_finds_every_boundary(tmp_path, command):
     if command == "simulate":
         # perfbench reads the batch's private sample matrix; a rename would
         # silently read no bytes.  The tracer sees only the caller's run of
-        # the forked study, which draws items 0, runs, 2 runs, ...
+        # the forked study, which draws the pairs from the last: items -1,
+        # -1 - runs, -1 - 2 runs, ...
         config = _FULL_SAMPLE_STUDY
         items = [n for n in config["sample_sizes"] for _ in range(config["replications"])]
         runs = min(study._cores(), len(items))
-        expected = sum(items[::runs]) * 7 * 8
+        expected = sum(items[::-1][::runs]) * 7 * 8
         assert traced["counts"]["measurements.bytes_materialized"] == expected
 
 

@@ -1,6 +1,11 @@
 """Generated study configs end in a result or a typed error with its exit code."""
 
 import copy
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -225,6 +230,49 @@ def test_every_single_key_mutation_ends_in_a_result_or_a_documented_error(matrix
     for raw in _full_configs(matrix_path):
         for mutated in _single_key_mutations(raw):
             _outcome_is_documented(mutated)
+
+
+#: a CLI run in a child whose address space is 1 GiB, so that a size that is
+#: allocated before it is checked fails the child rather than filling memory
+_UNDER_1_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from avereg import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _flag_cases(config_path):
+    """(argv, the flag its error must name, whether it runs in a child)."""
+    for seed in (-1, 2**64, 10**30):
+        for argv in (["heat"], ["binopt"], ["simulate", "--config", config_path],
+                     ["counterexample"]):
+            yield [*argv, "--seed", str(seed)], "--seed", False
+    for n_max in (-1, 0, 1, 10**8, 10**30):
+        yield ["counterexample", "--n-max", str(n_max)], "--n-max", n_max > 10**6
+
+
+def test_every_out_of_range_flag_ends_in_one_error_line_that_names_it(matrix_path, tmp_path,
+                                                                      capsys):
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(_full_configs(matrix_path)[0]))
+    src = pathlib.Path(cli.__file__).parents[1]
+    # one BLAS thread, so that the child's address space is its own arrays
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    for argv, flag, in_child in _flag_cases(str(config)):
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        start = time.perf_counter()
+        if in_child:
+            proc = subprocess.run([sys.executable, "-c", _UNDER_1_GIB, *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            code, err = proc.returncode, proc.stderr
+        else:
+            code, err = cli.main(argv), capsys.readouterr().err
+        assert time.perf_counter() - start < TIME_BOUND_S, argv
+        assert code == DOCUMENTED_EXIT[InputError], (argv, err)
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {flag}"), (argv, line)
+        assert not (tmp_path / "out").exists()
 
 
 def test_every_number_key_rejects_non_finite_values(matrix_path):

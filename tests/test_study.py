@@ -934,6 +934,30 @@ def test_the_run_rule_forks_as_many_batches_as_the_memory_budget_holds(tmp_path,
             assert path.read_bytes() == (out / path.name).read_bytes()
 
 
+def test_every_run_draws_its_largest_batches_first(tmp_path, monkeypatch, forks):
+    # a batch freed before a larger one is drawn can stay on glibc's heap
+    # beneath it; each process appends (pid, n) of every draw to one file
+    draws = tmp_path / "draws"
+    real_draw = study.draw_batch
+
+    def draw_batch(model, y_hat, n, *args):
+        with open(draws, "a") as file:
+            file.write(f"{os.getpid()} {n}\n")
+        return real_draw(model, y_hat, n, *args)
+
+    monkeypatch.setattr(study, "draw_batch", draw_batch)
+    monkeypatch.setattr(study, "_cores", lambda: 2)
+    run_study(StudyConfig.from_dict(_tiny_config(sample_sizes=[20, 50, 200], replications=3)))
+    sizes = {}
+    for line in draws.read_text().splitlines():
+        pid, n = map(int, line.split())
+        sizes.setdefault(pid, []).append(n)
+    assert len(forks) == 1 and len(sizes) == 2
+    assert sorted(n for ns in sizes.values() for n in ns) == [20] * 3 + [50] * 3 + [200] * 3
+    for ns in sizes.values():
+        assert ns == sorted(ns, reverse=True)
+
+
 def _no_draw(*args):
     raise AssertionError("a batch was drawn")
 
