@@ -34,6 +34,7 @@ from .selection import discrepancy_principle  # noqa: F401
 from .spectral import embed_solution, load_matrix_csv, project_data, svd
 from .study import (
     _SEED,
+    DELTAS,
     FILTERS,
     RULE_NAMES,
     RULES,
@@ -57,17 +58,31 @@ from .study import (
 )
 
 
-def _given(args, *names) -> dict:
-    """The options among ``names`` that were given on the command line."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+def _given(args, owner: str, table: dict, *names) -> dict:
+    """The options among ``names`` that were given on the command line, each a
+    key of the config ``table`` of ``owner``; a value that table does not take
+    or whose check fails is an InputError that names the flag."""
+    given = {}
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in table:
+            raise InputError(f"--{name} {value}: {owner} does not take {name}")
+        what, test, _ = table[name][0]
+        if not test(value):
+            raise InputError(f"--{name} {value}: {owner} {name} must be {what}")
+        given[name] = value
+    return given
 
 
 def _cmd_solve(args) -> int:
     spec, rule, delta = solve_settings(
-        {"kind": args.filter, **_given(args, "order", "relaxation")},
-        {"name": args.rule, **_given(args, "q")},
+        {"kind": args.filter, **_given(args, f"filter {args.filter}", FILTERS[args.filter],
+                                       "order", "relaxation")},
+        {"name": args.rule, **_given(args, f"rule {args.rule}", RULES[args.rule], "q")},
         {"name": args.delta, **({"tau": 1.5} if args.delta == "lil" else {}),
-         **_given(args, "tau")})
+         **_given(args, f"delta_rule {args.delta}", DELTAS[args.delta], "tau")})
     matrix = load_matrix_csv(args.matrix)
     batch = load_batch_csv(args.measurements)
     if batch.dimension != matrix.shape[0]:

@@ -236,9 +236,10 @@ def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
     return 8 * n * words
 
 
-# a large latent can sum, or square its deviation, beyond the float range:
-# it shows as the mean or spread that MeasurementBatch rejects
-@np.errstate(over="ignore", invalid="ignore")
+# a large latent can sum, or square its deviation, beyond the float range, and
+# a uniform of 1.0 is an infinite Pareto latent: each shows as the mean or
+# spread that MeasurementBatch rejects
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def draw_batch(
     model: NoiseModel, y_hat: np.ndarray, n: int, seed: int, stream: int = 0
 ) -> MeasurementBatch:
@@ -254,7 +255,8 @@ def draw_batch(
 
     if isinstance(model, HeavyTailed):
         # the words of symmetric_uniforms(n), then generalized_pareto(n)
-        u, z = np.split(rng.uniforms(2 * n), 2)
+        uniforms = rng.uniforms(2 * n)
+        u, z = uniforms[:n], uniforms[n:]
         u -= 0.5
         u *= pareto_from_uniforms(z, model.shape, model.scale, model.location)
         return _rank_one_batch(y_hat, model.weights, u, n)

@@ -87,13 +87,14 @@ class RandomStream:
             dest *= _INV_2_53
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms on the open interval (0, 1)."""
+        """n uniforms on (0, 1]: word w gives ((w >> 11) + 1/2) 2^-53, which
+        rounds to 1.0 for the 2^11 of the 2^64 words whose top 53 bits are set."""
         out = np.empty(n)
         self._fill_uniforms(self._take(n), out)
         return out
 
     def symmetric_uniforms(self, n: int) -> np.ndarray:
-        """n uniforms on (-1/2, 1/2)."""
+        """n uniforms on (-1/2, 1/2]."""
         out = self.uniforms(n)
         out -= 0.5
         return out
@@ -134,7 +135,7 @@ class RandomStream:
         perm = np.arange(n)
         u = self.uniforms(max(n - 1, 0))
         for i in range(n - 1, 0, -1):
-            j = int(u[n - 1 - i] * (i + 1))
+            j = min(int(u[n - 1 - i] * (i + 1)), i)  # a uniform of 1.0 picks i
             perm[i], perm[j] = perm[j], perm[i]
         return perm
 
@@ -142,7 +143,7 @@ class RandomStream:
 def pareto_from_uniforms(x: np.ndarray, shape: float, scale: float, location: float) -> np.ndarray:
     """Generalized-Pareto variates X = location + scale ((1 - U)^{-shape} - 1)
     / shape of the uniforms U in ``x``, in place; the shape -> 0 limit is
-    exponential."""
+    exponential.  A U of 1.0 gives inf for shape >= 0."""
     if not scale > 0:
         raise InputError(f"generalized Pareto scale must be positive, got {scale}")
     np.negative(x, out=x)

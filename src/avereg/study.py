@@ -28,6 +28,7 @@ import json
 import math
 import os
 import pickle
+import resource
 import signal
 import sys
 import tempfile
@@ -138,6 +139,19 @@ class Summary:
     max: float
 
 
+def _quartiles(values: np.ndarray) -> list:
+    """q1, median and q3 of ``values`` by numpy's linear method, bit for bit:
+    the virtual index h = (n - 1) q, and numpy's lerp between the order
+    statistics either side of it.  ``np.quantile`` itself imports numpy.ma."""
+    ordered, last = np.sort(values), values.size - 1
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        lo = math.floor(last * q)
+        t, a, b = last * q - lo, float(ordered[lo]), float(ordered[min(lo + 1, last)])
+        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return quartiles
+
+
 def summarize(errors) -> Summary:
     """Mean, median, linearly interpolated quartiles and 1.5-IQR upper-fence
     outlier count of an error sample."""
@@ -146,13 +160,13 @@ def summarize(errors) -> Summary:
         raise InputError("cannot summarize an empty error list")
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise InputError("errors must be finite and nonnegative")
-    q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+    q1, median, q3 = _quartiles(values)
     fence = q3 + 1.5 * (q3 - q1)
     return Summary(
         mean=float(values.mean()),
-        median=float(median),
-        q1=float(q1),
-        q3=float(q3),
+        median=median,
+        q1=q1,
+        q3=q3,
         outliers=int(np.sum(values > fence)),
         max=float(values.max()),
     )
@@ -700,16 +714,29 @@ _MEMORY_FILES = {"": ("", "memory.max", "memory.current"),
                  "memory": ("/memory", "memory.limit_in_bytes", "memory.usage_in_bytes")}
 
 
+def _kib_field(path: str, key: str) -> int:
+    """Bytes of the ``key: N kB`` line of the proc file ``path``; raises
+    OSError or StopIteration when it cannot be read."""
+    with open(path) as file:
+        return next(int(line.split()[1]) * 1024 for line in file if line.startswith(key))
+
+
 def _budget() -> int:
     """Bytes of memory a study may fill: ``MemAvailable``, or else the
     physical memory, capped by what the process's cgroup has left under each
-    memory controller it can read, v2 (``0::/path``) or v1 (``N:memory:/path``)."""
+    memory controller it can read, v2 (``0::/path``) or v1 (``N:memory:/path``),
+    and by what its soft ``RLIMIT_AS`` leaves above its ``VmSize``."""
     try:
-        with open("/proc/meminfo") as file:
-            budget = next(int(line.split()[1]) * 1024 for line in file
-                          if line.startswith("MemAvailable:"))
+        budget = _kib_field("/proc/meminfo", "MemAvailable:")
     except (OSError, StopIteration):
         budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    address_space = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if address_space != resource.RLIM_INFINITY:
+        try:
+            mapped = _kib_field("/proc/self/status", "VmSize:")
+        except (OSError, StopIteration):
+            mapped = 0
+        budget = min(budget, address_space - mapped)
     try:
         with open("/proc/self/cgroup") as file:
             lines = file.read().splitlines()
@@ -847,19 +874,23 @@ def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
     for i, outcome in zip(rows, solved):
         outcomes[i] = outcome
     records = []
-    for (_, d_true, deltas), outcome in zip(stack, outcomes):
-        estimate = math.nan if isinstance(deltas[r], str) else deltas[r]
-        if isinstance(outcome, tuple):
-            choice, x = outcome
-            # an inf coefficient times a zero basis entry is nan: both mean overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                error = float(np.linalg.norm(embed_solution(scenario.op, x) - scenario.x_hat))
-            reason = "" if math.isfinite(error) else "the solution error overflows double precision"
-            records.append(ReplicationRecord(error, choice.alpha, choice.k,
-                                             choice.emergency_triggered, d_true, estimate, reason))
-        else:  # a degenerate batch has no estimate; a search that cannot stop has one
-            records.append(ReplicationRecord(math.nan, math.nan, -1, False, d_true,
-                                             estimate, str(outcome)))
+    # an inf coefficient times a zero basis entry is nan: both mean overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (_, d_true, deltas), outcome in zip(stack, outcomes):
+            estimate = math.nan if isinstance(deltas[r], str) else deltas[r]
+            if isinstance(outcome, tuple):
+                choice, x = outcome
+                # np.linalg.norm of a 1-D float array, which is sqrt(d . d)
+                d = embed_solution(scenario.op, x) - scenario.x_hat
+                error = math.sqrt(d.dot(d))
+                reason = ("" if math.isfinite(error)
+                          else "the solution error overflows double precision")
+                records.append(ReplicationRecord(error, choice.alpha, choice.k,
+                                                 choice.emergency_triggered, d_true, estimate,
+                                                 reason))
+            else:  # a degenerate batch has no estimate; a search that cannot stop has one
+                records.append(ReplicationRecord(math.nan, math.nan, -1, False, d_true,
+                                                 estimate, str(outcome)))
     return records
 
 
@@ -929,6 +960,7 @@ def format_summary_table(records: dict) -> str:
         cells = [str(n).ljust(10)]
         for rule in rules:
             errors = [rec.error for rec in records[(rule, n)] if not rec.failed]
-            cells.append(("-" if not errors else f"{summarize(errors).mean:.6g}").ljust(16))
+            # the mean that summarize gives, without its quartiles
+            cells.append(("-" if not errors else f"{float(np.mean(errors)):.6g}").ljust(16))
         lines.append("".join(cells).rstrip())
     return "\n".join(lines)

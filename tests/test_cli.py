@@ -165,8 +165,8 @@ def test_solve_rejects_tau_without_lil(tmp_path, capsys):
                      "--measurements", str(tmp_path / "nope.csv"),
                      "--delta", delta, "--tau", "2", "--out", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err == (f"error: invalid configuration: delta_rule {delta} "
-                                           "does not take ['tau']\n")
+        assert capsys.readouterr().err == (f"error: --tau 2.0: delta_rule {delta} "
+                                           "does not take tau\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -178,7 +178,7 @@ def test_solve_checks_tau_before_reading_the_files(tmp_path, capsys, tau):
                  "--measurements", str(tmp_path / "nope.csv"), "--delta", "lil",
                  "--tau", tau, "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err == ("error: invalid configuration: delta_rule tau must be "
+    assert capsys.readouterr().err == (f"error: --tau {float(tau)}: delta_rule lil tau must be "
                                        "finite and > 1\n")
     assert not (tmp_path / "out").exists()
 
@@ -477,6 +477,37 @@ def test_simulate_reports_failed_replications_below_the_gate(tmp_path, capsys):
     )
     # the failed replication is still left out of the CSV
     assert len((out / "dp_n100.csv").read_text().splitlines()) == 1 + 39
+
+
+def test_simulate_with_a_weight_seed_whose_first_uniform_is_one(tmp_path, capsys):
+    # the first word of this seed has its top 53 bits set, so its uniform is
+    # 1.0, and the weights' Fisher-Yates loop used to index past its end
+    raw = json.loads(pathlib.Path(_tiny_config(tmp_path)).read_text())
+    raw["scenario"] = {"name": "heat_like", "m": 100}
+    raw["noise"] = {"variant": "heavy_tailed", "weight_seed": 2330121759143012144}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "study")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_STUDY_MODULES = """
+import sys
+from avereg import cli
+code = cli.main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_a_study_does_not_import_numpy_ma(tmp_path):
+    # np.quantile imported numpy.ma on its first call, which cost each study
+    # about 16 ms and 0.5 MB
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(study.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _STUDY_MODULES, "simulate", "--config",
+                           _tiny_config(tmp_path), "--out", str(tmp_path / "study")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    assert (tmp_path / "study" / "summary.csv").read_text().count("\n") == 2
 
 
 def test_simulate_rejects_bad_config(tmp_path, capsys):

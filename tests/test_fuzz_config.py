@@ -242,7 +242,7 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def _flag_cases(config_path):
+def _flag_cases(config_path, matrix_path):
     """(argv, the flag its error must name, whether it runs in a child)."""
     for seed in (-1, 2**64, 10**30):
         for argv in (["heat"], ["binopt"], ["simulate", "--config", config_path],
@@ -250,6 +250,14 @@ def _flag_cases(config_path):
             yield [*argv, "--seed", str(seed)], "--seed", False
     for n_max in (-1, 0, 1, 10**8, 10**30):
         yield ["counterexample", "--n-max", str(n_max)], "--n-max", n_max > 10**6
+    # its pairs fit in the machine's memory but not in the child's address space
+    yield ["counterexample", "--forced", "--n-max", "1000000"], "--n-max", True
+    solve = ["solve", "--matrix", matrix_path, "--measurements", matrix_path]
+    for flags in (["--filter", "iterated_tikhonov", "--order", "0"], ["--order", "2"],
+                  ["--filter", "landweber", "--relaxation", "-1"], ["--q", "1.5"],
+                  ["--rule", "apriori", "--q", "0.5"], ["--delta", "lil", "--tau", "0.5"],
+                  ["--tau", "2"]):
+        yield [*solve, *flags], flags[-2], False
 
 
 def test_every_out_of_range_flag_ends_in_one_error_line_that_names_it(matrix_path, tmp_path,
@@ -259,7 +267,7 @@ def test_every_out_of_range_flag_ends_in_one_error_line_that_names_it(matrix_pat
     src = pathlib.Path(cli.__file__).parents[1]
     # one BLAS thread, so that the child's address space is its own arrays
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    for argv, flag, in_child in _flag_cases(str(config)):
+    for argv, flag, in_child in _flag_cases(str(config), matrix_path):
         argv = [*argv, "--out", str(tmp_path / "out")]
         start = time.perf_counter()
         if in_child:

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from avereg import measurements
-from avereg.errors import DegenerateBatchError, InputError
+from avereg.errors import BatchOverflowError, DegenerateBatchError, InputError
 from avereg.measurements import (
     BinaryOptionParams,
     CoefficientGaussian,
@@ -352,6 +352,16 @@ def test_batch_csv_mean_or_spread_beyond_the_float_range_is_an_input_error(tmp_p
     np.savetxt(path, np.array(rows), delimiter=",", fmt="%.17g")
     with pytest.raises(InputError, match="mean or spread overflows double precision"):
         load_batch_csv(str(path))
+
+
+def test_a_pareto_uniform_of_one_is_an_overflowing_batch_without_a_warning():
+    # word 2 of this seed has its top 53 bits set, so the first of the two
+    # Pareto uniforms of n = 2 is 1.0 and its latent is inf; log1p(-1) used to
+    # warn, which the suite and perfbench's smoke runs turn into an error
+    assert RandomStream(4512904957461064033).uniforms(4)[2] == 1.0
+    with pytest.raises(BatchOverflowError):
+        draw_batch(HeavyTailed(1.0 / 3.0, 0.5, 1.5, np.ones(3)), _zero(3), 2,
+                   4512904957461064033)
 
 
 def test_binary_option_params_validation():

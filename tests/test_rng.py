@@ -68,6 +68,14 @@ def test_permutation_is_a_permutation():
     assert sorted(perm.tolist()) == list(range(100))
 
 
+def test_a_uniform_of_one_still_gives_a_permutation():
+    # the first word of this seed has its top 53 bits set: (2^53 - 1) + 1/2
+    # rounds to 2^53, and Fisher-Yates used to swap with the index past its end
+    assert RandomStream(2330121759143012144).uniforms(1)[0] == 1.0
+    perm = RandomStream(2330121759143012144).permutation(100)
+    assert sorted(perm.tolist()) == list(range(100))
+
+
 def test_permutation_is_roughly_uniform():
     # the first element should land anywhere with equal probability
     firsts = [RandomStream(s).permutation(4)[0] for s in range(2000)]

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import pickle
+import resource
 import signal
 import subprocess
 import sys
@@ -86,6 +87,18 @@ def test_summarize_singleton_and_errors():
         summarize([1.0, -1.0])
     with pytest.raises(InputError):
         summarize([1.0, math.inf])
+
+
+def test_quartiles_equal_numpys_linear_quantile_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    branches = set()
+    for n in [*range(1, 65), 199, 200, 201, 1000]:
+        for _ in range(5):
+            values = 10.0 ** rng.uniform(-300, 300, n)
+            expected = np.quantile(values, [0.25, 0.5, 0.75])
+            assert np.array_equal(study._quartiles(values), expected), n
+        branches.update((n - 1) * q % 1 < 0.5 for q in (0.25, 0.5, 0.75))
+    assert branches == {True, False}
 
 
 def test_rate_fit_recovers_exact_power_law(rate_fit):
@@ -1122,6 +1135,27 @@ def test_budget_is_available_memory_capped_by_the_cgroup(files, budget, monkeypa
     monkeypatch.setattr(study, "open", fake_open, raising=False)
     if budget is None:  # no MemAvailable line: the physical memory
         budget = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert study._budget() == budget
+
+
+@pytest.mark.parametrize("limit, budget", [
+    (resource.RLIM_INFINITY, 8000 * 1024),
+    (6000 * 1024, 6000 * 1024 - 1500 * 1024),
+    # the address space already mapped is not available to a batch
+    (1000 * 1024, -500 * 1024),
+])
+def test_budget_is_capped_by_the_address_space_limit(limit, budget, monkeypatch):
+    files = {"/proc/meminfo": _MEMINFO, "/proc/self/status": "Name:\tpython\nVmSize:\t1500 kB\n"}
+
+    def fake_open(path, *args):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(study, "open", fake_open, raising=False)
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (limit, resource.RLIM_INFINITY)
+                        if which == resource.RLIMIT_AS else (resource.RLIM_INFINITY,) * 2)
     assert study._budget() == budget
 
 
