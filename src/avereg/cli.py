@@ -41,6 +41,7 @@ from .study import (
     SCENARIOS,
     StudyConfig,
     _budget,
+    _rule,
     atomic_write,
     default_binopt_config,
     default_counterexample_config,
@@ -50,39 +51,42 @@ from .study import (
     held_bytes,
     matrix_rank_check,
     read_config,
+    resolve,
     rule_delta,
     run_study,
     solve_rule,
-    solve_settings,
     write_study_csvs,
 )
 
 
-def _given(args, owner: str, table: dict, *names) -> dict:
-    """The options among ``names`` that were given on the command line, each a
-    key of the config ``table`` of ``owner``; a value that table does not take
-    or whose check fails is an InputError that names the flag."""
-    given = {}
-    for name in names:
-        value = getattr(args, name)
+def _given(args, label: str, table: dict, section: dict, *names) -> dict:
+    """``section``, whose first key is its choice in ``table``, with the options among
+    ``names`` given on the command line, as ``resolve`` completes it; an option the
+    choice does not take, or that fails its check, is an InputError naming the flag."""
+    choice, name = next(iter(section.items()))
+    owner, keys = f"{label} {name}", table[name]
+    for flag in names:
+        value = getattr(args, flag)
         if value is None:
             continue
-        if name not in table:
-            raise InputError(f"--{name} {value}: {owner} does not take {name}")
-        what, test, _ = table[name][0]
+        if flag not in keys:
+            raise InputError(f"--{flag} {value}: {owner} does not take {flag}")
+        what, test, _ = keys[flag][0]
         if not test(value):
-            raise InputError(f"--{name} {value}: {owner} {name} must be {what}")
-        given[name] = value
-    return given
+            raise InputError(f"--{flag} {value}: {owner} {flag} must be {what}")
+        section[flag] = value
+    return resolve(label, table, section, [], choice)  # every key given is checked
 
 
 def _cmd_solve(args) -> int:
-    spec, rule, delta = solve_settings(
-        {"kind": args.filter, **_given(args, f"filter {args.filter}", FILTERS[args.filter],
-                                       "order", "relaxation")},
-        {"name": args.rule, **_given(args, f"rule {args.rule}", RULES[args.rule], "q")},
-        {"name": args.delta, **({"tau": 1.5} if args.delta == "lil" else {}),
-         **_given(args, f"delta_rule {args.delta}", DELTAS[args.delta], "tau")})
+    spec = FilterSpec(**_given(args, "filter", FILTERS, {"kind": args.filter}, "order",
+                               "relaxation"))
+    # the CLI's apriori rule is inv_sqrt_n_alpha, which reads no delta rule
+    rule = _rule(_given(args, "rule", RULES, {"name": args.rule}, "q",
+                        *(("delta", "tau") if args.rule == "apriori" else ())))
+    name = args.delta or "sample_std"
+    delta = _given(args, "delta_rule", DELTAS,
+                   {"name": name, **({"tau": 1.5} if name == "lil" else {})}, "tau")
     matrix = load_matrix_csv(args.matrix)
     batch = load_batch_csv(args.measurements)
     if batch.dimension != matrix.shape[0]:
@@ -92,7 +96,7 @@ def _cmd_solve(args) -> int:
         )
     op = matrix_rank_check(svd(matrix), args.matrix)
     y_bar = project_data(op, batch.mean)
-    estimate = rule_delta(rule, batch, delta["name"], delta.get("tau"))
+    estimate = rule_delta(rule, batch, delta)
     [solved] = solve_rule(op, spec, rule, [y_bar], [estimate], batch.n)
     if isinstance(solved, NonTerminationError):
         raise solved
@@ -168,7 +172,7 @@ def _cmd_verify_filters(args) -> int:
     all_passed = True
     for kind in KINDS:
         # each kind at its config defaults, certified up to its qualification or 20
-        spec = FilterSpec(kind, **{key: default for key, (_, default) in FILTERS[kind].items()})
+        spec = FilterSpec(**resolve("filter", FILTERS, {"kind": kind}, [], "kind"))
         nu = min(spec.qualification, 20.0)
         report = verify_filter_constants(spec, nu=nu)
         status = "pass" if report.passed else "FAIL"
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--relaxation", type=float, default=None, help="Landweber relaxation "
                        f"(default {FILTERS['landweber']['relaxation'][1]})")
     solve.add_argument("--rule", default="dp", choices=RULE_NAMES)
-    solve.add_argument("--delta", default="sample_std", choices=DELTA_RULES)
+    solve.add_argument("--delta", default=None, choices=DELTA_RULES, help="default sample_std")
     solve.add_argument("--q", type=float, default=None,
                        help=f"discrepancy search factor (default {RULES['dp']['q'][1]})")
     solve.add_argument("--tau", type=float, default=None,

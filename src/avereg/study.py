@@ -311,32 +311,18 @@ def _rule(entry: dict) -> DiscrepancyRule | AprioriRule:
     return DiscrepancyRule(entry["q"], emergency=entry["name"] == "dp+es")
 
 
-def solve_settings(filter_section: dict, rule_entry: dict, delta_section: dict) -> tuple:
-    """The FilterSpec, the rule and the resolved delta_rule section of a
-    filter section, a rules entry and a delta_rule section, checked and
-    completed as in a study config; raises ConfigError."""
-    violations = []
-    spec = resolve("filter", FILTERS, filter_section, violations, "kind")
-    rule = _resolve_rule(rule_entry, violations)
-    delta = resolve("delta_rule", DELTAS, delta_section, violations, "name")
-    if violations:
-        raise ConfigError(violations)
-    return FilterSpec(**spec), _rule(rule), delta
-
-
 @dataclass(frozen=True)
 class StudyConfig:
-    """A valid study config.  ``scenario``, ``source`` and ``noise`` are the
-    resolved sections, with every key of their choice; ``source`` and
-    ``noise`` are None for the scenarios that fix them."""
+    """A valid study config.  ``scenario``, ``source``, ``noise`` and
+    ``delta_rule`` are the resolved sections, with every key of their choice;
+    ``source`` and ``noise`` are None for the scenarios that fix them."""
 
     scenario: dict
     source: dict | None
     noise: dict | None
     filter_spec: FilterSpec
     rules: tuple
-    delta_rule: str
-    delta_tau: float | None
+    delta_rule: dict
     sample_sizes: tuple
     replications: int
     base_seed: int
@@ -380,7 +366,7 @@ class StudyConfig:
         if violations:
             raise ConfigError(violations)
         return cls(scenario, source, noise, FilterSpec(**filter_section),
-                   tuple(map(_rule, rules)), delta["name"], delta.get("tau"), sizes,
+                   tuple(map(_rule, rules)), delta, sizes,
                    study["replications"], study["base_seed"])
 
 
@@ -513,13 +499,23 @@ def build_scenario(config: StudyConfig) -> Scenario:
     """The scenario of a config: the counterexample's zero truth with its
     adversarial noise direction, forced to ``forced_value`` when that is set,
     the binary option's analytic truth with Bernoulli payoffs, or a smooth
-    source on a diagonal, heat-like or CSV-matrix operator."""
+    source on a diagonal, heat-like or CSV-matrix operator.  A diagonal
+    spectrum that underflows is a ConfigError that names the scenario's m."""
     params = config.scenario
-    name = params["name"]
+    name, m = params["name"], params.get("m")
+    try:
+        if name == "counterexample":
+            op, direction = counterexample_operator(m)
+        elif name == "heat_like":
+            op = heat_like_operator(m, params["decay"])
+        elif name == "diagonal_synthetic":
+            op = SpectralDecomposition(np.arange(1, m + 1, dtype=float) ** -params["decay"])
+    except InputError as exc:
+        at = " and ".join(f"{key} = {params[key]:g}" for key in ("m", "decay") if key in params)
+        raise ConfigError([f"scenario m: {name} at {at}: {exc}"]) from exc
 
     if name == "counterexample":
-        op, direction = counterexample_operator(params["m"])
-        zero = np.zeros(params["m"])
+        zero = np.zeros(m)
         return Scenario(op, zero, zero, DirectionGaussian(direction, params["forced_value"]))
 
     if name == "binary_option":
@@ -530,11 +526,7 @@ def build_scenario(config: StudyConfig) -> Scenario:
                         root_h * truth["derivative_curve"],
                         root_h * truth["value_curve"], option)
 
-    if name == "diagonal_synthetic":
-        op = SpectralDecomposition(np.arange(1, params["m"] + 1, dtype=float) ** -params["decay"])
-    elif name == "heat_like":
-        op = heat_like_operator(params["m"], params["decay"])
-    else:
+    if name == "matrix_file":
         op = matrix_rank_check(svd(load_matrix_csv(params["path"])), params["path"])
     return _smooth_scenario(op, config, alternating=name != "diagonal_synthetic")
 
@@ -553,13 +545,13 @@ def matrix_rank_check(op: SpectralDecomposition, path: str) -> SpectralDecomposi
 
 
 def rule_delta(rule: DiscrepancyRule | AprioriRule, batch: MeasurementBatch,
-               delta_rule: str, tau: float | None = None) -> float:
-    """The noise estimate ``rule`` takes from ``batch``: by ``delta_rule``, but
-    1/sqrt(n), its alpha, for ``inv_sqrt_n_alpha``.  Raises
-    DegenerateBatchError when a sample-based estimate is undefined."""
+               delta_rule: dict) -> float:
+    """The noise estimate ``rule`` takes from ``batch``: by the resolved
+    ``delta_rule`` section, but 1/sqrt(n), its alpha, for ``inv_sqrt_n_alpha``.
+    Raises DegenerateBatchError when a sample-based estimate is undefined."""
     if isinstance(rule, AprioriRule) and rule.variant == "inv_sqrt_n_alpha":
         return delta_est(batch, "inv_sqrt_n")
-    return delta_est(batch, delta_rule, tau)
+    return delta_est(batch, delta_rule["name"], delta_rule.get("tau"))
 
 
 def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriRule,
@@ -665,7 +657,7 @@ def run_study(config: StudyConfig) -> dict:
         deltas = []
         for rule in config.rules:
             try:
-                deltas.append(rule_delta(rule, batch, config.delta_rule, config.delta_tau))
+                deltas.append(rule_delta(rule, batch, config.delta_rule))
             except DegenerateBatchError as exc:
                 deltas.append(str(exc))  # the reason there is no estimate
         # the batch is released on return, before the next is drawn: a

@@ -170,6 +170,21 @@ def test_solve_rejects_tau_without_lil(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--delta", "lil", "--tau", "3"], "--delta lil: rule apriori does not take delta"),
+    (["--tau", "3"], "--tau 3.0: rule apriori does not take tau"),
+])
+def test_solve_apriori_rejects_delta_and_tau(tmp_path, capsys, flags, error):
+    # its alpha and estimate are 1/sqrt(n) whatever --delta says, which used
+    # to exit 0; the rule's check comes before any file is read
+    code = main(["solve", "--matrix", str(tmp_path / "nope.csv"),
+                 "--measurements", str(tmp_path / "nope.csv"), "--rule", "apriori", *flags,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("tau", ["0.5", "nan"])
 def test_solve_checks_tau_before_reading_the_files(tmp_path, capsys, tau):
     # an out-of-range tau used to surface only after both CSVs were read, and
@@ -183,16 +198,30 @@ def test_solve_checks_tau_before_reading_the_files(tmp_path, capsys, tau):
     assert not (tmp_path / "out").exists()
 
 
-def test_solve_lil_defaults_tau_to_one_and_a_half(tmp_path, capsys):
+@pytest.mark.parametrize("flags, default", [
+    (["--filter", "iterated_tikhonov"], ["--order", "2"]),
+    (["--filter", "landweber"], ["--relaxation", "0.9"]),
+    (["--rule", "dp"], ["--q", "0.7"]),
+    (["--delta", "lil"], ["--tau", "1.5"]),
+], ids=["order", "relaxation", "q", "tau"])
+def test_solve_omitted_flag_takes_its_schema_default(tmp_path, capsys, flags, default):
+    # solve resolves its flags as config sections: an omitted flag is the key's default
     matrix, measurements = _write_identity_problem(tmp_path, n_rows=20)
+    solve = ["solve", "--matrix", matrix, "--measurements", measurements, *flags]
     out_default, out_given = tmp_path / "default", tmp_path / "given"
-    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
-                 "--delta", "lil", "--out", str(out_default)]) == 0
-    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
-                 "--delta", "lil", "--tau", "1.5", "--out", str(out_given)]) == 0
+    assert main([*solve, "--out", str(out_default)]) == 0
+    assert main([*solve, *default, "--out", str(out_given)]) == 0
     capsys.readouterr()
     for name in ("solution.csv", "choice.json"):
         assert (out_default / name).read_bytes() == (out_given / name).read_bytes()
+
+
+def test_solve_lil_defaults_tau_to_one_and_a_half(tmp_path, capsys):
+    matrix, measurements = _write_identity_problem(tmp_path, n_rows=20)
+    out_default = tmp_path / "default"
+    assert main(["solve", "--matrix", matrix, "--measurements", measurements,
+                 "--delta", "lil", "--out", str(out_default)]) == 0
+    capsys.readouterr()
     samples = np.loadtxt(measurements, delimiter=",")
     s_n = math.sqrt(np.sum((samples - samples.mean(axis=0)) ** 2) / 19)
     choice = json.loads((out_default / "choice.json").read_text())
@@ -556,6 +585,33 @@ def test_simulate_huge_scenario_is_one_error_line_before_it_is_built(tmp_path, c
     assert len(err) == 1 and err[0].startswith(
         f"error: invalid configuration: scenario {key}: {scenario['name']} at {key} = {10**30} "
         "holds ")
+
+
+def test_simulate_underflowing_spectrum_is_a_config_error_that_names_m(tmp_path, capsys,
+                                                                       monkeypatch):
+    # these used to name no setting, or to raise from the operator's own checks
+    monkeypatch.setattr(study, "_fan_out", lambda *args: pytest.fail("a batch was drawn"))
+    cases = [
+        ({"name": "diagonal_synthetic", "m": 50, "decay": 400},
+         "diagonal_synthetic at m = 50 and decay = 400: singular values must be finite and "
+         "strictly positive"),
+        ({"name": "heat_like", "m": 2000},
+         "heat_like at m = 2000 and decay = 0.326: singular value 1143 of 2000 (1.49e-162) "
+         "squares to 0 in double precision"),
+        ({"name": "counterexample", "m": 200},
+         "counterexample at m = 200: sigma_l^2 = 10^-2l underflows to 0 beyond m = 161, "
+         "got m = 200"),
+    ]
+    for scenario, detail in cases:
+        raw = {**study.default_heat_config(), "replications": 1, "scenario": scenario}
+        if scenario["name"] == "counterexample":
+            del raw["source"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: scenario m: {detail}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, failed", [

@@ -21,7 +21,7 @@ from avereg.measurements import BinaryOptionParams, CoefficientGaussian, HeavyTa
 from avereg.rng import pareto_from_uniforms
 from avereg.selection import AprioriRule
 from avereg.spectral import CoefficientVector, SpectralDecomposition, counterexample_operator
-from avereg.study import solve_settings
+from avereg.study import StudyConfig
 from conftest import row_residual
 
 ALL_SPECS = [
@@ -183,8 +183,11 @@ def test_landweber_divergent_configuration():
 
 
 def _from_config(section):
-    """The FilterSpec of a config's filter section, as a study or solve builds it."""
-    return solve_settings(section, {"name": "dp"}, {"name": "sample_std"})[0]
+    """The FilterSpec of a config's filter section, as a study builds it."""
+    return StudyConfig.from_dict({
+        "version": 1, "scenario": {"name": "diagonal_synthetic"}, "filter": section,
+        "rules": [{"name": "dp"}], "delta_rule": {"name": "sample_std"},
+        "sample_sizes": [2], "replications": 1, "base_seed": 1}).filter_spec
 
 
 def test_filter_spec_validation_and_config_round_trip():

@@ -256,7 +256,8 @@ def _flag_cases(config_path, matrix_path):
     for flags in (["--filter", "iterated_tikhonov", "--order", "0"], ["--order", "2"],
                   ["--filter", "landweber", "--relaxation", "-1"], ["--q", "1.5"],
                   ["--rule", "apriori", "--q", "0.5"], ["--delta", "lil", "--tau", "0.5"],
-                  ["--tau", "2"]):
+                  ["--tau", "2"], ["--rule", "apriori", "--delta", "lil"],
+                  ["--rule", "apriori", "--tau", "3"]):
         yield [*solve, *flags], flags[-2], False
 
 

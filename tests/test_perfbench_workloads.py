@@ -4,6 +4,10 @@ dense-solve oracle.  A byte drift in a workload's output fails here before
 it shows as failed benchmark operations."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +39,16 @@ def test_benchmark_workload_passes_its_own_check(workload, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(workload.argv(out)) == 0
     assert workload.check(out) == (workload.cells, None)
+
+
+def test_the_tracer_binds_every_boundary(tmp_path):
+    # child.py raises BoundaryError when cli or study stops binding a traced
+    # name, such as cli's apply_regularizer and discrepancy_principle or
+    # study's project_solution, which nothing else there calls
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), "trace",
+                           str(report), "--", "verify-filters"],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text())["calls"]["cli"] == 1

@@ -214,7 +214,7 @@ def test_config_round_trip_from_dict():
     assert config.scenario["name"] == "diagonal_synthetic"
     assert config.filter_spec == FilterSpec.tikhonov()
     assert config.sample_sizes == (50, 200)
-    assert config.delta_rule == "sample_std"
+    assert config.delta_rule == {"name": "sample_std"}
 
 
 def test_config_reports_all_violations():
@@ -372,7 +372,7 @@ def test_config_lil_requires_tau():
         StudyConfig.from_dict(raw)
     raw = _tiny_config(delta_rule={"name": "lil", "tau": 1.5})
     config = StudyConfig.from_dict(raw)
-    assert config.delta_tau == 1.5
+    assert config.delta_rule == {"name": "lil", "tau": 1.5}
 
 
 def test_config_from_json(tmp_path):
@@ -733,9 +733,9 @@ def test_a_spectrum_whose_squares_underflow_fails_before_any_draw(scenario, monk
         del raw["source"]
     config = StudyConfig.from_dict(raw)
     monkeypatch.setattr(study, "draw_batch", lambda *args: pytest.fail("a batch was drawn"))
-    with pytest.raises(InputError, match="to 0"):
+    with pytest.raises(ConfigError, match=f"scenario m: {scenario['name']} at m = .* to 0"):
         build_scenario(config)
-    with pytest.raises(InputError, match="to 0"):
+    with pytest.raises(ConfigError, match=f"scenario m: {scenario['name']} at m = .* to 0"):
         run_study(config)
 
 
@@ -803,7 +803,7 @@ def test_solve_rule_is_the_study_replication_solve():
     batch = draw_batch(scenario.model, scenario.y_hat, 50, config.base_seed, 0)
     y_bar = project_data(scenario.op, batch.mean)
     for rule in config.rules:
-        delta = rule_delta(rule, batch, config.delta_rule, config.delta_tau)
+        delta = rule_delta(rule, batch, config.delta_rule)
         [(choice, x)] = solve_rule(scenario.op, config.filter_spec, rule, [y_bar],
                                    [delta], batch.n)
         record = result[(rule.name, 50)][0]
