@@ -10,9 +10,12 @@ Noise with a common random direction (``direction_gaussian``, ``heavy_tailed``)
 is stored in factored form — per-sample scalar latents times a fixed vector —
 so batches with n = 1e5 samples cost O(n + m) rather than O(n m), and their
 sample matrices are never built; a draw holds one array of latents and
-squares their deviations in it.  Direction-Gaussian noise may be forced:
-every latent then equals one value, a deterministic noise that goes through
-the same factored batch as a drawn one.  Noise that is not rank-one
+squares their deviations in it.  Heavy-tailed noise multiplies its Pareto
+factors into that array a block at a time, and Bernoulli payoffs form and
+sort their latents in theirs, so every batch but a coefficient-Gaussian one
+holds 8 n bytes.  Direction-Gaussian noise may be forced: every latent then
+equals one value, a deterministic noise that goes through the same factored
+batch as a drawn one.  Noise that is not rank-one
 (``coefficient_gaussian``) needs the full n x m sample matrix; it is built in
 place in the array of drawn normals, and it is the batch's only n x m array:
 ``s_n`` sums the squared deviations leaf by leaf in the tree of numpy's
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BatchOverflowError, DegenerateBatchError, InputError
-from .rng import RandomStream, pareto_from_uniforms
+from .rng import _BLOCK, RandomStream, pareto_from_uniforms
 from .spectral import _load_csv
 
 DELTA_RULES = ("inv_sqrt_n", "sample_std", "lil")
@@ -229,11 +232,10 @@ def _finalize_full(samples, source: str = "") -> MeasurementBatch:
 def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
     """Bytes a ``draw_batch`` of n measurements of dimension m holds at its
     peak, to within a factor of 2: the n x m sample matrix of
-    coefficient-Gaussian noise, the 2n uniforms of heavy-tailed noise, the n
-    latents of Bernoulli payoffs with their sorted copy, and the n latents of
-    direction-Gaussian noise."""
-    words = {CoefficientGaussian: m, HeavyTailed: 2, BinaryOptionParams: 2}.get(type(model), 1)
-    return 8 * n * words
+    coefficient-Gaussian noise, and the one array of n latents of every
+    other model, which heavy-tailed noise and Bernoulli payoffs also form
+    and sort in place."""
+    return 8 * n * (m if isinstance(model, CoefficientGaussian) else 1)
 
 
 # a large latent can sum, or square its deviation, beyond the float range, and
@@ -254,11 +256,13 @@ def draw_batch(
         return _rank_one_batch(y_hat, model.direction, z, n)
 
     if isinstance(model, HeavyTailed):
-        # the words of symmetric_uniforms(n), then generalized_pareto(n)
-        uniforms = rng.uniforms(2 * n)
-        u, z = uniforms[:n], uniforms[n:]
+        # the words of symmetric_uniforms(n), then generalized_pareto(n) a
+        # block at a time, each multiplied into its slice of the n latents
+        u = rng.uniforms(n)
         u -= 0.5
-        u *= pareto_from_uniforms(z, model.shape, model.scale, model.location)
+        for lo in range(0, n, _BLOCK):
+            u[lo:lo + _BLOCK] *= pareto_from_uniforms(
+                rng.uniforms(min(_BLOCK, n - lo)), model.shape, model.scale, model.location)
         return _rank_one_batch(y_hat, model.weights, u, n)
 
     if isinstance(model, CoefficientGaussian):
@@ -286,11 +290,13 @@ def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
 
 
 def _bernoulli_batch(p: BinaryOptionParams, n, rng) -> MeasurementBatch:
-    z = p.latent_mean + p.latent_std * rng.normals(n)
+    z = rng.normals(n)
+    z *= p.latent_std
+    z += p.latent_mean
+    z.sort()
     # indicator threshold per grid point: Z_i >= ln(strike/s0)/T
     thresholds = np.log(p.strike / p.s0_grid) / p.expiry
-    z_sorted = np.sort(z)
-    hit_counts = n - np.searchsorted(z_sorted, thresholds, side="left")
+    hit_counts = n - np.searchsorted(z, thresholds, side="left")
     p_hat = hit_counts / n
     scale = p.discounted_payoff * math.sqrt(p.grid_weight)
     # ||Y_i - Y_bar||^2 summed over i is n p(1-p) per grid point

@@ -12,14 +12,15 @@ mix of seed and stream id, ``PHI`` is the 64-bit golden-ratio constant and
 generalized Pareto variates by inverse transform.
 
 Words are generated in blocks of ``_BLOCK`` counters: each block is mixed in
-place in a scratch buffer that stays in cache and is then converted straight
-into the caller's output array, so a draw of n variates allocates its output
-and two blocks rather than several n-long temporaries.  Every output value is
-the same floating-point expression of its own word, so the output does not
-depend on the block size or on how a draw is split across calls.  It does
-depend on the SIMD kernels numpy dispatches to where it takes ``np.log``
-(normals), ``np.log1p`` or ``np.expm1`` (generalized Pareto variates); the
-uniforms and permutations, exactly rounded arithmetic of the words, do not.
+place in a buffer that stays in cache, with the block of the caller's output
+it is then converted into as scratch, so a draw of n variates allocates its
+output and one block rather than several n-long temporaries.  Every output
+value is the same floating-point expression of its own word, so the output
+does not depend on the block size or on how a draw is split across calls.
+It does depend on the SIMD kernels numpy dispatches to where it takes
+``np.log`` (normals), ``np.log1p`` or ``np.expm1`` (generalized Pareto
+variates); the uniforms and permutations, exactly rounded arithmetic of the
+words, do not.
 """
 
 from __future__ import annotations
@@ -74,14 +75,14 @@ class RandomStream:
         return start
 
     def _fill_uniforms(self, start: int, out: np.ndarray) -> None:
-        """Write the uniforms of words start, start + 1, ... into ``out``."""
+        """Write the uniforms of words start, start + 1, ... into ``out``,
+        whose blocks are the mix's scratch before they take their uniforms."""
         words = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
-        scratch = np.empty_like(words)
         for lo in range(0, out.size, _BLOCK):
             dest = out[lo:lo + _BLOCK]
-            z, t = words[:dest.size], scratch[:dest.size]
+            z = words[:dest.size]
             np.add(_STEPS[:dest.size], _to_u64(self._base + (start + lo) * _PHI), out=z)
-            _mix(z, t)
+            _mix(z, dest.view(np.uint64))
             z >>= np.uint64(11)
             np.add(z, 0.5, out=dest)
             dest *= _INV_2_53

@@ -23,7 +23,7 @@ from .errors import InputError, NumericalError
 SV_TRUNCATION = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoefficientVector:
     """A vector projected onto a singular basis by :func:`project_data` or
     :func:`project_solution`.
@@ -69,8 +69,11 @@ class SpectralDecomposition:
 
     def __post_init__(self):
         sigma = np.atleast_1d(np.asarray(self.singular_values, dtype=float))
-        if sigma.size and (not np.all(np.isfinite(sigma)) or np.any(sigma <= 0)):
-            raise InputError("singular values must be finite and strictly positive")
+        bad = ~(np.isfinite(sigma) & (sigma > 0))
+        if np.any(bad):
+            level = int(np.argmax(bad)) + 1
+            raise InputError(f"singular value {level} of {sigma.size} ({sigma[level - 1]:.3g}) "
+                             "must be finite and strictly positive")
         if sigma.size and np.any(np.diff(sigma) > 0):
             raise InputError("singular values must be non-increasing")
         # the filters act on sigma^2, which must stay positive and finite;

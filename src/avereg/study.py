@@ -574,7 +574,7 @@ def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRul
     return choices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicationRecord:
     """One rule's outcome on one batch; a failed replication has a ``reason``."""
 
@@ -592,10 +592,10 @@ class ReplicationRecord:
 
 
 #: bytes a held (sample size, replication) pair takes beside its 8 m bytes of
-#: projected mean; tracemalloc read 340 to 440 for one to three rules
-_CELL_OVERHEAD = 512
-#: bytes of the record of each pair and rule; tracemalloc read 250 to 510
-_RECORD_BYTES = 512
+#: projected mean; tracemalloc read 300 to 375 for one to three rules
+_CELL_OVERHEAD = 384
+#: bytes of the record of each pair and rule; tracemalloc read 175 to 300
+_RECORD_BYTES = 320
 #: (_BLOCK, m) arrays of the search's shared power form, and filter temporaries of a
 #: chunk of rows (at most the stack and _CHUNK elements, or one row), beside the one
 #: m-vector and _BLOCK search residuals of each row of a stack being solved;

@@ -593,8 +593,8 @@ def test_simulate_underflowing_spectrum_is_a_config_error_that_names_m(tmp_path,
     monkeypatch.setattr(study, "_fan_out", lambda *args: pytest.fail("a batch was drawn"))
     cases = [
         ({"name": "diagonal_synthetic", "m": 50, "decay": 400},
-         "diagonal_synthetic at m = 50 and decay = 400: singular values must be finite and "
-         "strictly positive"),
+         "diagonal_synthetic at m = 50 and decay = 400: singular value 7 of 50 (0) must be "
+         "finite and strictly positive"),
         ({"name": "heat_like", "m": 2000},
          "heat_like at m = 2000 and decay = 0.326: singular value 1143 of 2000 (1.49e-162) "
          "squares to 0 in double precision"),

@@ -20,7 +20,7 @@ from avereg.measurements import (
     heavy_tail_weights,
     load_batch_csv,
 )
-from avereg.rng import RandomStream
+from avereg.rng import RandomStream, pareto_from_uniforms
 from avereg.spectral import counterexample_direction
 
 
@@ -156,8 +156,9 @@ def test_batch_bytes_is_within_a_factor_of_two_of_the_traced_peak(model, m):
 
 
 def test_heavy_tailed_batch_holds_one_array_of_latents():
-    # the 2n uniforms turn into the latents and their squared deviations in
-    # place, so the blocks of the draw are all it holds beside them
+    # the Pareto factors are drawn a block at a time into the n uniforms,
+    # which turn into the latents and their squared deviations in place, so
+    # the blocks of the draw are all it holds beside them
     n = 100_000
     tracemalloc.start()
     try:
@@ -165,7 +166,42 @@ def test_heavy_tailed_batch_holds_one_array_of_latents():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * n
+    assert peak < 1.5 * 8 * n
+
+
+def test_bernoulli_batch_holds_one_array_of_latents():
+    # the normals are scaled, shifted and sorted in place
+    n = 100_000
+    tracemalloc.start()
+    try:
+        draw_batch(BinaryOptionParams.default(64), _zero(64), n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n
+
+
+def test_heavy_tailed_draw_requests_2n_uniforms_and_keeps_their_bits(monkeypatch):
+    # n spans two whole blocks of Pareto factors and part of a third
+    model, n = _heavy_tailed(7), 2 * 2**14 + 5
+    requests, uniforms = [], RandomStream.uniforms
+
+    def counted(self, size):
+        requests.append(size)
+        return uniforms(self, size)
+
+    monkeypatch.setattr(RandomStream, "uniforms", counted)
+    batch = draw_batch(model, _zero(7), n, seed=4, stream=2)
+    assert sum(requests) == 2 * n
+    # the latents of one draw of 2n uniforms: the first n times the Pareto
+    # variates of the second n
+    words = uniforms(RandomStream(4, 2), 2 * n)
+    z = (words[:n] - 0.5) * pareto_from_uniforms(words[n:], model.shape, model.scale,
+                                                 model.location)
+    z_bar = z.mean()
+    assert np.array_equal(batch.mean, z_bar * model.weights)
+    deviations = np.sum(np.square(z - z_bar))
+    assert batch.sample_std == math.sqrt(deviations / (n - 1)) * np.linalg.norm(model.weights)
 
 
 def test_rank_one_batches_match_materialised_samples():

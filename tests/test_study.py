@@ -25,6 +25,7 @@ from avereg import study
 from avereg.errors import ConfigError, InputError, NonTerminationError, StudyError
 from avereg.filters import FilterSpec, filter_value
 from avereg.measurements import BinaryOptionParams, CoefficientGaussian, batch_bytes
+from avereg.spectral import CoefficientVector
 from avereg.study import (
     StudyConfig,
     binary_option_truth,
@@ -899,6 +900,22 @@ def test_fan_out_keeps_item_order(forks):
     assert results == [(item, pids[item % 3]) for item in range(7)]
 
 
+def test_records_and_projections_have_no_dict_and_come_back_equal_through_fan_out(forks):
+    # a study holds one projection per pair and one record per pair and rule
+    record = study.ReplicationRecord(0.5, 1e-3, 7, True, 0.25, 0.125)
+    failed = study.ReplicationRecord(math.nan, math.nan, -1, False, 0.25, math.nan, "why")
+    vector = CoefficientVector(np.linspace(-1.0, 1.0, 5), 0.5)
+    for value in (record, failed, vector):
+        assert not hasattr(value, "__dict__")
+    results = study._fan_out(lambda item: (record, failed, vector), [0, 1], 2)
+    assert len(forks) == 1
+    for got_record, got_failed, got_vector in results:  # the second came through a pipe
+        assert got_record == record
+        assert (got_failed.reason, got_failed.k, got_failed.delta_true) == ("why", -1, 0.25)
+        assert np.array_equal(got_vector.coefficients, vector.coefficients)
+        assert got_vector.orthogonal_norm == vector.orthogonal_norm
+
+
 def test_a_fork_that_fails_kills_and_reaps_the_runs_forked_before_it(monkeypatch, forks):
     fork, real_waitpid, statuses = os.fork, os.waitpid, {}
 
@@ -1009,21 +1026,21 @@ def test_a_scenario_above_the_memory_budget_is_a_config_error_before_it_is_built
 
 def test_pairs_and_records_above_the_memory_budget_while_a_stack_is_solved_are_a_config_error(
         monkeypatch):
-    # 1,000 held pairs of 20 coefficients take 672,000 bytes, their records of
-    # three rules 1,536,000, a stack of 1,000 rows with their search residuals
+    # 1,000 held pairs of 20 coefficients take 544,000 bytes, their records of
+    # three rules 960,000, a stack of 1,000 rows with their search residuals
     # 416,000, the search's shared block 15,360 and the chunk temporaries 1,280,000
     config = StudyConfig.from_dict({**default_heat_config(), "replications": 1000,
                                     "scenario": {"name": "heat_like", "m": 20},
                                     "sample_sizes": [1000]})
     monkeypatch.setattr(study, "draw_batch", _no_draw)
     monkeypatch.setattr(study, "_cores", lambda: 1)
-    monkeypatch.setattr(study, "_budget", lambda: 3919359)
+    monkeypatch.setattr(study, "_budget", lambda: 3215359)
     with pytest.raises(ConfigError, match="^invalid configuration: replications: 1000 pairs of "
-                                          "sample size and replication take 3919360 bytes while "
-                                          "a stack of 1000 is solved, above the 3919359 bytes "
+                                          "sample size and replication take 3215360 bytes while "
+                                          "a stack of 1000 is solved, above the 3215359 bytes "
                                           "available$"):
         run_study(config)
-    monkeypatch.setattr(study, "_budget", lambda: 3919360)
+    monkeypatch.setattr(study, "_budget", lambda: 3215360)
     with pytest.raises(AssertionError, match="a batch was drawn"):
         run_study(config)
 
@@ -1051,7 +1068,7 @@ print(time.perf_counter() - start < 1.0)
 
 
 def test_more_replications_than_the_memory_budget_holds_are_a_config_error_at_once():
-    # 10^9 pairs of 20 coefficients take 2.624e12 bytes with their records and
+    # 10^9 pairs of 20 coefficients take 1.920e12 bytes with their records and
     # the stack being solved; the study runs in a child process so that a
     # check that comes too late cannot fill memory
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(study.__file__).parents[1]))
@@ -1059,7 +1076,7 @@ def test_more_replications_than_the_memory_budget_holds_are_a_config_error_at_on
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.splitlines() == [
         "invalid configuration: replications: 1000000000 pairs of sample size and replication "
-        "take 2624002112512 bytes while a stack of 1000000000 is solved, above the 8589934592 "
+        "take 1920002112512 bytes while a stack of 1000000000 is solved, above the 8589934592 "
         "bytes available",
         "True"]
 
