@@ -6,22 +6,22 @@ standard deviation ``s_n = sqrt(sum ||Y_i - Y_bar||^2 / (n-1))``, from which
 the noise-level estimates ``1/sqrt(n)``, ``s_n/sqrt(n)`` and the
 iterated-logarithm envelope ``tau s_n sqrt(2 log log n / n)`` are computed.
 
-Noise with a common random direction (``direction_gaussian``, ``heavy_tailed``)
-is stored in factored form — per-sample scalar latents times a fixed vector —
-so batches with n = 1e5 samples cost O(n + m) rather than O(n m), and their
-sample matrices are never built; a draw holds one array of latents and
-squares their deviations in it.  Heavy-tailed noise multiplies its Pareto
-factors into that array a block at a time, and Bernoulli payoffs form and
-sort their latents in theirs, so every batch but a coefficient-Gaussian one
-holds 8 n bytes.  Direction-Gaussian noise may be forced: every latent then
-equals one value, a deterministic noise that goes through the same factored
-batch as a drawn one.  Noise that is not rank-one
-(``coefficient_gaussian``) needs the full n x m sample matrix; it is built in
-place in the array of drawn normals, and it is the batch's only n x m array:
-``s_n`` sums the squared deviations leaf by leaf in the tree of numpy's
-pairwise summation, so it equals the sum over a full deviation matrix bit for
-bit.  ``batch_bytes`` states what one batch of each model holds, which bounds
-how many batches a study draws at once.
+Each noise model is one class whose ``draw(y_hat, n, rng)`` forms its batch;
+``draw_batch`` checks n and the model and hands it a ``RandomStream``.  Noise
+with a common random direction (``DirectionGaussian``, ``HeavyTailed``) is
+stored in factored form — per-sample scalar latents times a fixed vector — so
+batches with n = 1e5 samples cost O(n + m) rather than O(n m); its draw holds
+one array of latents and squares their deviations in it.  Heavy-tailed noise
+multiplies its Pareto factors into that array a block at a time, and the
+Bernoulli payoffs of ``BinaryOptionParams`` form and sort their latents in
+theirs, so every batch but a coefficient-Gaussian one holds 8 n bytes.  A
+forced direction-Gaussian noise sets every latent to one value.
+``CoefficientGaussian`` noise is not rank-one: its draw builds the n x m
+sample matrix in place in the array of drawn normals, the batch's only n x m
+array, and ``s_n`` sums the squared deviations leaf by leaf in the tree of
+numpy's pairwise summation, so it equals the sum over a full deviation matrix
+bit for bit.  ``batch_bytes`` states what one batch of each model holds,
+which bounds how many batches a study draws at once.
 """
 
 from __future__ import annotations
@@ -87,6 +87,20 @@ class BinaryOptionParams:
         sqrt(h)-scaled coordinates so Euclidean norms approximate L2 norms)."""
         return 1.0 / self.s0_grid.size
 
+    def draw(self, y_hat, n, rng) -> MeasurementBatch:
+        z = rng.normals(n)
+        z *= self.latent_std
+        z += self.latent_mean
+        z.sort()
+        # indicator threshold per grid point: Z_i >= ln(strike/s0)/T
+        thresholds = np.log(self.strike / self.s0_grid) / self.expiry
+        hit_counts = n - np.searchsorted(z, thresholds, side="left")
+        p_hat = hit_counts / n
+        scale = self.discounted_payoff * math.sqrt(self.grid_weight)
+        # ||Y_i - Y_bar||^2 summed over i is n p(1-p) per grid point
+        std = scale * math.sqrt(n * float(np.sum(p_hat * (1.0 - p_hat))) / (n - 1))
+        return MeasurementBatch(n, scale * p_hat, std)
+
 
 @dataclass(frozen=True)
 class DirectionGaussian:
@@ -104,6 +118,10 @@ class DirectionGaussian:
             raise InputError(f"forced must be finite, not {self.forced!r}")
         object.__setattr__(self, "direction", direction)
 
+    def draw(self, y_hat, n, rng) -> MeasurementBatch:
+        z = rng.normals(n) if self.forced is None else np.full(n, self.forced)
+        return _rank_one_batch(y_hat, self.direction, z, n)
+
 
 @dataclass(frozen=True)
 class CoefficientGaussian:
@@ -114,6 +132,13 @@ class CoefficientGaussian:
     def __post_init__(self):
         if not 0 < self.scale < math.inf:
             raise InputError("scale must be positive and finite")
+
+    def draw(self, y_hat, n, rng) -> MeasurementBatch:
+        m = len(y_hat)
+        samples = rng.normals(n * m).reshape(n, m)
+        samples *= self.scale
+        samples += y_hat
+        return _finalize_full(samples)
 
 
 def heavy_tail_weights(m: int, seed: int) -> np.ndarray:
@@ -144,6 +169,16 @@ class HeavyTailed:
         if w.ndim != 1 or not np.all(np.isfinite(w)):
             raise InputError("weights must be a 1-D array of finite values")
         object.__setattr__(self, "weights", w)
+
+    def draw(self, y_hat, n, rng) -> MeasurementBatch:
+        # the words of symmetric_uniforms(n), then generalized_pareto(n) a
+        # block at a time, each multiplied into its slice of the n latents
+        u = rng.uniforms(n)
+        u -= 0.5
+        for lo in range(0, n, _BLOCK):
+            u[lo:lo + _BLOCK] *= pareto_from_uniforms(
+                rng.uniforms(min(_BLOCK, n - lo)), self.shape, self.scale, self.location)
+        return _rank_one_batch(y_hat, self.weights, u, n)
 
 
 NoiseModel = DirectionGaussian | CoefficientGaussian | HeavyTailed | BinaryOptionParams
@@ -231,10 +266,8 @@ def _finalize_full(samples, source: str = "") -> MeasurementBatch:
 
 def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
     """Bytes a ``draw_batch`` of n measurements of dimension m holds at its
-    peak, to within a factor of 2: the n x m sample matrix of
-    coefficient-Gaussian noise, and the one array of n latents of every
-    other model, which heavy-tailed noise and Bernoulli payoffs also form
-    and sort in place."""
+    peak, to within a factor of 2: the n x m sample matrix of coefficient-Gaussian
+    noise, and the one array of n latents in which every other model draws."""
     return 8 * n * (m if isinstance(model, CoefficientGaussian) else 1)
 
 
@@ -245,37 +278,14 @@ def batch_bytes(model: NoiseModel, n: int, m: int) -> int:
 def draw_batch(
     model: NoiseModel, y_hat: np.ndarray, n: int, seed: int, stream: int = 0
 ) -> MeasurementBatch:
-    """Draw n i.i.d. measurements; deterministic given (model, n, seed, stream).
-    A forced ``DirectionGaussian`` takes its latents from the model, not the stream."""
+    """n i.i.d. measurements, which the model's ``draw`` forms from stream ``stream``
+    of ``seed``: deterministic, and a forced ``DirectionGaussian`` reads no words."""
     if n < 2:
         raise InputError("need n >= 2 measurements")
     rng = RandomStream(seed, stream)
-
-    if isinstance(model, DirectionGaussian):
-        z = rng.normals(n) if model.forced is None else np.full(n, model.forced)
-        return _rank_one_batch(y_hat, model.direction, z, n)
-
-    if isinstance(model, HeavyTailed):
-        # the words of symmetric_uniforms(n), then generalized_pareto(n) a
-        # block at a time, each multiplied into its slice of the n latents
-        u = rng.uniforms(n)
-        u -= 0.5
-        for lo in range(0, n, _BLOCK):
-            u[lo:lo + _BLOCK] *= pareto_from_uniforms(
-                rng.uniforms(min(_BLOCK, n - lo)), model.shape, model.scale, model.location)
-        return _rank_one_batch(y_hat, model.weights, u, n)
-
-    if isinstance(model, CoefficientGaussian):
-        m = len(y_hat)
-        samples = rng.normals(n * m).reshape(n, m)
-        samples *= model.scale
-        samples += y_hat
-        return _finalize_full(samples)
-
-    if isinstance(model, BinaryOptionParams):
-        return _bernoulli_batch(model, n, rng)
-
-    raise InputError(f"unknown noise model {type(model).__name__}")
+    if not isinstance(model, NoiseModel):
+        raise InputError(f"unknown noise model {type(model).__name__}")
+    return model.draw(y_hat, n, rng)
 
 
 def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
@@ -287,21 +297,6 @@ def _rank_one_batch(y_hat, direction, z, n) -> MeasurementBatch:
     z -= z_bar
     std = float(np.sqrt(np.sum(np.square(z, out=z)) / (n - 1))) * dir_norm
     return MeasurementBatch(n, y_hat + z_bar * direction, std)
-
-
-def _bernoulli_batch(p: BinaryOptionParams, n, rng) -> MeasurementBatch:
-    z = rng.normals(n)
-    z *= p.latent_std
-    z += p.latent_mean
-    z.sort()
-    # indicator threshold per grid point: Z_i >= ln(strike/s0)/T
-    thresholds = np.log(p.strike / p.s0_grid) / p.expiry
-    hit_counts = n - np.searchsorted(z, thresholds, side="left")
-    p_hat = hit_counts / n
-    scale = p.discounted_payoff * math.sqrt(p.grid_weight)
-    # ||Y_i - Y_bar||^2 summed over i is n p(1-p) per grid point
-    std = scale * math.sqrt(n * float(np.sum(p_hat * (1.0 - p_hat))) / (n - 1))
-    return MeasurementBatch(n, scale * p_hat, std)
 
 
 def delta_est(batch: MeasurementBatch, rule: str, tau: float | None = None) -> float:

@@ -54,6 +54,7 @@ from .measurements import (
     DirectionGaussian,
     HeavyTailed,
     MeasurementBatch,
+    NoiseModel,
     batch_bytes,
     delta_est,
     delta_true,
@@ -314,15 +315,15 @@ def _rule(entry: dict) -> DiscrepancyRule | AprioriRule:
 @dataclass(frozen=True)
 class StudyConfig:
     """A valid study config.  ``scenario``, ``source``, ``noise`` and
-    ``delta_rule`` are the resolved sections, with every key of their choice;
-    ``source`` and ``noise`` are None for the scenarios that fix them."""
+    ``delta_rule`` are the resolved sections, with every key of their choice, or
+    None where the scenario fixes them or, for ``delta_rule``, no rule reads one."""
 
     scenario: dict
     source: dict | None
     noise: dict | None
     filter_spec: FilterSpec
     rules: tuple
-    delta_rule: dict
+    delta_rule: dict | None
     sample_sizes: tuple
     replications: int
     base_seed: int
@@ -340,7 +341,11 @@ class StudyConfig:
         scenario = resolve("scenario", SCENARIOS, raw.get("scenario"), violations, "name")
         filter_section = resolve("filter", FILTERS, raw.get("filter"), violations, "kind")
         rules = [_resolve_rule(entry, violations) for entry in study.get("rules", [])]
-        delta = resolve("delta_rule", DELTAS, raw.get("delta_rule"), violations, "name")
+        apriori_only = [rule and rule.get("variant") for rule in rules] == ["inv_sqrt_n_alpha"]
+        delta = None if apriori_only else resolve("delta_rule", DELTAS, raw.get("delta_rule"),
+                                                  violations, "name")
+        if apriori_only and "delta_rule" in raw:
+            violations.append("rule apriori inv_sqrt_n_alpha does not take a delta_rule section")
 
         name = scenario["name"] if scenario else None
         source = noise = None
@@ -448,7 +453,7 @@ class Scenario:
     op: SpectralDecomposition
     x_hat: np.ndarray
     y_hat: np.ndarray
-    model: object
+    model: NoiseModel
 
 
 def _noise_model(noise: dict, m: int, basis: np.ndarray | None):
@@ -545,7 +550,7 @@ def matrix_rank_check(op: SpectralDecomposition, path: str) -> SpectralDecomposi
 
 
 def rule_delta(rule: DiscrepancyRule | AprioriRule, batch: MeasurementBatch,
-               delta_rule: dict) -> float:
+               delta_rule: dict | None) -> float:
     """The noise estimate ``rule`` takes from ``batch``: by the resolved
     ``delta_rule`` section, but 1/sqrt(n), its alpha, for ``inv_sqrt_n_alpha``.
     Raises DegenerateBatchError when a sample-based estimate is undefined."""
@@ -602,8 +607,8 @@ _RECORD_BYTES = 320
 #: tracemalloc read 3.0 and 7.1, and 1.0-1.4 m-vectors a row with the choices
 _SOLVE_BLOCKS, _SOLVE_CHUNKS = 3, 8
 #: (size key, its power, bytes per 8 size^power) of the scenarios whose arrays grow
-#: with a key, above build_scenario's peaks: 10.0, 13.5, and 9.2 with LAPACK's
-#: workspace.  The counterexample caps m at 161; a matrix_file is its file's size
+#: with a key, above build_scenario's tracemalloc peaks of 11.3 (m 200), 15.1 (m 100)
+#: and 8.3 (grid 64).  The counterexample caps m at 161; a matrix_file is its file's size
 _SCENARIO_BYTES = {"diagonal_synthetic": ("m", 1, 12), "heat_like": ("m", 1, 16),
                    "binary_option": ("grid", 2, 12)}
 

@@ -117,6 +117,8 @@ def _valid_configs(draw):
         "replications": draw(st.integers(1, 4)),
         "base_seed": draw(st.integers(0, 10**6)),
     }
+    if [rule.get("variant") for rule in raw["rules"]] == ["inv_sqrt_n_alpha"]:
+        del raw["delta_rule"]  # a study of that rule alone takes no delta_rule section
     if scenario["name"] not in ("counterexample", "binary_option"):
         raw["source"] = draw(_SOURCE)
         noise = draw(_NOISE)

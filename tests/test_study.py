@@ -441,9 +441,10 @@ def test_absent_keys_take_the_defaults_written_out(tmp_path, name):
 
     sparse, full = config({}, False), config(written, True)
     assert sparse == full
-    assert StudyConfig.from_dict(_tiny_config(rules=[{"name": "apriori"}])) == \
-        StudyConfig.from_dict(_tiny_config(rules=[{"name": "apriori",
-                                                   "variant": "inv_sqrt_n_alpha"}]))
+    apriori = _tiny_config(rules=[{"name": "apriori"}])
+    del apriori["delta_rule"]  # inv_sqrt_n_alpha reads none
+    assert StudyConfig.from_dict(apriori) == StudyConfig.from_dict(
+        dict(apriori, rules=[{"name": "apriori", "variant": "inv_sqrt_n_alpha"}]))
     assert (full.source, full.noise) == ((None, None) if noise is None
                                          else (_SOURCE_DEFAULTS, noise))
     assert pickle.dumps(build_scenario(sparse)) == pickle.dumps(build_scenario(full))
@@ -822,10 +823,42 @@ def test_solve_rule_is_the_study_replication_solve():
 
 def test_apriori_rule_records_no_iteration_count():
     raw = _tiny_config(rules=[{"name": "apriori", "variant": "inv_sqrt_n_alpha"}])
+    del raw["delta_rule"]
     result = run_study(StudyConfig.from_dict(raw))
     for rec in result[("apriori", 50)]:
         assert rec.k == -1
         assert rec.alpha == pytest.approx(1.0 / math.sqrt(50))
+
+
+#: what a study of apriori inv_sqrt_n_alpha alone wrote when it took a delta_rule
+_APRIORI_ONLY_DIGESTS = {
+    "apriori_n200.csv": "bcf126361b8f3ed486411b197cb1e2f312f8b22762505cf22799f7c0a96fc942",
+    "apriori_n50.csv": "4f40fd7e179c82d768b962bd5d9dfc21efd3a91c85b2f65f0b2843cf7f6fc429",
+    "summary.csv": "f07cc9615d7c4c674c4ffc57c3ff0b0f1b4a4961074bede414e00f66882fb826",
+}
+
+
+@pytest.mark.parametrize("delta", [{"name": "lil", "tau": 3.0}, {"name": "sample_std"},
+                                   {"name": "inv_sqrt_n"}])
+def test_an_apriori_only_study_takes_no_delta_rule(delta):
+    # lil would also fail its sample-size check, which a study that reads no
+    # delta rule does not make
+    raw = _tiny_config(rules=[{"name": "apriori"}], delta_rule=delta, sample_sizes=[2, 100])
+    with pytest.raises(ConfigError) as excinfo:
+        StudyConfig.from_dict(raw)
+    assert excinfo.value.violations == [
+        "rule apriori inv_sqrt_n_alpha does not take a delta_rule section"]
+    del raw["delta_rule"]
+    assert StudyConfig.from_dict(raw).delta_rule is None
+
+
+@pytest.mark.golden_bits
+def test_an_apriori_only_study_writes_what_it_wrote_with_a_delta_rule(tmp_path):
+    raw = _tiny_config(rules=[{"name": "apriori"}])
+    del raw["delta_rule"]
+    write_study_csvs(run_study(StudyConfig.from_dict(raw)), str(tmp_path))
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == _APRIORI_ONLY_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -1022,6 +1055,25 @@ def test_a_scenario_above_the_memory_budget_is_a_config_error_before_it_is_built
     monkeypatch.setattr(study, "_budget", lambda: need)
     with pytest.raises(pytest.fail.Exception, match="a scenario was built"):
         run_study(config)
+
+
+@pytest.mark.parametrize("name, key, size", [
+    ("diagonal_synthetic", "m", 200), ("diagonal_synthetic", "m", 2000),
+    ("heat_like", "m", 100), ("heat_like", "m", 1000),
+    ("binary_option", "grid", 64), ("binary_option", "grid", 256),
+])
+def test_the_scenario_size_model_bounds_the_traced_build(name, key, size):
+    # bytes per 8 size^power fall as the size grows: the small sizes are the tight ones
+    _, power, factor = study._SCENARIO_BYTES[name]
+    default = default_binopt_config if name == "binary_option" else default_heat_config
+    config = StudyConfig.from_dict({**default(), "scenario": {"name": name, key: size}})
+    tracemalloc.start()
+    try:
+        build_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= factor * 8 * size**power
 
 
 def test_pairs_and_records_above_the_memory_budget_while_a_stack_is_solved_are_a_config_error(
