@@ -41,7 +41,6 @@ from .study import (
     SCENARIOS,
     StudyConfig,
     _budget,
-    _rule,
     atomic_write,
     default_binopt_config,
     default_counterexample_config,
@@ -82,8 +81,8 @@ def _cmd_solve(args) -> int:
     spec = FilterSpec(**_given(args, "filter", FILTERS, {"kind": args.filter}, "order",
                                "relaxation"))
     # the CLI's apriori rule is inv_sqrt_n_alpha, which reads no delta rule
-    rule = _rule(_given(args, "rule", RULES, {"name": args.rule}, "q",
-                        *(("delta", "tau") if args.rule == "apriori" else ())))
+    rule = _given(args, "rule", RULES, {"name": args.rule}, "q",
+                  *(("delta", "tau") if args.rule == "apriori" else ()))
     name = args.delta or "sample_std"
     delta = _given(args, "delta_rule", DELTAS,
                    {"name": name, **({"tau": 1.5} if name == "lil" else {})}, "tau")

@@ -5,7 +5,8 @@ until the residual ||(K R_alpha - Id) Y_bar|| drops below the estimated noise
 level.  The optional emergency stop additionally exits as soon as
 ``alpha <= 1/n``, bounding the regularizer norm by sqrt(C_R C_F n) even when
 the noise level is underestimated.  A priori rules pick alpha from the
-estimated noise level and the source condition alone.
+estimated noise level and the source condition alone: ``apriori_alpha``
+takes the estimate and the floats c, nu and rho of the formula.
 
 The search runs over rows: data vectors, each with its own noise estimate,
 walk one grid together in blocks of consecutive alphas, one
@@ -32,8 +33,6 @@ from .spectral import CoefficientVector, SpectralDecomposition
 _BLOCK = 32
 #: the last k a discrepancy search evaluates
 _K_MAX = 10**6
-
-APRIORI_VARIANTS = ("inv_sqrt_n_alpha", "scaled_source")
 
 
 @dataclass(frozen=True)
@@ -112,43 +111,26 @@ def discrepancy_principle(op: SpectralDecomposition, spec: FilterSpec, y_bar, de
     return results
 
 
-@dataclass(frozen=True)
-class AprioriRule:
-    """alpha from the noise level alone: ``scaled_source`` c (delta/rho)^{2/(nu+1)},
-    or ``inv_sqrt_n_alpha`` 1/sqrt(n), which takes no c, nu or rho."""
-
-    name = "apriori"  # the rule's name in a study; not a dataclass field
-    variant: str
-    c: float = 1.0
-    nu: float = 1.0
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if self.variant not in APRIORI_VARIANTS:
-            raise InputError(f"unknown a priori variant {self.variant!r}")
-        if not (self.c > 0 and self.nu > 0 and self.rho > 0):
-            raise InputError("c, nu and rho must be positive")
-        # settings the variant ignores would change only equality
-        if self.variant == "inv_sqrt_n_alpha" and (self.c, self.nu, self.rho) != (1.0, 1.0, 1.0):
-            raise InputError("inv_sqrt_n_alpha takes no c, nu or rho")
-
-
-def apriori_alpha(rule: AprioriRule, delta_est: float) -> float:
-    """``c (delta_est/rho)^{2/(nu+1)}`` clamped into (0, 1].
+def apriori_alpha(delta_est: float, c: float = 1.0, nu: float = 1.0, rho: float = 1.0) -> float:
+    """``c (delta_est/rho)^{2/(nu+1)}`` clamped into (0, 1]: the
+    ``scaled_source`` choice.
 
     Where the formula overflows or underflows to 0 in floats, it is evaluated
-    in logs and clamped into [2^-1074, 1].  ``inv_sqrt_n_alpha`` is the formula
-    at c = nu = rho = 1, which is ``delta_est`` bit for bit; ``solve_rule``
-    pins that variant's estimate to 1/sqrt(n), which makes alpha 1/sqrt(n).
+    in logs and clamped into [2^-1074, 1].  At the default floats c = nu =
+    rho = 1 it is ``delta_est`` bit for bit: ``solve_rule`` passes none of
+    them for ``inv_sqrt_n_alpha`` and pins its estimate to 1/sqrt(n), which
+    makes alpha 1/sqrt(n).
     """
     if not (delta_est > 0):
         raise InputError("delta_est must be positive")
-    power = 2.0 / (rule.nu + 1.0)
+    if not (c > 0 and nu > 0 and rho > 0):  # NaN is not positive
+        raise InputError("c, nu and rho must be positive")
+    power = 2.0 / (nu + 1.0)
     try:
-        alpha = rule.c * (delta_est / rule.rho) ** power
+        alpha = c * (delta_est / rho) ** power
     except OverflowError:
         alpha = math.inf
     if not 0.0 < alpha < math.inf:
-        log_alpha = math.log(rule.c) + power * (math.log(delta_est) - math.log(rule.rho))
+        log_alpha = math.log(c) + power * (math.log(delta_est) - math.log(rho))
         alpha = max(math.ulp(0.0), math.exp(min(log_alpha, 0.0)))
     return min(1.0, alpha)

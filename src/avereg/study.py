@@ -61,14 +61,7 @@ from .measurements import (
     draw_batch,
     heavy_tail_weights,
 )
-from .selection import (
-    _BLOCK,
-    APRIORI_VARIANTS,
-    AprioriRule,
-    ChoiceResult,
-    apriori_alpha,
-    discrepancy_principle,
-)
+from .selection import _BLOCK, ChoiceResult, apriori_alpha, discrepancy_principle
 from .spectral import (
     SpectralDecomposition,
     counterexample_operator,
@@ -177,18 +170,6 @@ def summarize(errors) -> Summary:
 # configuration
 
 
-@dataclass(frozen=True)
-class DiscrepancyRule:
-    """Algorithm-style rule: geometric search with factor q, optional floor."""
-
-    q: float
-    emergency: bool = False
-
-    @property
-    def name(self) -> str:
-        return "dp+es" if self.emergency else "dp"
-
-
 def _is_int(value) -> bool:
     """JSON integer check; bool is an int subclass but not a count or a seed."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -217,7 +198,6 @@ _SCALE = ("positive and <= 1e100", lambda v: _is_finite(v) and 0 < v <= 1e100, f
 _UNIT = ("in (0, 1)", lambda v: _is_finite(v) and 0 < v < 1, float)
 _ABOVE_ONE = ("finite and > 1", lambda v: _is_finite(v) and v > 1, float)
 _STRING = ("a string", lambda v: isinstance(v, str), str)
-_APRIORI = (f"one of {list(APRIORI_VARIANTS)}", lambda v: v in APRIORI_VARIANTS, str)
 _SIZES = ("a non-empty list of integers >= 2",
           lambda v: isinstance(v, list) and v and all(_is_int(n) and n >= 2 for n in v), tuple)
 _LIST = ("a non-empty list", lambda v: isinstance(v, list) and v, list)
@@ -225,8 +205,9 @@ _LIST = ("a non-empty list", lambda v: isinstance(v, list) and v, list)
 #: the default of a key that must be given
 _REQUIRED = object()
 
-# Each table maps a key to (check, default); a choice table maps each value
-# of the section's choice key to the table of the keys that choice takes.
+# Each table maps a key to (check, default); a default of None marks an
+# optional key, which stays absent when it is not given.  A choice table maps
+# each value of the section's choice key to the table of the keys that choice takes.
 SCENARIOS = {
     "diagonal_synthetic": {"m": (_DIMENSION, 200), "decay": (_POSITIVE, 1.0)},
     "counterexample": {"m": (_DIMENSION, 100), "forced_value": (_MAGNITUDE, None)},
@@ -249,6 +230,8 @@ FILTERS = {kind: {} for kind in KINDS} | {
     "iterated_tikhonov": {"order": (_ORDER, 2)},
     "landweber": {"relaxation": (_POSITIVE, 0.9)},
 }
+APRIORI_VARIANTS = ("inv_sqrt_n_alpha", "scaled_source")
+_APRIORI = (f"one of {list(APRIORI_VARIANTS)}", lambda v: v in APRIORI_VARIANTS, str)
 RULES = {
     "dp": {"q": (_UNIT, 0.7)},
     "dp+es": {"q": (_UNIT, 0.7)},
@@ -265,7 +248,7 @@ _SECTIONS = ("version", "scenario", "source", "noise", "filter", "delta_rule")
 
 def resolve(label: str, table: dict, section, violations: list, choice: str | None = None):
     """``section`` checked against ``table``, with each absent key set to its
-    default and each value converted.
+    default, unless that default is None, and each value converted.
 
     With ``choice``, ``table`` is a choice table and the section's ``choice``
     key selects the key table.  Each violation is appended to ``violations``;
@@ -290,38 +273,37 @@ def resolve(label: str, table: dict, section, violations: list, choice: str | No
             resolved[key] = convert(section[key])
         elif key in section or default is _REQUIRED:
             violations.append(f"{label} {key} must be {what}")
-        else:
+        elif default is not None:
             resolved[key] = default
     return resolved
 
 
 def _resolve_rule(entry, violations: list) -> dict | None:
     """A rules entry resolved like a section; the inv_sqrt_n_alpha variant
-    reads none of the keys of the scaled_source formula."""
+    reads none of the keys of the scaled_source formula and keeps none."""
     rule = resolve("rule", RULES, entry, violations, "name")
     if rule and rule.get("variant") == "inv_sqrt_n_alpha":
         ignored = sorted(set(entry) & {"c", "nu", "rho"})
         if ignored:
             violations.append(f"rule apriori inv_sqrt_n_alpha does not take {ignored}")
+        rule = {"name": "apriori", "variant": "inv_sqrt_n_alpha"}
     return rule
-
-
-def _rule(entry: dict) -> DiscrepancyRule | AprioriRule:
-    if entry["name"] == "apriori":
-        return AprioriRule(entry["variant"], entry["c"], entry["nu"], entry["rho"])
-    return DiscrepancyRule(entry["q"], emergency=entry["name"] == "dp+es")
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """A valid study config.  ``scenario``, ``source``, ``noise`` and
-    ``delta_rule`` are the resolved sections, with every key of their choice, or
-    None where the scenario fixes them or, for ``delta_rule``, no rule reads one."""
+    """A valid study config: what its JSON holds, resolved.  ``scenario``,
+    ``source``, ``noise``, ``filter`` and ``delta_rule`` are resolved sections
+    and ``rules`` is the tuple of resolved rules entries, each with every key
+    its choice takes; ``source`` and ``noise`` are None where the scenario fixes
+    them, and ``delta_rule`` where no rule reads one.  The other fields are the
+    top-level values.  Written back as JSON without its None fields, a config
+    re-reads to itself."""
 
     scenario: dict
     source: dict | None
     noise: dict | None
-    filter_spec: FilterSpec
+    filter: dict
     rules: tuple
     delta_rule: dict | None
     sample_sizes: tuple
@@ -370,8 +352,7 @@ class StudyConfig:
 
         if violations:
             raise ConfigError(violations)
-        return cls(scenario, source, noise, FilterSpec(**filter_section),
-                   tuple(map(_rule, rules)), delta, sizes,
+        return cls(scenario, source, noise, filter_section, tuple(rules), delta, sizes,
                    study["replications"], study["base_seed"])
 
 
@@ -521,7 +502,7 @@ def build_scenario(config: StudyConfig) -> Scenario:
 
     if name == "counterexample":
         zero = np.zeros(m)
-        return Scenario(op, zero, zero, DirectionGaussian(direction, params["forced_value"]))
+        return Scenario(op, zero, zero, DirectionGaussian(direction, params.get("forced_value")))
 
     if name == "binary_option":
         option = BinaryOptionParams.default(params["grid"])
@@ -549,28 +530,28 @@ def matrix_rank_check(op: SpectralDecomposition, path: str) -> SpectralDecomposi
 # execution
 
 
-def rule_delta(rule: DiscrepancyRule | AprioriRule, batch: MeasurementBatch,
-               delta_rule: dict | None) -> float:
-    """The noise estimate ``rule`` takes from ``batch``: by the resolved
-    ``delta_rule`` section, but 1/sqrt(n), its alpha, for ``inv_sqrt_n_alpha``.
-    Raises DegenerateBatchError when a sample-based estimate is undefined."""
-    if isinstance(rule, AprioriRule) and rule.variant == "inv_sqrt_n_alpha":
+def rule_delta(rule: dict, batch: MeasurementBatch, delta_rule: dict | None) -> float:
+    """The noise estimate the resolved ``rule`` takes from ``batch``: by the
+    resolved ``delta_rule`` section, but 1/sqrt(n), its alpha, for
+    ``inv_sqrt_n_alpha``.  Raises DegenerateBatchError when a sample-based
+    estimate is undefined."""
+    if rule.get("variant") == "inv_sqrt_n_alpha":
         return delta_est(batch, "inv_sqrt_n")
     return delta_est(batch, delta_rule["name"], delta_rule.get("tau"))
 
 
-def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: DiscrepancyRule | AprioriRule,
-               y_bar, delta, n: int):
-    """Choose alpha by ``rule`` and regularize each row of ``y_bar``, means
-    of n measurements in the left singular basis of ``op`` with one noise
-    estimate each in ``delta``: per row a (ChoiceResult, solution coefficients)
-    pair, or the NonTerminationError its search raises.
+def solve_rule(op: SpectralDecomposition, spec: FilterSpec, rule: dict, y_bar, delta, n: int):
+    """Choose alpha by the resolved ``rule`` and regularize each row of
+    ``y_bar``, means of n measurements in the left singular basis of ``op``
+    with one noise estimate each in ``delta``: per row a (ChoiceResult,
+    solution coefficients) pair, or the NonTerminationError its search raises.
     An a priori choice has k = -1."""
-    if isinstance(rule, DiscrepancyRule):
-        choices = discrepancy_principle(op, spec, y_bar, delta, q=rule.q,
-                                        emergency_n=n if rule.emergency else None)
+    if rule["name"] == "apriori":
+        settings = {key: rule[key] for key in ("c", "nu", "rho") if key in rule}
+        choices = [ChoiceResult(apriori_alpha(d, **settings), -1, False) for d in delta]
     else:
-        choices = [ChoiceResult(apriori_alpha(rule, d), -1, False) for d in delta]
+        choices = discrepancy_principle(op, spec, y_bar, delta, q=rule["q"],
+                                        emergency_n=n if rule["name"] == "dp+es" else None)
     chosen = [i for i, choice in enumerate(choices) if isinstance(choice, ChoiceResult)]
     solutions = apply_regularizer(op, spec, [choices[i].alpha for i in chosen],
                                   [y_bar[i] for i in chosen])
@@ -648,9 +629,9 @@ def run_study(config: StudyConfig) -> dict:
         key, power, factor = _SCENARIO_BYTES[params["name"]]
         _check_budget(budget, factor * 8 * params[key] ** power,
                       f"scenario {key}: {params['name']} at {key} = {params[key]} holds")
-    scenario = build_scenario(config)
+    scenario, spec = build_scenario(config), FilterSpec(**config.filter)
     # a filter the spectrum makes divergent fails before any batch is drawn
-    residual_factor(config.filter_spec, 1.0, scenario.op.squares)
+    residual_factor(spec, 1.0, scenario.op.squares)
 
     def cell(index):
         n_index, rep = divmod(index, config.replications)
@@ -684,7 +665,7 @@ def run_study(config: StudyConfig) -> dict:
     for r, rule in enumerate(config.rules):
         for n_index, n in enumerate(config.sample_sizes):
             stack = cells[n_index * config.replications:(n_index + 1) * config.replications]
-            records[(rule.name, n)] = _solve_stack(config, scenario, rule, n, r, stack)
+            records[(rule["name"], n)] = _solve_stack(spec, scenario, rule, n, r, stack)
 
     total = pairs * len(config.rules)
     failed = sum(rec.failed for recs in records.values() for rec in recs)
@@ -860,13 +841,14 @@ def failure_reasons(records) -> str:
     return "; ".join(f"{count} x {reason}" for reason, count in reasons.most_common())
 
 
-def _solve_stack(config, scenario, rule, n: int, r: int, stack: list) -> list:
-    """The records of the config's r-th rule on the cells of sample size n,
-    (y_bar, delta_true, estimates) triples whose r-th estimate is a float or
-    the reason there is none; the cells with an estimate are one stack."""
+def _solve_stack(spec, scenario, rule, n: int, r: int, stack: list) -> list:
+    """The records of the config's r-th rule under the filter ``spec`` on the
+    cells of sample size n, (y_bar, delta_true, estimates) triples whose r-th
+    estimate is a float or the reason there is none; the cells with an
+    estimate are one stack."""
     outcomes = [deltas[r] for _, _, deltas in stack]
     rows = [i for i, delta in enumerate(outcomes) if not isinstance(delta, str)]
-    solved = solve_rule(scenario.op, config.filter_spec, rule, [stack[i][0] for i in rows],
+    solved = solve_rule(scenario.op, spec, rule, [stack[i][0] for i in rows],
                         [outcomes[i] for i in rows], n)
     for i, outcome in zip(rows, solved):
         outcomes[i] = outcome

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import sys
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from avereg.filters import residual_norm
+from avereg.study import StudyConfig
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -64,3 +67,9 @@ def _rate_fit(ns, medians) -> dict:
 def rate_fit():
     """The log-log convergence-rate fit of a study's medians."""
     return _rate_fit
+
+
+def written_back(config: StudyConfig) -> StudyConfig:
+    """``config`` written as JSON without its None fields, then read back."""
+    fields = {key: value for key, value in dataclasses.asdict(config).items() if value is not None}
+    return StudyConfig.from_dict(json.loads(json.dumps({"version": 1, **fields})))

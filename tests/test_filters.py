@@ -19,7 +19,7 @@ from avereg.filters import (
 )
 from avereg.measurements import BinaryOptionParams, CoefficientGaussian, HeavyTailed, draw_batch
 from avereg.rng import pareto_from_uniforms
-from avereg.selection import AprioriRule
+from avereg.selection import apriori_alpha
 from avereg.spectral import CoefficientVector, SpectralDecomposition, counterexample_operator
 from avereg.study import StudyConfig
 from conftest import row_residual
@@ -154,9 +154,9 @@ _BINOPT = BinaryOptionParams.default(8)
     lambda: FilterSpec.tikhonov().c_nu(_NAN),
     lambda: FilterSpec("landweber", relaxation=0.9).c_nu(_NAN),
     lambda: verify_filter_constants(FilterSpec.tikhonov(), _NAN),
-    lambda: AprioriRule("scaled_source", c=_NAN),
-    lambda: AprioriRule("scaled_source", nu=_NAN),
-    lambda: AprioriRule("scaled_source", rho=_NAN),
+    lambda: apriori_alpha(0.5, c=_NAN),
+    lambda: apriori_alpha(0.5, nu=_NAN),
+    lambda: apriori_alpha(0.5, rho=_NAN),
     lambda: CoefficientGaussian(_NAN),
     lambda: HeavyTailed(0.5, _NAN, 0.0, np.ones(3)),
     lambda: dataclasses.replace(_BINOPT, s0_grid=[1.0, _NAN, 3.0]),
@@ -184,10 +184,10 @@ def test_landweber_divergent_configuration():
 
 def _from_config(section):
     """The FilterSpec of a config's filter section, as a study builds it."""
-    return StudyConfig.from_dict({
+    return FilterSpec(**StudyConfig.from_dict({
         "version": 1, "scenario": {"name": "diagonal_synthetic"}, "filter": section,
         "rules": [{"name": "dp"}], "delta_rule": {"name": "sample_std"},
-        "sample_sizes": [2], "replications": 1, "base_seed": 1}).filter_spec
+        "sample_sizes": [2], "replications": 1, "base_seed": 1}).filter)
 
 
 def test_filter_spec_validation_and_config_round_trip():

@@ -22,6 +22,7 @@ from avereg.errors import (
     StudyError,
 )
 from avereg.study import StudyConfig, run_study
+from conftest import written_back
 
 # README: 1 for I/O, parse and config errors and running out of memory, 2 for
 # degenerate statistics and too many failed replications
@@ -125,6 +126,13 @@ def _valid_configs(draw):
         if not (scenario["name"] == "matrix_file" and noise["variant"] == "heavy_tailed"):
             raw["noise"] = noise
     return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_valid_configs())
+def test_a_valid_config_reads_back_to_itself(raw):
+    config = StudyConfig.from_dict(raw)
+    assert written_back(config) == config
 
 
 def _sections(raw):

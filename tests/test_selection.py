@@ -9,7 +9,6 @@ from avereg import filters, selection
 from avereg.errors import AveregError, InputError, NonTerminationError
 from avereg.filters import FilterSpec, apply_regularizer, filter_value, residual_norm
 from avereg.selection import (
-    AprioriRule,
     ChoiceResult,
     apriori_alpha,
     discrepancy_principle,
@@ -405,48 +404,35 @@ def test_stacked_search_and_solution_equal_one_row_at_a_time_bitwise(seed, kind,
 
 
 def test_apriori_scaled_source_examples():
-    rule = AprioriRule("scaled_source", c=1.0, nu=1.0, rho=1.0)
-    assert apriori_alpha(rule, 1e-4) == pytest.approx(1e-4)
-    rule = AprioriRule("scaled_source", c=1.0, nu=3.0, rho=2.0)
-    assert apriori_alpha(rule, 1e-2) == pytest.approx(0.005**0.5)
-    assert apriori_alpha(rule, 1e-2) == pytest.approx(0.07071, abs=1e-5)
+    assert apriori_alpha(1e-4, c=1.0, nu=1.0, rho=1.0) == pytest.approx(1e-4)
+    assert apriori_alpha(1e-2, c=1.0, nu=3.0, rho=2.0) == pytest.approx(0.005**0.5)
+    assert apriori_alpha(1e-2, c=1.0, nu=3.0, rho=2.0) == pytest.approx(0.07071, abs=1e-5)
 
 
 def test_apriori_inv_sqrt_n():
-    # the scaled_source formula at c = nu = rho = 1 on the estimate 1/sqrt(n)
-    rule = AprioriRule("inv_sqrt_n_alpha")
+    # the formula at its defaults c = nu = rho = 1 on the estimate 1/sqrt(n)
     for n in (1, 2, 10**4, 10**9):
-        assert apriori_alpha(rule, 1.0 / math.sqrt(n)) == min(1.0, 1.0 / math.sqrt(n))
+        assert apriori_alpha(1.0 / math.sqrt(n)) == min(1.0, 1.0 / math.sqrt(n))
 
 
 def test_apriori_clamped_to_unit_interval():
-    rule = AprioriRule("scaled_source", c=100.0, nu=1.0, rho=1.0)
-    assert apriori_alpha(rule, 0.5) == 1.0
+    assert apriori_alpha(0.5, c=100.0, nu=1.0, rho=1.0) == 1.0
     # (delta/rho)^(2/(nu+1)) overflows a float: it used to raise OverflowError
-    rule = AprioriRule("scaled_source", nu=1e-3, rho=1e-300)
-    assert apriori_alpha(rule, 0.5) == 1.0
+    assert apriori_alpha(0.5, nu=1e-3, rho=1e-300) == 1.0
     # ... and underflows to 0, which no filter takes
-    rule = AprioriRule("scaled_source", nu=1e-3, rho=1e308)
-    assert apriori_alpha(rule, 0.5) == math.ulp(0.0)
+    assert apriori_alpha(0.5, nu=1e-3, rho=1e308) == math.ulp(0.0)
     # an overflowing power times a tiny c is evaluated in logs, not clamped
-    rule = AprioriRule("scaled_source", c=5e-324, nu=1e-3, rho=1e-160)
     expected = math.exp(math.log(5e-324) + 2.0 / 1.001 * math.log(1e160))
     assert 1e-5 < expected < 1e-3
-    assert apriori_alpha(rule, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert apriori_alpha(1.0, c=5e-324, nu=1e-3, rho=1e-160) == pytest.approx(expected, rel=1e-12)
 
 
 def test_apriori_validation():
-    with pytest.raises(InputError):
-        AprioriRule("bogus")
-    with pytest.raises(InputError):
-        AprioriRule("scaled_source", c=0.0)
-    with pytest.raises(InputError):
-        apriori_alpha(AprioriRule("scaled_source"), 0.0)
-    # a setting the variant ignores is an error, not a second rule of that variant
-    for setting in ({"c": 50.0}, {"nu": 3.0}, {"rho": 2.0}):
-        with pytest.raises(InputError, match="inv_sqrt_n_alpha takes no c, nu or rho"):
-            AprioriRule("inv_sqrt_n_alpha", **setting)
-    assert AprioriRule("inv_sqrt_n_alpha", c=1.0) == AprioriRule("inv_sqrt_n_alpha")
+    for setting in ({"c": 0.0}, {"nu": -1.0}, {"rho": 0.0}):
+        with pytest.raises(InputError, match="c, nu and rho must be positive"):
+            apriori_alpha(0.5, **setting)
+    with pytest.raises(InputError, match="delta_est must be positive"):
+        apriori_alpha(0.0)
 
 
 # ---------------------------------------------------------------------------

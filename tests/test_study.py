@@ -41,6 +41,7 @@ from avereg.study import (
     summarize,
     write_study_csvs,
 )
+from conftest import written_back
 
 
 def _tiny_config(**overrides):
@@ -213,7 +214,7 @@ def test_binary_option_truth_default_parameters():
 def test_config_round_trip_from_dict():
     config = StudyConfig.from_dict(_tiny_config())
     assert config.scenario["name"] == "diagonal_synthetic"
-    assert config.filter_spec == FilterSpec.tikhonov()
+    assert config.filter == {"kind": "tikhonov"}
     assert config.sample_sizes == (50, 200)
     assert config.delta_rule == {"name": "sample_std"}
 
@@ -291,11 +292,14 @@ def test_config_rejects_booleans_as_integers(overrides):
      "rule apriori inv_sqrt_n_alpha does not take ['c', 'nu']"),
     ({"rules": [{"name": "apriori", "variant": "inv_sqrt_n_alpha", "rho": 1.0}]},
      "rule apriori inv_sqrt_n_alpha does not take ['rho']"),
+    ({"rules": [{"name": "apriori", "variant": "bogus"}]},
+     "rule variant must be one of ['inv_sqrt_n_alpha', 'scaled_source']"),
 ])
 def test_config_rejects_settings_that_used_to_fail_mid_run(overrides, message):
     # each of these used to pass validation and then raise a bare TypeError or
     # ValueError from build_scenario, overflow to a non-finite value mid-run,
-    # or (c, nu and rho of inv_sqrt_n_alpha) be ignored
+    # or (c, nu and rho of inv_sqrt_n_alpha) be ignored.  The schema is the
+    # one check of an a priori variant
     raw = _tiny_config(**overrides)
     if raw["source"] is None:
         del raw["source"]
@@ -391,6 +395,15 @@ def test_default_configs_are_valid():
                 default_counterexample_config(),
                 default_counterexample_config(forced=True, emergency=True)):
         StudyConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    default_heat_config(), default_binopt_config(), default_counterexample_config(),
+    default_counterexample_config(forced=True), default_counterexample_config(emergency=True),
+], ids=["heat", "binopt", "counterexample", "forced", "emergency"])
+def test_a_resolved_config_reads_back_to_itself(raw):
+    config = StudyConfig.from_dict(raw)
+    assert written_back(config) == config
 
 
 def _matrix_file_config(tmp_path, **overrides):
@@ -665,7 +678,7 @@ def test_dp_stop_certificates_hold_post_hoc():
     def residual(alpha, y):
         # a diagonal operator's range holds all of y
         gaps = 1.0 - sigma_sq * np.array(
-            [filter_value(config.filter_spec, alpha, lam) for lam in sigma_sq]
+            [filter_value(FilterSpec(**config.filter), alpha, lam) for lam in sigma_sq]
         )
         return float(np.linalg.norm(gaps * y))
 
@@ -743,16 +756,16 @@ def test_a_spectrum_whose_squares_underflow_fails_before_any_draw(scenario, monk
 
 def test_search_that_cannot_stop_fails_only_its_replication():
     from avereg.spectral import CoefficientVector, SpectralDecomposition
-    from avereg.study import DiscrepancyRule, Scenario, _solve_stack
+    from avereg.study import Scenario, _solve_stack
 
-    config = StudyConfig.from_dict(_tiny_config(delta_rule={"name": "inv_sqrt_n"}))
     # in replication 3 the data component outside the range (1.0) exceeds
     # delta = 1/sqrt(4); the others have none
     stack = [(CoefficientVector(np.array([1.0]), 1.0 if rep == 3 else 0.0), 0.25, [0.5])
              for rep in range(5)]
     scenario = Scenario(SpectralDecomposition(np.array([1.0])), np.zeros(1), np.zeros(1),
                         model=None)
-    records = _solve_stack(config, scenario, DiscrepancyRule(q=0.7), 4, 0, stack)
+    records = _solve_stack(FilterSpec.tikhonov(), scenario, {"name": "dp", "q": 0.7}, 4, 0,
+                           stack)
     assert [record.failed for record in records] == [False, False, False, True, False]
     record = records[3]
     assert record.delta_est == 0.5
@@ -803,19 +816,18 @@ def test_solve_rule_is_the_study_replication_solve():
     scenario = build_scenario(config)
     result = run_study(config)
     batch = draw_batch(scenario.model, scenario.y_hat, 50, config.base_seed, 0)
-    y_bar = project_data(scenario.op, batch.mean)
+    y_bar, spec = project_data(scenario.op, batch.mean), FilterSpec(**config.filter)
     for rule in config.rules:
         delta = rule_delta(rule, batch, config.delta_rule)
-        [(choice, x)] = solve_rule(scenario.op, config.filter_spec, rule, [y_bar],
-                                   [delta], batch.n)
-        record = result[(rule.name, 50)][0]
+        [(choice, x)] = solve_rule(scenario.op, spec, rule, [y_bar], [delta], batch.n)
+        record = result[(rule["name"], 50)][0]
         assert (choice.alpha, choice.k, choice.emergency_triggered, delta) == \
             (record.alpha, record.k, record.emergency, record.delta_est)
         error = np.linalg.norm(x - scenario.x_hat)
         assert float(error) == record.error
     delta = rule_delta(config.rules[2], batch, config.delta_rule)
-    [(choice, solution)] = solve_rule(scenario.op, config.filter_spec, config.rules[2],
-                                      [y_bar], [delta], batch.n)
+    [(choice, solution)] = solve_rule(scenario.op, spec, config.rules[2], [y_bar], [delta],
+                                      batch.n)
     assert delta == 1.0 / math.sqrt(50)
     # inv_sqrt_n_alpha's alpha is its estimate, and an a priori choice has k = -1
     assert (choice.alpha, choice.k, choice.emergency_triggered) == (delta, -1, False)
